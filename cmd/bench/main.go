@@ -21,8 +21,10 @@
 // turn the run into a gate: exit 1 unless enough shapes improved by
 // enough percent (what `make tune-experiments` pins).
 //
-// Bad flags exit with status 2 and usage text; runtime failures and
-// detected regressions exit with status 1.
+// Bad flags exit with status 2 and usage text, as does comparing runs
+// made at different GOMAXPROCS (make bench-compare runs at the
+// baseline's); runtime failures and detected regressions exit with
+// status 1.
 package main
 
 import (
@@ -31,6 +33,7 @@ import (
 	"log"
 	"log/slog"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -116,8 +119,16 @@ func main() {
 		cfg.KernelSizes = parseInts("kernel-sizes", *kernel, 1)
 	}
 
-	var f *bench.File
+	var f, base *bench.File
 	var err error
+	if *compare != "" {
+		if base, err = bench.ReadFile(*compare); err != nil {
+			log.Fatal(err)
+		}
+		if *replay == "" {
+			sameProcs(base, *compare, runtime.GOMAXPROCS(0)) // before the long run
+		}
+	}
 	if *replay != "" {
 		if f, err = bench.ReadFile(*replay); err != nil {
 			log.Fatal(err)
@@ -140,11 +151,8 @@ func main() {
 		}
 	}
 
-	if *compare != "" {
-		base, err := bench.ReadFile(*compare)
-		if err != nil {
-			log.Fatal(err)
-		}
+	if base != nil {
+		sameProcs(base, *compare, f.GOMAXPROCS)
 		regs := bench.Compare(base, f, *threshold)
 		if len(regs) > 0 {
 			for _, r := range regs {
@@ -154,6 +162,19 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "bench: no regressions vs %s (%d cells, threshold %.0f%%)\n",
 			*compare, len(base.Cells), *threshold*100)
+	}
+}
+
+// sameProcs exits with status 2 unless the run being compared used the
+// baseline's GOMAXPROCS. Cells with workers=0 run GOMAXPROCS workers, so
+// across a mismatch they run a different number of them — and past one
+// worker the kernel's parallel branch, which allocates by design — and
+// every delta would measure the host, not the change.
+func sameProcs(base *bench.File, path string, procs int) {
+	if procs != base.GOMAXPROCS {
+		fmt.Fprintf(os.Stderr, "bench: %s was recorded at gomaxprocs %d, the compared run at gomaxprocs %d; compare runs made at the same GOMAXPROCS (here GOMAXPROCS=%d)\n",
+			path, base.GOMAXPROCS, procs, base.GOMAXPROCS)
+		os.Exit(2)
 	}
 }
 

@@ -41,11 +41,15 @@ type Blocking struct {
 	MC, KC, NC int
 }
 
-// DefaultBlocking returns the portable default parameters: kc sized so
-// one A micro-panel (MR×kc) plus one B micro-panel (kc×NR) sit in a
-// 32 KiB L1 with room to spare, mc so the packed A block stays within a
-// conservative 256 KiB L2 share, and nc so the packed B panel lives in
-// L2/L3 across the whole mc sweep.
+// DefaultBlocking returns the portable default parameters. kc = 256:
+// one 16×256 A micro-panel (32 KiB) plus one 256×8 B micro-panel
+// (16 KiB) is 48 KiB, the whole L1d of the 2-core Xeon the tile was
+// sized on. kc is not a free tuning knob: the multi-output write-out
+// rounds once per kc slice, so kc fixes the output bits and changing
+// it changes results. mc = 128 keeps the packed A block (256 KiB)
+// within a conservative L2 share, and nc = 512 keeps the packed B panel
+// (1 MiB) in L2/L3 across the whole mc sweep; both are whole 16×8
+// register tiles.
 func DefaultBlocking() Blocking { return Blocking{MC: 128, KC: 256, NC: 512} }
 
 // normalized fills zero fields from DefaultBlocking and rounds MC/NC up
@@ -134,12 +138,16 @@ func MulAdd(c, a, b *matrix.Matrix, bl Blocking, workers int, al pool.Allocator,
 // terms (or k == 0) the product is zero: accumulating outs are left
 // untouched and overwriting outs are zeroed.
 //
-// Parallel execution splits the mc-row blocks across workers; output
-// rows are disjoint so no synchronization is needed. When rec is
-// non-nil the call reports one PhasePack and one PhaseKernel span
-// (packing time is attributed exactly when sequential; under parallel
-// execution the A-block packing overlaps compute and is counted as
-// kernel time).
+// Parallel execution (workers > 1 and more than one mc block) first
+// packs each kc×nc B panel with all workers, each filling a disjoint
+// range of its NR-column micro-panels, then splits the mc-row blocks
+// across workers; output rows are disjoint so no synchronization is
+// needed beyond the wait between the two steps. When rec is non-nil the
+// call reports one PhasePack and one PhaseKernel span that sum to the
+// call's wall time. PhasePack is the wall time of the pack step on both
+// paths: every A and B pack when sequential, the shared B pack when
+// parallel (there each worker packs its own A blocks while the others
+// compute, so that time counts as kernel time).
 //
 //abmm:hotpath
 func GEMM(outs []Out, aTerms, bTerms []Term, bl Blocking, workers int, al pool.Allocator, rec obs.Recorder) {
@@ -162,7 +170,7 @@ func GEMM(outs []Out, aTerms, bTerms []Term, bl Blocking, workers int, al pool.A
 	direct := len(outs) == 1 && outs[0].Coeff == 1
 
 	timed := rec != nil
-	var start time.Time
+	var start, tp time.Time
 	var packDur time.Duration
 	if timed {
 		start = time.Now()
@@ -171,57 +179,71 @@ func GEMM(outs []Out, aTerms, bTerms []Term, bl Blocking, workers int, al pool.A
 	kcMax := min(bl.KC, kk)
 	ncMax := roundUp(min(bl.NC, n), NR)
 	mcMax := roundUp(min(bl.MC, m), MR)
+	blocks := (m + bl.MC - 1) / bl.MC
 	pb := al.Floats(kcMax * ncMax)
 	for jc := 0; jc < n; jc += bl.NC {
 		nc := min(bl.NC, n-jc)
+		panels := (nc + NR - 1) / NR
 		for pc := 0; pc < kk; pc += bl.KC {
 			kc := min(bl.KC, kk-pc)
 			first := pc == 0
-			if timed {
-				tp := time.Now()
-				packB(pb[:roundUp(nc, NR)*kc], bTerms, pc, kc, jc, nc)
-				packDur += time.Since(tp)
-			} else {
-				packB(pb[:roundUp(nc, NR)*kc], bTerms, pc, kc, jc, nc)
-			}
-			blocks := (m + bl.MC - 1) / bl.MC
 			if workers <= 1 || blocks == 1 {
+				if timed {
+					tp = time.Now()
+				}
+				packB(pb, bTerms, pc, kc, jc, nc, 0, panels)
+				if timed {
+					packDur += time.Since(tp)
+				}
 				pa := al.Floats(mcMax * kc)
 				for ib := 0; ib < blocks; ib++ {
 					i0 := ib * bl.MC
 					blk := blockArgs{i0: i0, mc: min(bl.MC, m-i0), pc: pc, kc: kc, jc: jc, nc: nc, first: first, direct: direct}
 					if timed {
-						tp := time.Now()
-						packA(pa[:roundUp(blk.mc, MR)*kc], aTerms, i0, blk.mc, pc, kc)
+						tp = time.Now()
+					}
+					packA(pa[:roundUp(blk.mc, MR)*kc], aTerms, i0, blk.mc, pc, kc)
+					if timed {
 						packDur += time.Since(tp)
-					} else {
-						packA(pa[:roundUp(blk.mc, MR)*kc], aTerms, i0, blk.mc, pc, kc)
 					}
 					computeBlock(outs, pa, pb, blk)
 				}
 				al.PutFloats(pa)
-			} else {
-				// Heap copies so the dispatch closure never captures the
-				// caller's slices: sequential callers keep their term and
-				// output tables on the stack, and only the parallel branch
-				// pays. Cold for the warm-path guarantee (workers == 1).
-				//abmm:allow hotpath-alloc
-				houts := append([]Out(nil), outs...)
-				// Same heap-copy discipline for the term table.
-				//abmm:allow hotpath-alloc
-				haT := append([]Term(nil), aTerms...)
-				mc, pcc, kcc, jcc, ncc := bl.MC, pc, kc, jc, nc
-				parallel.ForChunks(blocks, workers, 1, func(lo, hi int) {
-					pa := al.Floats(mcMax * kcc)
-					for ib := lo; ib < hi; ib++ {
-						i0 := ib * mc
-						blk := blockArgs{i0: i0, mc: min(mc, m-i0), pc: pcc, kc: kcc, jc: jcc, nc: ncc, first: first, direct: direct}
-						packA(pa[:roundUp(blk.mc, MR)*kcc], haT, i0, blk.mc, pcc, kcc)
-						computeBlock(houts, pa, pb, blk)
-					}
-					al.PutFloats(pa)
-				})
+				continue
 			}
+			// Heap copies so the dispatch closures never capture the
+			// caller's slices: sequential callers keep their term and
+			// output tables on the stack, and only the parallel branch
+			// pays. Cold for the warm-path guarantee (workers == 1).
+			//abmm:allow hotpath-alloc
+			houts := append([]Out(nil), outs...)
+			// Same heap-copy discipline for the A-side term table.
+			//abmm:allow hotpath-alloc
+			haT := append([]Term(nil), aTerms...)
+			// And for the B-side term table, which the workers read
+			// while packing B.
+			//abmm:allow hotpath-alloc
+			hbT := append([]Term(nil), bTerms...)
+			mc, pcc, kcc, jcc, ncc := bl.MC, pc, kc, jc, nc
+			if timed {
+				tp = time.Now()
+			}
+			parallel.ForChunks(panels, workers, 1, func(lo, hi int) {
+				packB(pb, hbT, pcc, kcc, jcc, ncc, lo, hi)
+			})
+			if timed {
+				packDur += time.Since(tp)
+			}
+			parallel.ForChunks(blocks, workers, 1, func(lo, hi int) {
+				pa := al.Floats(mcMax * kcc)
+				for ib := lo; ib < hi; ib++ {
+					i0 := ib * mc
+					blk := blockArgs{i0: i0, mc: min(mc, m-i0), pc: pcc, kc: kcc, jc: jcc, nc: ncc, first: first, direct: direct}
+					packA(pa[:roundUp(blk.mc, MR)*kcc], haT, i0, blk.mc, pcc, kcc)
+					computeBlock(houts, pa, pb, blk)
+				}
+				al.PutFloats(pa)
+			})
 		}
 	}
 	al.PutFloats(pb)

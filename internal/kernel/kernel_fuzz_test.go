@@ -16,6 +16,13 @@ func FuzzMulBitwiseEqualsNaive(f *testing.F) {
 	f.Add(uint16(7), uint16(11), uint16(13), uint16(8), uint16(4), uint16(8), uint64(2))
 	f.Add(uint16(31), uint16(257), uint16(5), uint16(0), uint16(0), uint16(0), uint64(3))
 	f.Add(uint16(97), uint16(101), uint16(103), uint16(12), uint16(300), uint16(20), uint64(4))
+	// Register-tile edges (the target adds 1 to m, k and n): 15, 16, 17,
+	// 31 and 33 rows against 7, 8 and 9 columns.
+	f.Add(uint16(14), uint16(8), uint16(6), uint16(0), uint16(0), uint16(0), uint64(5))
+	f.Add(uint16(15), uint16(15), uint16(7), uint16(16), uint16(8), uint16(8), uint64(6))
+	f.Add(uint16(16), uint16(2), uint16(8), uint16(0), uint16(0), uint16(0), uint64(7))
+	f.Add(uint16(30), uint16(63), uint16(6), uint16(16), uint16(32), uint16(8), uint64(8))
+	f.Add(uint16(32), uint16(256), uint16(8), uint16(0), uint16(0), uint16(0), uint64(9))
 	f.Fuzz(func(t *testing.T, m, k, n, mc, kc, nc uint16, seed uint64) {
 		// Clamp shapes to keep one fuzz execution cheap; blocking values
 		// pass through normalized() so zero and tiny values are legal.

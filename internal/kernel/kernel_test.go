@@ -3,8 +3,10 @@ package kernel
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"abmm/internal/matrix"
+	"abmm/internal/obs"
 	"abmm/internal/pool"
 )
 
@@ -42,6 +44,13 @@ var shapes = []struct{ m, k, n int }{
 	{1, 300, 1},
 	{130, 1, 514},
 	{129, 263, 517},
+	// Edges of the 16×8 register tile: one row or column short of a
+	// tile, exactly one, one over, and the same around two tiles.
+	{15, 7, 8},
+	{16, 8, 9},
+	{17, 9, 7},
+	{31, 16, 9},
+	{33, 17, 8},
 }
 
 func TestMulBitwiseEqualsNaive(t *testing.T) {
@@ -52,12 +61,17 @@ func TestMulBitwiseEqualsNaive(t *testing.T) {
 				b := matrix.New(s.k, s.n)
 				fill(a, 1)
 				fill(b, 2)
-				got := matrix.New(s.m, s.n)
 				want := matrix.New(s.m, s.n)
 				matrix.MulNaive(want, a, b)
-				Mul(got, a, b, Blocking{}, workers, pool.Global, nil)
-				if !matrix.Equal(got, want) {
-					t.Fatalf("packed Mul differs bitwise from MulNaive")
+				// Every micro-kernel routine the host runs must hold the
+				// contract, not only the one it would pick.
+				for _, i := range hostISAs() {
+					forceISA(t, i)
+					got := matrix.New(s.m, s.n)
+					Mul(got, a, b, Blocking{}, workers, pool.Global, nil)
+					if !matrix.Equal(got, want) {
+						t.Fatalf("%s: packed Mul differs bitwise from MulNaive", isaNames[i])
+					}
 				}
 			})
 		}
@@ -89,6 +103,31 @@ func TestMulAddBitwiseEqualsNaiveChain(t *testing.T) {
 		if !matrix.Equal(got, want) {
 			t.Fatalf("%dx%dx%d: packed MulAdd differs bitwise from naive accumulation", s.m, s.k, s.n)
 		}
+	}
+}
+
+// TestGEMMSpansSumToWallTime pins the recorder contract on the parallel
+// branch: one pack and one kernel span per GEMM, summing to the call's
+// wall time — not to CPU time across the workers, which would exceed it.
+func TestGEMMSpansSumToWallTime(t *testing.T) {
+	const m, k, n = 3*128 + 5, 300, 200 // four mc blocks, two kc slices
+	a, b, c := matrix.New(m, k), matrix.New(k, n), matrix.New(m, n)
+	fill(a, 1)
+	fill(b, 2)
+	rec := obs.NewCollector()
+	start := time.Now()
+	Mul(c, a, b, Blocking{}, 2, pool.Global, rec)
+	wall := time.Since(start).Seconds()
+	phases := rec.Snapshot().Phases
+	pack, kern := phases[obs.PhasePack], phases[obs.PhaseKernel]
+	if pack.Count != 1 || kern.Count != 1 {
+		t.Fatalf("got %d pack and %d kernel spans, want one each", pack.Count, kern.Count)
+	}
+	if pack.Seconds <= 0 || kern.Seconds <= 0 {
+		t.Fatalf("pack %gs, kernel %gs: both steps must take time", pack.Seconds, kern.Seconds)
+	}
+	if sum := pack.Seconds + kern.Seconds; sum > wall || sum < wall/2 {
+		t.Fatalf("pack %gs + kernel %gs = %gs, want the GEMM's wall time %gs", pack.Seconds, kern.Seconds, sum, wall)
 	}
 }
 

@@ -1,91 +1,146 @@
-// AVX2 micro-kernel and CPU feature probes for the packed base case.
+// Micro-kernels and CPU feature probes for the packed base case.
 //
-// The 4×4 register tile maps one output row to one YMM accumulator
-// (four float64 columns per register). Each k step loads the four
-// packed B columns once, broadcasts the four packed A row elements,
-// and issues a separate VMULPD and VADDPD per row — deliberately NOT
-// VFMADD: the fused multiply-add rounds once where mul-then-add rounds
-// twice, and the kernel's contract is bitwise equality with the scalar
-// naive triple loop, which rounds twice. Per output element the adds
-// form one serial ascending-k chain, so each element's rounding
-// history is identical to the scalar kernel's.
+// Both kernels compute the same packed 16×8 tile: acc += Ap·Bp, where
+// Ap is a 16-row micro-panel (16 float64 per k step, 128 bytes) and Bp
+// an 8-column micro-panel (8 float64 per k step, 64 bytes). Each k step
+// multiplies one B row by each broadcast A element and adds the product
+// to that row's accumulator with a separate VMULPD and VADDPD —
+// deliberately NOT VFMADD: the fused multiply-add rounds once where
+// mul-then-add rounds twice, and the kernel's contract is bitwise
+// equality with the scalar naive triple loop, which rounds twice. Per
+// output element the adds form one serial ascending-k chain, so each
+// element's rounding history is identical to the scalar kernel's.
 
 #include "textflag.h"
 
-// func microAVX2(ap, bp *float64, kc int, acc *[16]float64)
-TEXT ·microAVX2(SB), NOSPLIT, $0-32
+// ZROW applies one k step to accumulator row acc: tmp = B row (Z16) ×
+// the A element at off(SI) broadcast to all eight lanes; acc += tmp.
+#define ZROW(off, acc, tmp) VMULPD.BCST off(SI), Z16, tmp; VADDPD tmp, acc, acc
+
+// func micro16x8AVX512(ap, bp *float64, kc int, acc *[128]float64)
+//
+// One ZMM accumulator per output row (Z0–Z15), the B row in Z16,
+// product temporaries in Z17–Z31.
+TEXT ·micro16x8AVX512(SB), NOSPLIT, $0-32
 	MOVQ ap+0(FP), SI
 	MOVQ bp+8(FP), DI
 	MOVQ kc+16(FP), CX
 	MOVQ acc+24(FP), DX
 
-	VMOVUPD (DX), Y0      // acc row 0
-	VMOVUPD 32(DX), Y1    // acc row 1
-	VMOVUPD 64(DX), Y2    // acc row 2
-	VMOVUPD 96(DX), Y3    // acc row 3
+	VMOVUPD 0(DX), Z0
+	VMOVUPD 64(DX), Z1
+	VMOVUPD 128(DX), Z2
+	VMOVUPD 192(DX), Z3
+	VMOVUPD 256(DX), Z4
+	VMOVUPD 320(DX), Z5
+	VMOVUPD 384(DX), Z6
+	VMOVUPD 448(DX), Z7
+	VMOVUPD 512(DX), Z8
+	VMOVUPD 576(DX), Z9
+	VMOVUPD 640(DX), Z10
+	VMOVUPD 704(DX), Z11
+	VMOVUPD 768(DX), Z12
+	VMOVUPD 832(DX), Z13
+	VMOVUPD 896(DX), Z14
+	VMOVUPD 960(DX), Z15
 
-	MOVQ CX, BX
-	ANDQ $1, BX           // BX = kc odd?
-	SHRQ $1, CX           // CX = kc/2 (pairs)
-	JZ   tail
-
-pair:
-	// k step 0
-	VMOVUPD (DI), Y4
-	VBROADCASTSD (SI), Y5
-	VBROADCASTSD 8(SI), Y6
-	VBROADCASTSD 16(SI), Y7
-	VBROADCASTSD 24(SI), Y8
-	VMULPD Y4, Y5, Y5
-	VMULPD Y4, Y6, Y6
-	VMULPD Y4, Y7, Y7
-	VMULPD Y4, Y8, Y8
-	VADDPD Y5, Y0, Y0
-	VADDPD Y6, Y1, Y1
-	VADDPD Y7, Y2, Y2
-	VADDPD Y8, Y3, Y3
-	// k step 1
-	VMOVUPD 32(DI), Y9
-	VBROADCASTSD 32(SI), Y10
-	VBROADCASTSD 40(SI), Y11
-	VBROADCASTSD 48(SI), Y12
-	VBROADCASTSD 56(SI), Y13
-	VMULPD Y9, Y10, Y10
-	VMULPD Y9, Y11, Y11
-	VMULPD Y9, Y12, Y12
-	VMULPD Y9, Y13, Y13
-	VADDPD Y10, Y0, Y0
-	VADDPD Y11, Y1, Y1
-	VADDPD Y12, Y2, Y2
-	VADDPD Y13, Y3, Y3
-
-	ADDQ $64, SI
+zloop:
+	VMOVUPD (DI), Z16
+	ZROW(0, Z0, Z17)
+	ZROW(8, Z1, Z18)
+	ZROW(16, Z2, Z19)
+	ZROW(24, Z3, Z20)
+	ZROW(32, Z4, Z21)
+	ZROW(40, Z5, Z22)
+	ZROW(48, Z6, Z23)
+	ZROW(56, Z7, Z24)
+	ZROW(64, Z8, Z25)
+	ZROW(72, Z9, Z26)
+	ZROW(80, Z10, Z27)
+	ZROW(88, Z11, Z28)
+	ZROW(96, Z12, Z29)
+	ZROW(104, Z13, Z30)
+	ZROW(112, Z14, Z31)
+	ZROW(120, Z15, Z17)
+	ADDQ $128, SI
 	ADDQ $64, DI
 	DECQ CX
-	JNZ  pair
+	JNZ  zloop
 
-tail:
-	TESTQ BX, BX
-	JZ    done
-	VMOVUPD (DI), Y4
-	VBROADCASTSD (SI), Y5
-	VBROADCASTSD 8(SI), Y6
-	VBROADCASTSD 16(SI), Y7
-	VBROADCASTSD 24(SI), Y8
-	VMULPD Y4, Y5, Y5
-	VMULPD Y4, Y6, Y6
-	VMULPD Y4, Y7, Y7
-	VMULPD Y4, Y8, Y8
-	VADDPD Y5, Y0, Y0
-	VADDPD Y6, Y1, Y1
-	VADDPD Y7, Y2, Y2
-	VADDPD Y8, Y3, Y3
+	VMOVUPD Z0, 0(DX)
+	VMOVUPD Z1, 64(DX)
+	VMOVUPD Z2, 128(DX)
+	VMOVUPD Z3, 192(DX)
+	VMOVUPD Z4, 256(DX)
+	VMOVUPD Z5, 320(DX)
+	VMOVUPD Z6, 384(DX)
+	VMOVUPD Z7, 448(DX)
+	VMOVUPD Z8, 512(DX)
+	VMOVUPD Z9, 576(DX)
+	VMOVUPD Z10, 640(DX)
+	VMOVUPD Z11, 704(DX)
+	VMOVUPD Z12, 768(DX)
+	VMOVUPD Z13, 832(DX)
+	VMOVUPD Z14, 896(DX)
+	VMOVUPD Z15, 960(DX)
+	VZEROUPPER
+	RET
 
-done:
-	VMOVUPD Y0, (DX)
+// YROW applies one k step to the two YMM halves (lo, hi) of one
+// accumulator row: the A element at off(R9) is broadcast into t0 and
+// multiplied by both B halves (Y8, Y9).
+#define YROW(off, lo, hi, t0, t1, t2) VBROADCASTSD off(R9), t0; VMULPD Y8, t0, t1; VMULPD Y9, t0, t2; VADDPD t1, lo, lo; VADDPD t2, hi, hi
+
+// func micro16x8AVX2(ap, bp *float64, kc int, acc *[128]float64)
+//
+// Four passes over the B micro-panel, one per 4-row sub-tile: eight
+// YMM accumulators (Y0–Y7, two per row), the B row's halves in Y8 and
+// Y9, temporaries in Y10–Y15. SI steps through the sub-tiles' row
+// offsets within each 128-byte A step, DX through the accumulator's
+// 256-byte row groups.
+TEXT ·micro16x8AVX2(SB), NOSPLIT, $0-32
+	MOVQ ap+0(FP), SI
+	MOVQ acc+24(FP), DX
+	MOVQ $4, R8
+
+ysub:
+	MOVQ SI, R9
+	MOVQ bp+8(FP), DI
+	MOVQ kc+16(FP), CX
+	VMOVUPD 0(DX), Y0
+	VMOVUPD 32(DX), Y1
+	VMOVUPD 64(DX), Y2
+	VMOVUPD 96(DX), Y3
+	VMOVUPD 128(DX), Y4
+	VMOVUPD 160(DX), Y5
+	VMOVUPD 192(DX), Y6
+	VMOVUPD 224(DX), Y7
+
+yloop:
+	VMOVUPD (DI), Y8
+	VMOVUPD 32(DI), Y9
+	YROW(0, Y0, Y1, Y10, Y11, Y12)
+	YROW(8, Y2, Y3, Y13, Y14, Y15)
+	YROW(16, Y4, Y5, Y10, Y11, Y12)
+	YROW(24, Y6, Y7, Y13, Y14, Y15)
+	ADDQ $128, R9
+	ADDQ $64, DI
+	DECQ CX
+	JNZ  yloop
+
+	VMOVUPD Y0, 0(DX)
 	VMOVUPD Y1, 32(DX)
 	VMOVUPD Y2, 64(DX)
 	VMOVUPD Y3, 96(DX)
+	VMOVUPD Y4, 128(DX)
+	VMOVUPD Y5, 160(DX)
+	VMOVUPD Y6, 192(DX)
+	VMOVUPD Y7, 224(DX)
+	ADDQ $32, SI
+	ADDQ $256, DX
+	DECQ R8
+	JNZ  ysub
+
 	VZEROUPPER
 	RET
 

@@ -3,10 +3,15 @@
 package kernel
 
 // Non-amd64 targets always take the portable Go micro-kernel.
-const haveAVX2 = false
+const hostISA = isaGo
 
-// microAVX2 is never called when haveAVX2 is false; this stub keeps
-// the dispatch in micro.go portable.
-func microAVX2(ap, bp *float64, kc int, acc *[MR * NR]float64) {
-	panic("kernel: microAVX2 without AVX2 support")
+// The assembly routines are never called when hostISA is isaGo; these
+// stubs keep the dispatch in micro.go portable.
+
+func micro16x8AVX512(ap, bp *float64, kc int, acc *[MR * NR]float64) {
+	panic("kernel: AVX-512 micro-kernel on a non-amd64 build")
+}
+
+func micro16x8AVX2(ap, bp *float64, kc int, acc *[MR * NR]float64) {
+	panic("kernel: AVX2 micro-kernel on a non-amd64 build")
 }

@@ -99,16 +99,16 @@ func packRowStrided(panel []float64, r int, terms []Term, i, k0, kc int) {
 	}
 }
 
-// packB packs the block rows [k0, k0+kc) × cols [j0, j0+n) of the B
-// operand Σ terms into dst as ⌈n/NR⌉ consecutive NR-column
-// micro-panels, each stored k-major with the NR column elements of one
-// k adjacent. Columns past n are zero-filled. dst must hold
-// ⌈n/NR⌉·NR·kc elements.
+// packB packs micro-panels [p0, p1) of the block rows [k0, k0+kc) ×
+// cols [j0, j0+n) of the B operand Σ terms into dst, which holds the
+// block's ⌈n/NR⌉ consecutive NR-column micro-panels, each stored k-major
+// with the NR column elements of one k adjacent. Columns past n are
+// zero-filled. Disjoint panel ranges write disjoint parts of dst, so
+// workers can pack one block in parallel.
 //
 //abmm:hotpath
-func packB(dst []float64, terms []Term, k0, kc, j0, n int) {
-	panels := (n + NR - 1) / NR
-	for p := 0; p < panels; p++ {
+func packB(dst []float64, terms []Term, k0, kc, j0, n, p0, p1 int) {
+	for p := p0; p < p1; p++ {
 		panel := dst[p*NR*kc : (p+1)*NR*kc]
 		j := j0 + p*NR
 		w := min(NR, j0+n-j)

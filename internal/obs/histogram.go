@@ -104,18 +104,22 @@ type HistSnapshot struct {
 }
 
 // Snapshot copies the histogram's current state. A nil histogram
-// yields the zero snapshot.
+// yields the zero snapshot. It reads the fields in the reverse of the
+// order Observe writes them, buckets first, so observations landing
+// mid-snapshot can raise Count but never leave the bucket total above
+// it; only observations split by a concurrent Reset can (at most one
+// per observing goroutine).
 func (h *Histogram) Snapshot() HistSnapshot {
 	var s HistSnapshot
 	if h == nil {
 		return s
 	}
-	s.Count = h.count.Load()
-	s.Sum = h.sum.Load()
-	s.Max = h.max.Load()
 	for i := range s.Buckets {
 		s.Buckets[i] = h.buckets[i].Load()
 	}
+	s.Max = h.max.Load()
+	s.Sum = h.sum.Load()
+	s.Count = h.count.Load()
 	return s
 }
 

@@ -14,12 +14,14 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net"
 	"net/http"
 	"sort"
@@ -478,6 +480,12 @@ func (s *Server) finishTrace(tr *reqtrace.Trace, o reqtrace.Outcome, errMsg stri
 // request echoes X-Abmm-Trace-Id, logs with the trace ID, and seals the
 // trace into the errored (or canceled, for 499/504) ring.
 func (s *Server) failReq(w http.ResponseWriter, tr *reqtrace.Trace, code int, msg string) {
+	s.sealFailed(w, tr, code, msg)
+	s.fail(w, code, msg)
+}
+
+// sealFailed is failReq's bookkeeping short of the response body.
+func (s *Server) sealFailed(w http.ResponseWriter, tr *reqtrace.Trace, code int, msg string) {
 	if tr != nil {
 		w.Header().Set("X-Abmm-Trace-Id", tr.ID().String())
 	}
@@ -487,7 +495,23 @@ func (s *Server) failReq(w http.ResponseWriter, tr *reqtrace.Trace, code int, ms
 		o = reqtrace.OutcomeCanceled
 	}
 	s.finishTrace(tr, o, msg)
-	s.fail(w, code, msg)
+}
+
+// failEncode answers a JSON request whose product has no JSON encoding
+// (an entry overflowed to ±Inf or became NaN) with an explicit 500
+// instead of an empty 200. The SLO sees the request's wall time like
+// any completed one, and its product as an error beyond every bound.
+func (s *Server) failEncode(w http.ResponseWriter, tr *reqtrace.Trace, elapsed time.Duration, bound float64, err error) {
+	msg := "encode product: " + err.Error()
+	s.slo.RecordLatency(elapsed)
+	s.slo.ErrorSample(math.Inf(1), bound)
+	s.sealFailed(w, tr, http.StatusInternalServerError, msg)
+	s.count(http.StatusInternalServerError)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusInternalServerError)
+	json.NewEncoder(w).Encode(struct {
+		Error string `json:"error"`
+	}{msg})
 }
 
 // failCtxReq maps a done context to its status: 504 for an expired
@@ -637,14 +661,20 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 	}
 	enc := tr.StartSpan("encode")
 	if isJSON {
-		h.Set("Content-Type", "application/json")
 		resp := jsonResponse{
 			C: toRows(dst), Alg: req.Alg, Plan: plan.Desc(), Levels: plan.Levels(),
 			QueueNs: queueNs, ExecNs: execNs,
 			ErrorBound: plan.ErrorBound(), Coalesced: joined,
 		}
+		var buf bytes.Buffer
+		if err := json.NewEncoder(&buf).Encode(&resp); err != nil {
+			enc.End()
+			s.failEncode(w, tr, time.Since(start), plan.ErrorBound(), err)
+			return
+		}
+		h.Set("Content-Type", "application/json")
 		s.count(http.StatusOK)
-		json.NewEncoder(w).Encode(&resp)
+		w.Write(buf.Bytes())
 	} else {
 		h.Set("Content-Type", ContentTypeBinary)
 		s.count(http.StatusOK)

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,6 +15,8 @@ import (
 	"time"
 
 	"abmm"
+	"abmm/internal/obs"
+	"abmm/internal/reqtrace"
 )
 
 func newTestServer(t *testing.T, cfg Config) *Server {
@@ -105,6 +108,66 @@ func TestServerJSONEcho(t *testing.T) {
 	}
 	if out.Alg != "strassen" {
 		t.Fatalf("alg %q", out.Alg)
+	}
+}
+
+// TestServerJSONOverflowIs500 pins the encode-failure path: a product
+// that overflows to +Inf has no JSON encoding, so the response must be
+// an explicit, counted 500 with a JSON error body — errored in the trace
+// store and bad in the SLO — never an empty 200. The binary path carries
+// the same IEEE bits fine.
+func TestServerJSONOverflowIs500(t *testing.T) {
+	s, ts, _ := tracedServer(t, Config{SLO: obs.SLOConfig{ErrorRatioMax: 1, Window: time.Minute}})
+
+	body := `{"alg":"ours","a":[[1e200,1e200],[1e200,1e200]],"b":[[1e200,1e200],[1e200,1e200]]}`
+	resp := postTraced(t, ts, strings.NewReader(body), "application/json", testTraceparent)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", resp.StatusCode)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Errorf("Content-Type %q, want application/json", ct)
+	}
+	var e struct {
+		Error string `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || !strings.Contains(e.Error, "Inf") {
+		t.Fatalf("error body %+v (decode err %v), want a message naming the Inf", e, err)
+	}
+	if got := resp.Header.Get("X-Abmm-Trace-Id"); got != testTraceIDHex {
+		t.Errorf("500 X-Abmm-Trace-Id = %q, want %q", got, testTraceIDHex)
+	}
+	if ok, failed := s.codes[http.StatusOK].Load(), s.codes[http.StatusInternalServerError].Load(); ok != 0 || failed != 1 {
+		t.Errorf("counted %d OK and %d 500, want 0 and 1", ok, failed)
+	}
+	if n := s.Traces().Total(reqtrace.BucketErrored); n != 1 {
+		t.Errorf("errored ring total = %d, want 1", n)
+	}
+	if st := s.slo.Status(); st.Errors.Long.Total != 1 || st.Errors.Long.Bad != 1 {
+		t.Errorf("SLO error objective %+v, want one bad event", st.Errors.Long)
+	}
+
+	req := &Request{Alg: "ours", A: abmm.NewMatrix(2, 2), B: abmm.NewMatrix(2, 2)}
+	for i := range req.A.Data {
+		req.A.Data[i], req.B.Data[i] = 1e200, 1e200
+	}
+	var buf bytes.Buffer
+	if err := EncodeRequest(&buf, req); err != nil {
+		t.Fatal(err)
+	}
+	bresp := postTraced(t, ts, &buf, ContentTypeBinary, "")
+	defer bresp.Body.Close()
+	if bresp.StatusCode != http.StatusOK {
+		t.Fatalf("binary status %d, want 200", bresp.StatusCode)
+	}
+	got, err := DecodeResponse(bresp.Body, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range got.Data {
+		if !math.IsInf(v, 1) {
+			t.Fatalf("binary c[%d] = %v, want +Inf", i, v)
+		}
 	}
 }
 
