@@ -390,7 +390,7 @@ func MeasureMaxError(alg *Algorithm, n, levels, runs int, dist Dist, seed uint64
 	mu := core.New(alg, Options{Levels: levels, Workers: workers})
 	a, b, got := matrix.New(n, n), matrix.New(n, n), matrix.New(n, n)
 	for run := 0; run < runs; run++ {
-		rng := rand.New(rand.NewPCG(seed+uint64(run), seed^uint64(run*2654435761+1)))
+		rng := rand.New(rand.NewPCG(seed+uint64(run), seed^(uint64(run)*2654435761+1)))
 		matrix.FillPair(a, b, dist, rng)
 		mu.MultiplyInto(got, a, b)
 		ref := dd.ReferenceProduct(a, b, workers)

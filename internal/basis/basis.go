@@ -123,6 +123,7 @@ func (t *Transform) Apply(in *matrix.Matrix, level, workers int) *matrix.Matrix 
 // src — the leaf level combines straight out of src while writing dst)
 // and drawing all scratch from al. dst may be dirty scratch; every
 // element is written.
+//
 //abmm:hotpath
 func (t *Transform) ApplyInto(dst, src *matrix.Matrix, level, workers int, al pool.Allocator) {
 	t.ApplyIntoCancel(dst, src, level, workers, al, nil)
@@ -132,6 +133,7 @@ func (t *Transform) ApplyInto(dst, src *matrix.Matrix, level, workers int, al po
 // the recursion polls cn at every node boundary and abandons the
 // remaining subtree once cn is set, leaving dst partially written.
 // Scratch accounting stays balanced. A nil cn makes this ApplyInto.
+//
 //abmm:hotpath
 func (t *Transform) ApplyIntoCancel(dst, src *matrix.Matrix, level, workers int, al pool.Allocator, cn *parallel.Cancel) {
 	d1l := ipow(t.D1, level)

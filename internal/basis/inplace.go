@@ -63,6 +63,7 @@ func (t *Transform) ApplyInPlace(v *matrix.Matrix, level, workers int) bool {
 
 // ApplyInPlaceFrom is ApplyInPlace with the recursion's view headers
 // drawn from al, so warm-arena executions allocate nothing.
+//
 //abmm:hotpath
 func (t *Transform) ApplyInPlaceFrom(v *matrix.Matrix, level, workers int, al pool.Allocator) bool {
 	return t.ApplyInPlaceFromCancel(v, level, workers, al, nil)
@@ -72,6 +73,7 @@ func (t *Transform) ApplyInPlaceFrom(v *matrix.Matrix, level, workers int, al po
 // cancellation token polled at recursion-node boundaries; once cn is
 // set the remaining subtree is abandoned and the operand is left
 // partially transformed. A nil cn makes this ApplyInPlaceFrom.
+//
 //abmm:hotpath
 func (t *Transform) ApplyInPlaceFromCancel(v *matrix.Matrix, level, workers int, al pool.Allocator, cn *parallel.Cancel) bool {
 	if t.D1 != t.D2 {

@@ -18,12 +18,14 @@ type Options struct {
 	// Workers is the degree of parallelism; 0 means GOMAXPROCS.
 	Workers int
 	// TaskParallel selects the task-parallel schedule: the R recursive
-	// products of the top recursion levels run as concurrent tasks with
-	// sequential kernels, instead of the default schedule of a
-	// sequential recursion over parallel linear-combination and
-	// base-case kernels (the paper's scheme). The task schedule uses
-	// more memory (R product buffers per parallel node) and serves as
-	// an ablation point.
+	// products of the top recursion levels run as limiter-bounded
+	// concurrent tasks with sequential kernels. The default schedule
+	// instead runs only the top node's R products concurrently, each
+	// subtree recursing depth-first on max(1, Workers/R) workers while
+	// the top node's encode and decode use all of them: one
+	// breadth-first step above a depth-first recursion. The task
+	// schedule uses more memory (R product buffers per parallel node)
+	// and serves as an ablation point.
 	TaskParallel bool
 	// Direct disables the CSE-compiled linear-phase programs and
 	// executes each encoding/decoding combination independently. This
@@ -197,9 +199,10 @@ func columns(m *matrix.Matrix) [][]float64 {
 
 // ExecInto runs the engine's recursion, writing the stacked product
 // into c. Scratch is drawn from al; with a warm pool.Arena the call
-// performs no heap allocation on the default (scheduled, sequential-
-// kernel) path. c must be fully writable scratch or output — its prior
+// performs no heap allocation on the default (scheduled) path with one
+// worker. c must be fully writable scratch or output — its prior
 // contents are ignored.
+//
 //abmm:hotpath
 func (e *Engine) ExecInto(c, a, b *matrix.Matrix, al pool.Allocator) {
 	e.ExecIntoCancel(c, a, b, al, nil)
@@ -211,6 +214,7 @@ func (e *Engine) ExecInto(c, a, b *matrix.Matrix, al pool.Allocator) {
 // cn is set, leaving c in an unspecified state. Scratch accounting stays
 // balanced on the abandoned path, so the arena remains reusable. A nil
 // cn is valid and makes this identical to ExecInto.
+//
 //abmm:hotpath
 func (e *Engine) ExecIntoCancel(c, a, b *matrix.Matrix, al pool.Allocator, cn *parallel.Cancel) {
 	s, levels := e.s, e.levels
@@ -275,9 +279,10 @@ func (e *Engine) recurse(c, a, b *matrix.Matrix, level int, al pool.Allocator, c
 
 // scheduled runs one recursion step using the CSE-compiled linear-phase
 // programs: all S_r and T_r are produced by the shared encode programs,
-// the R products recurse (as concurrent tasks on the top levels in
-// task-parallel mode), and the decode program writes the output groups
-// in place.
+// the R products recurse (concurrently at the top node when there is
+// more than one worker, and as limiter-bounded tasks on the top levels
+// in task-parallel mode), and the decode program writes the output
+// groups in place.
 func (e *Engine) scheduled(c, a, b *matrix.Matrix, level int, al pool.Allocator, cn *parallel.Cancel) {
 	s := e.specAt(level)
 	encA, encB, dec := s.Programs()
@@ -294,6 +299,10 @@ func (e *Engine) scheduled(c, a, b *matrix.Matrix, level int, al pool.Allocator,
 		// Done in a separate method so its closures don't force sRun
 		// and tRun to the heap on the non-task path.
 		e.recurseTasks(prods, sRun.outs, tRun.outs, level, al, cn)
+	} else if level == e.levels && e.workers > 1 {
+		// Same separation: the fan-out's closure stays off the
+		// single-worker path.
+		e.recurseFanOut(prods, sRun.outs, tRun.outs, level, al, cn)
 	} else {
 		for r := 0; r < s.R; r++ {
 			e.recurse(prods[r], sRun.outs[r], tRun.outs[r], level-1, al, cn)
@@ -338,6 +347,30 @@ func (e *Engine) recurseTasks(prods, souts, touts []*matrix.Matrix, level int, a
 		}
 	}
 	wg.Wait()
+}
+
+// recurseFanOut runs the R product recursions of the top scheduled node
+// concurrently: one breadth-first step above a depth-first recursion,
+// the memory-bounded hybrid of CAPS. Each product's subtree runs on an
+// engine copy with max(1, workers/R) workers, so a leaf GEMM too small
+// to split still keeps a core busy. The copy is taken here, not at
+// construction, so it carries this execution's recorder (WithRecorder)
+// and per-level specs (ExecMixed). Products write disjoint buffers and
+// no accumulation changes order, so the result is bitwise identical to
+// the sequential loop; peak scratch grows by up to min(workers, R)−1
+// concurrent level-(L−1) subtrees. The closure and its goroutines
+// allocate, and this runs only with more than one worker.
+//
+//abmm:coldpath
+func (e *Engine) recurseFanOut(prods, souts, touts []*matrix.Matrix, level int, al pool.Allocator, cn *parallel.Cancel) {
+	sub := *e
+	sub.workers = max(1, e.workers/len(prods))
+	sub.kernelWorkers = sub.workers
+	parallel.ForChunks(len(prods), e.workers, 1, func(lo, hi int) {
+		for r := lo; r < hi; r++ {
+			sub.recurse(prods[r], souts[r], touts[r], level-1, al, cn)
+		}
+	})
 }
 
 // sequential is the low-memory depth-first schedule: one S, T and

@@ -31,6 +31,7 @@ func ToRecursive(m *matrix.Matrix, m0, k0, l, workers int) *matrix.Matrix {
 // must have m's element count and (m0·k0)^L·(m.Rows/m0^L) rows; every
 // element of dst is overwritten, so dst may be dirty scratch. View
 // headers for the recursion are drawn from al.
+//
 //abmm:hotpath
 func ToRecursiveInto(dst, m *matrix.Matrix, m0, k0, l, workers int, al pool.Allocator) {
 	checkDivisible(m, m0, k0, l)
@@ -88,6 +89,7 @@ func FromRecursive(s *matrix.Matrix, dst *matrix.Matrix, m0, n0, l, workers int)
 
 // FromRecursiveInto is FromRecursive with its destination first (the
 // library's ...Into convention) and recursion headers drawn from al.
+//
 //abmm:hotpath
 func FromRecursiveInto(dst, s *matrix.Matrix, m0, n0, l, workers int, al pool.Allocator) {
 	checkDivisible(dst, m0, n0, l)

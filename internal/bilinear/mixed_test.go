@@ -28,6 +28,14 @@ func TestMultiplyMixedMatchesClassical(t *testing.T) {
 			t.Errorf("opt %+v: diff %g", opt, d)
 		}
 	}
+	// The tolerance above cannot tell the specs apart (each is an exact
+	// algorithm), so pin the per-level spec choice bitwise: products
+	// running concurrently at the top must still recurse through
+	// specs[1:], exactly as the single-worker run does.
+	seq := bilinear.MultiplyMixed(specs, a, b, bilinear.Options{Workers: 1})
+	if par := bilinear.MultiplyMixed(specs, a, b, bilinear.Options{Workers: 2}); !matrix.Equal(par, seq) {
+		t.Error("Workers 2 differs bitwise from Workers 1")
+	}
 }
 
 func TestMultiplyMixedSingleLevelEqualsUniform(t *testing.T) {

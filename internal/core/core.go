@@ -118,7 +118,7 @@ type TunedChoice struct {
 	// selection.
 	Levels int
 	// TaskParallel and Direct select the engine schedule (both false =
-	// the sequential schedule, deliberately not "keep default": the
+	// the default CSE schedule, deliberately not "keep default": the
 	// schedule is part of the tuned tuple).
 	TaskParallel bool
 	Direct       bool

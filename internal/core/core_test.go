@@ -112,4 +112,17 @@ func TestDeterministicAcrossSchedules(t *testing.T) {
 	if !matrix.Equal(c1, c3) {
 		t.Fatal("task parallelism changed the bitwise result")
 	}
+	// An alternative-basis plan on a padded shape: with more than one
+	// worker the top node's products run concurrently, which must not
+	// move a bit either.
+	p, q := matrix.New(199, 199), matrix.New(199, 199)
+	p.FillUniform(matrix.Rand(3), -1, 1)
+	q.FillUniform(matrix.Rand(4), -1, 1)
+	want := core.Multiply(algos.Ours(), p, q, core.Options{Levels: 3, Workers: 1})
+	for _, w := range []int{2, 3} {
+		got := core.Multiply(algos.Ours(), p, q, core.Options{Levels: 3, Workers: w})
+		if !matrix.Equal(want, got) {
+			t.Fatalf("ours L=3 199²: Workers %d differs bitwise from Workers 1", w)
+		}
+	}
 }

@@ -32,7 +32,7 @@ func fixtureConfig(t *testing.T) Config {
 		},
 		AllowedImports: map[string][]string{
 			"fixture/hot":          {"fixture/par"},
-		"fixture/kern":         {"fixture/par"},
+			"fixture/kern":         {"fixture/par"},
 			"fixture/par":          {},
 			"fixture/dep":          {},
 			"fixture/atomicpkg":    {},

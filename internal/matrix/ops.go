@@ -122,6 +122,7 @@ type lcTerm struct {
 // the destination once, which is what keeps the linear phase
 // communication-efficient. dst may alias srcs[t] only when t is the
 // first term with a nonzero coefficient.
+//
 //abmm:hotpath
 func LinearCombine(dst *Matrix, coeffs []float64, srcs []*Matrix, workers int) {
 	if len(coeffs) != len(srcs) {

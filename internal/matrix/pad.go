@@ -33,6 +33,7 @@ func (m *Matrix) PadTo(r, c int) *Matrix {
 // remaining border. dst must be at least as large as src in both
 // dimensions. It is the destination-passing form of PadTo: dst may be
 // recycled scratch with arbitrary prior contents.
+//
 //abmm:hotpath
 func PadInto(dst, src *Matrix) {
 	if dst.Rows < src.Rows || dst.Cols < src.Cols {
@@ -56,6 +57,7 @@ func PadInto(dst, src *Matrix) {
 // CropInto copies the top-left dst.Rows-by-dst.Cols corner of src into
 // dst, the destination-passing form of CropTo. src must be at least as
 // large as dst in both dimensions.
+//
 //abmm:hotpath
 func CropInto(dst, src *Matrix) {
 	if dst.Rows > src.Rows || dst.Cols > src.Cols {

@@ -85,6 +85,7 @@ func (c *Collector) SetPprofLabels(on bool) {
 func (c *Collector) PprofLabels() bool { return c != nil && c.labels.Load() }
 
 // PhaseDone implements Recorder.
+//
 //abmm:hotpath
 func (c *Collector) PhaseDone(p Phase, d time.Duration) {
 	if c == nil || int(p) >= NumPhases {
@@ -96,6 +97,7 @@ func (c *Collector) PhaseDone(p Phase, d time.Duration) {
 }
 
 // MulDone implements Recorder.
+//
 //abmm:hotpath
 func (c *Collector) MulDone(info MulInfo, total time.Duration) {
 	if c == nil {
@@ -113,6 +115,7 @@ func (c *Collector) MulDone(info MulInfo, total time.Duration) {
 // measurement, as the measured relative error against the
 // quad-precision reference and the predicted Theorem III.8 bound the
 // execution was compiled with.
+//
 //abmm:hotpath
 func (c *Collector) ErrorSample(measured, bound float64) {
 	if c == nil {
@@ -126,6 +129,7 @@ func (c *Collector) ErrorSample(measured, bound float64) {
 }
 
 // TaskSpawn implements Recorder.
+//
 //abmm:hotpath
 func (c *Collector) TaskSpawn(spawned bool) {
 	if c == nil {
@@ -139,6 +143,7 @@ func (c *Collector) TaskSpawn(spawned bool) {
 }
 
 // ArenaRelease implements Recorder.
+//
 //abmm:hotpath
 func (c *Collector) ArenaRelease(u ArenaUsage) {
 	if c == nil {

@@ -37,6 +37,7 @@ type Histogram struct {
 }
 
 // Observe records one value. Negative values are clamped to zero.
+//
 //abmm:hotpath
 func (h *Histogram) Observe(v int64) {
 	if h == nil {

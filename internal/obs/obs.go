@@ -60,11 +60,16 @@ const (
 	// combinations formed during the copy. It is a sub-phase nested
 	// inside PhaseBilinear (or PhaseForward/PhaseInverse time it
 	// replaces), not a sixth pipeline stage: pack+kernel time is also
-	// counted by the enclosing pipeline phase.
+	// counted by the enclosing pipeline phase. It is recorded once per
+	// kernel call, so when the engine runs the top node's products
+	// concurrently the spans add up busy time across workers: per
+	// multiplication, pack+kernel can reach min(workers, R) times the
+	// enclosing PhaseBilinear wall time.
 	PhasePack
 	// PhaseKernel covers the register-tiled micro-kernel compute of the
 	// base-case kernel: everything the kernel does that is not packing.
-	// Like PhasePack it nests inside the enclosing pipeline phase.
+	// Like PhasePack it nests inside the enclosing pipeline phase and
+	// is recorded per kernel call, summing across concurrent calls.
 	PhaseKernel
 
 	// NumPhases is the number of recorded phases (pipeline stages plus

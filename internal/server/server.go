@@ -430,12 +430,12 @@ type jsonResponse struct {
 	Alg string      `json:"alg"`
 	// Plan is the compiled plan identity "alg/L<levels>/<schedule>",
 	// also echoed as the X-Abmm-Plan header for binary clients.
-	Plan   string `json:"plan"`
-	Levels int    `json:"levels"`
-	QueueNs    int64       `json:"queue_ns"`
-	ExecNs     int64       `json:"exec_ns"`
-	ErrorBound float64     `json:"error_bound"`
-	Coalesced  bool        `json:"coalesced"`
+	Plan       string  `json:"plan"`
+	Levels     int     `json:"levels"`
+	QueueNs    int64   `json:"queue_ns"`
+	ExecNs     int64   `json:"exec_ns"`
+	ErrorBound float64 `json:"error_bound"`
+	Coalesced  bool    `json:"coalesced"`
 }
 
 // startTrace decides a request's tracing before its body is read. A

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -90,10 +91,10 @@ func TestDecodeRequestRejects(t *testing.T) {
 		body     []byte
 		maxElems int
 	}{
-		"bad magic":  {append([]byte("NOPE"), good()[4:]...), 1 << 20},
-		"truncated":  {good()[:len(good()) - 9], 1 << 20},
-		"empty":      {nil, 1 << 20},
-		"over cap":   {good(), 3},
+		"bad magic": {append([]byte("NOPE"), good()[4:]...), 1 << 20},
+		"truncated": {good()[:len(good())-9], 1 << 20},
+		"empty":     {nil, 1 << 20},
+		"over cap":  {good(), 3},
 	}
 	for name, tc := range cases {
 		_, err := DecodeRequest(bytes.NewReader(tc.body), tc.maxElems)
@@ -166,8 +167,10 @@ func TestWireV2RejectsUnknownFlags(t *testing.T) {
 
 func TestCheckShapeOverflow(t *testing.T) {
 	// Dimensions whose product overflows int64 must still be rejected;
-	// the division form of the cap check cannot wrap.
-	huge := 1 << 31
+	// the division form of the cap check cannot wrap. MaxInt32 keeps
+	// the test building on 32-bit targets and its cube still overflows
+	// int64.
+	huge := math.MaxInt32
 	if err := checkShape(huge, huge, huge, 1<<24); err == nil {
 		t.Fatal("overflowing shape accepted")
 	}
