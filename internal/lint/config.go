@@ -179,6 +179,7 @@ func DefaultConfig(dir string) Config {
 			"abmm/internal/server": {
 				"abmm",
 				"abmm/internal/obs",
+				"abmm/internal/pool",
 				"abmm/internal/reqtrace",
 			},
 			"abmm/internal/sparsify": {

@@ -22,6 +22,9 @@ func Get(n int) []float64 {
 	if v := classes[class].Get(); v != nil {
 		return v.([]float64)[:n]
 	}
+	// Cold miss: the buffer is allocated once, then recycled through
+	// Put until a GC empties the class.
+	//abmm:allow hotpath-alloc
 	return make([]float64, n, 1<<class)
 }
 

@@ -32,6 +32,7 @@ import (
 
 	"abmm"
 	"abmm/internal/obs"
+	"abmm/internal/pool"
 	"abmm/internal/reqtrace"
 )
 
@@ -132,13 +133,24 @@ func (c Config) withDefaults() Config {
 		c.Algorithms = abmm.Names()
 	}
 	if c.Logger == nil {
-		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+		c.Logger = slog.New(discardHandler{})
 	}
 	if c.TraceSample == 0 {
 		c.TraceSample = 1
 	}
 	return c
 }
+
+// discardHandler is the nil-Logger default. Unlike a text handler
+// writing to io.Discard it reports every level disabled, so guarded
+// call sites skip formatting records nobody reads. (slog.DiscardHandler
+// needs Go 1.24.)
+type discardHandler struct{}
+
+func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
+func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
+func (h discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return h }
+func (h discardHandler) WithGroup(string) slog.Handler           { return h }
 
 // maxWireLevels caps the per-request recursion depth: beyond this the
 // multiplier registry (keyed by algorithm × levels) would be unbounded
@@ -550,6 +562,14 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 	} else {
 		req, err = DecodeRequest(body, s.cfg.MaxElems)
 	}
+	if err == nil {
+		// Deferred, so every later return recycles the operands, and
+		// none before the multiply has returned.
+		defer req.Release()
+		if !isJSON {
+			err = frameEnd(body)
+		}
+	}
 	dec.End()
 	if err != nil {
 		var tooBig *http.MaxBytesError
@@ -569,7 +589,9 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 		ctx = reqtrace.NewContext(ctx, tr)
 	}
 	m, k, n := req.A.Rows, req.A.Cols, req.B.Cols
-	tr.Eventf("alg=%s levels=%d shape=%dx%dx%d json=%t", req.Alg, req.Levels, m, k, n, isJSON)
+	if tr != nil {
+		tr.Eventf("alg=%s levels=%d shape=%dx%dx%d json=%t", req.Alg, req.Levels, m, k, n, isJSON)
+	}
 
 	mu, err := s.multiplier(req.Alg, req.Levels)
 	if err != nil {
@@ -629,11 +651,17 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 		tr.Eventf("joined open plan window")
 	}
 
-	dst := abmm.NewMatrix(m, n)
+	// The product comes back dirty from the pool; the multiply
+	// overwrites all of it, and a canceled product is never encoded.
+	dst := &abmm.Matrix{}
+	dst.Init(m, n, pool.Get(m*n))
 	execStart := time.Now()
 	exec := tr.StartSpan("exec")
 	exec.AdoptPhases()
 	err = plan.MultiplyIntoCtx(ctx, dst, req.A, req.B)
+	// Deferred only once the multiply has returned (every worker done,
+	// canceled or not): a panic inside it never recycles the product.
+	defer pool.Put(dst.Data)
 	exec.End()
 	if err != nil {
 		// A canceled or timed-out execution still spends the objective's
@@ -677,6 +705,7 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 		w.Write(buf.Bytes())
 	} else {
 		h.Set("Content-Type", ContentTypeBinary)
+		h.Set("Content-Length", strconv.FormatInt(12+8*int64(m)*int64(n), 10))
 		s.count(http.StatusOK)
 		EncodeResponse(w, dst)
 	}
@@ -685,10 +714,12 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 	s.reqDur.Observe(elapsed.Nanoseconds())
 	s.slo.RecordLatency(elapsed)
 	s.finishTrace(tr, reqtrace.OutcomeOK, "")
-	s.reqLog(tr).Info("multiply ok",
-		"alg", req.Alg, "levels", plan.Levels(),
-		"shape", fmt.Sprintf("%dx%dx%d", m, k, n),
-		"queue_ns", queueNs, "exec_ns", execNs, "coalesced", joined)
+	if s.log.Enabled(ctx, slog.LevelInfo) {
+		s.reqLog(tr).Info("multiply ok",
+			"alg", req.Alg, "levels", plan.Levels(),
+			"shape", fmt.Sprintf("%dx%dx%d", m, k, n),
+			"queue_ns", queueNs, "exec_ns", execNs, "coalesced", joined)
+	}
 }
 
 func (s *Server) handleAlgorithms(w http.ResponseWriter, r *http.Request) {
@@ -917,6 +948,14 @@ func decodeJSONRequest(r io.Reader, maxElems int) (*Request, error) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&jr); err != nil {
 		return nil, fmt.Errorf("invalid JSON request: %w", err)
+	}
+	// A body is one request object: a second value or trailing garbage
+	// is refused, not ignored.
+	if tok, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = fmt.Errorf("unexpected %v", tok)
+		}
+		return nil, fmt.Errorf("invalid JSON request: after the object: %w", err)
 	}
 	m := len(jr.A)
 	if m == 0 || len(jr.A[0]) == 0 {

@@ -3,14 +3,19 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"runtime/debug"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -176,6 +181,12 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
+	// A 4×8·8×4 frame relabeled 4×4·4×4: the header's operands end
+	// halfway through the payload, leaving 256 bytes past the frame.
+	_, long := binaryBody(t, "ours", 0, 4, 8, 4)
+	trailing := long.Bytes()
+	binary.LittleEndian.PutUint32(trailing[4+1+len("ours")+1+4:], 4)
+
 	cases := []struct {
 		name, ct, body string
 		want           int
@@ -184,6 +195,9 @@ func TestServerRejectsBadRequests(t *testing.T) {
 		{"ragged rows", "application/json", `{"alg":"ours","a":[[1,2],[3]],"b":[[1],[2]]}`, http.StatusBadRequest},
 		{"garbage binary", ContentTypeBinary, "not a frame at all", http.StatusBadRequest},
 		{"bad timeout", "application/json", `{"alg":"ours","a":[[1]],"b":[[1]]}`, http.StatusBadRequest},
+		{"binary trailing bytes", ContentTypeBinary, string(trailing), http.StatusBadRequest},
+		{"json second object", "application/json", `{"alg":"ours","a":[[1]],"b":[[1]]} {"alg":"ours","a":[[2]],"b":[[2]]}`, http.StatusBadRequest},
+		{"json trailing garbage", "application/json", `{"alg":"ours","a":[[1]],"b":[[1]]}garbage`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		url := ts.URL + "/v1/multiply"
@@ -356,6 +370,176 @@ func TestServerConcurrentSameShape(t *testing.T) {
 	s.musMu.RUnlock()
 	if mus != 1 {
 		t.Errorf("multiplier registry holds %d entries, want 1", mus)
+	}
+}
+
+// TestServerConcurrentMixedShapes pins the pooled-buffer lifetimes:
+// operands, products and codec chunks of many shapes cycle through the
+// shared pools while requests that a deadline cancels mid-recursion
+// release theirs early. Every 200 must still be bitwise the in-process
+// product; run under -race (make race), a buffer recycled while a
+// worker still touched it also shows as a race.
+func TestServerConcurrentMixedShapes(t *testing.T) {
+	s := newTestServer(t, Config{MaxInFlight: 4, MaxQueued: 64, QueueTimeout: time.Minute})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	type shape struct {
+		alg             string
+		levels, m, k, n int
+		timeout         string // ?timeout= value; "" = none
+	}
+	// Size classes collide on purpose, so a buffer released too early
+	// is redrawn by a concurrent request: 512×512 operands (class 2¹⁸)
+	// by both thin shapes and the canceled request, 256² ones (2¹⁶) by
+	// the L1 request and strassen's B. winograd's odd shape rounds up.
+	shapes := []shape{
+		{"ours", 1, 32, 32, 32, ""},
+		{"ours", 0, 512, 512, 8, ""},
+		{"ours", 0, 8, 512, 512, ""},
+		{"ours", 1, 256, 256, 256, ""},
+		{"strassen", 0, 128, 256, 256, ""},
+		{"winograd", LevelsAuto, 100, 60, 130, ""},
+		{"ours", 2, 512, 512, 512, "1ms"},
+	}
+	type job struct {
+		shape
+		req  *Request
+		want *abmm.Matrix
+	}
+	jobs := make([]job, len(shapes))
+	for i, sh := range shapes {
+		req := &Request{Alg: sh.alg, Levels: sh.levels,
+			A: testMatrix(sh.m, sh.k, float64(i+1)), B: testMatrix(sh.k, sh.n, -float64(i+1))}
+		alg, err := abmm.Lookup(sh.alg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mu := abmm.NewMultiplier(alg, abmm.Options{Levels: sh.levels, Workers: s.cfg.Workers})
+		jobs[i] = job{sh, req, mu.Plan(sh.m, sh.k, sh.n).Multiply(req.A, req.B)}
+	}
+
+	const clients, rounds = 8, 3
+	var wg sync.WaitGroup
+	var canceled, completed atomic.Int64
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for r := 0; r < rounds*len(jobs); r++ {
+				j := jobs[(c+r)%len(jobs)]
+				var buf bytes.Buffer
+				if err := EncodeRequest(&buf, j.req); err != nil {
+					t.Error(err)
+					return
+				}
+				url := ts.URL + "/v1/multiply"
+				if j.timeout != "" {
+					url += "?timeout=" + j.timeout
+				}
+				resp, err := ts.Client().Post(url, ContentTypeBinary, &buf)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				body, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if resp.StatusCode == http.StatusGatewayTimeout && j.timeout != "" {
+					canceled.Add(1)
+					continue
+				}
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("%v: status %d: %s", j.shape, resp.StatusCode, body)
+					return
+				}
+				if got := resp.Header.Get("Content-Length"); got != strconv.Itoa(len(body)) {
+					t.Errorf("%v: Content-Length %q for a %d-byte body", j.shape, got, len(body))
+				}
+				got, err := DecodeResponse(bytes.NewReader(body), 1<<20)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for e := range j.want.Data {
+					if math.Float64bits(got.Data[e]) != math.Float64bits(j.want.Data[e]) {
+						t.Errorf("%v: c[%d] = %v, want %v bitwise", j.shape, e, got.Data[e], j.want.Data[e])
+						return
+					}
+				}
+				completed.Add(1)
+			}
+		}(c)
+	}
+	wg.Wait()
+	if canceled.Load() == 0 {
+		t.Error("no request was canceled mid-recursion; the early-release path went unexercised")
+	}
+	t.Logf("%d completed, %d canceled", completed.Load(), canceled.Load())
+}
+
+// discardResponse is an http.ResponseWriter that keeps only the
+// status, so a handler's own allocations can be counted.
+type discardResponse struct {
+	h    http.Header
+	code int
+}
+
+func (w *discardResponse) Header() http.Header         { return w.h }
+func (w *discardResponse) Write(p []byte) (int, error) { return len(p), nil }
+func (w *discardResponse) WriteHeader(code int)        { w.code = code }
+
+// TestBinaryRequestAllocsFlat pins the pooled request path: once warm,
+// a binary request's allocations — count and bytes — do not grow with
+// the operands. Operands, product and codec chunks all come back from
+// the pools, so what remains is per-request bookkeeping of fixed size.
+func TestBinaryRequestAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector skews allocation counts")
+	}
+	// A GC empties sync.Pools, and a buffer put on one P's private slot
+	// is a miss on another: either would make the byte counts flaky.
+	// AllocsPerRun runs at GOMAXPROCS 1 too.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	s := newTestServer(t, Config{Workers: 1, TraceSample: -1})
+	h := s.Handler()
+	measure := func(n int) (allocs int, bytesPerReq float64) {
+		_, frame := binaryBody(t, "ours", 0, n, n, n)
+		body := bytes.NewReader(frame.Bytes())
+		w := &discardResponse{h: make(http.Header)}
+		serve := func() {
+			body.Seek(0, io.SeekStart)
+			r := httptest.NewRequest(http.MethodPost, "/v1/multiply", body)
+			r.Header.Set("Content-Type", ContentTypeBinary)
+			w.code = 0
+			h.ServeHTTP(w, r)
+			if w.code != 0 && w.code != http.StatusOK {
+				t.Fatalf("n=%d: status %d", n, w.code)
+			}
+		}
+		serve() // compile the plan, fill the pools
+		const runs = 20
+		allocs = int(testing.AllocsPerRun(runs, serve))
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < runs; i++ {
+			serve()
+		}
+		runtime.ReadMemStats(&m1)
+		return allocs, float64(m1.TotalAlloc-m0.TotalAlloc) / runs
+	}
+	smallAllocs, smallBytes := measure(64)
+	bigAllocs, bigBytes := measure(512)
+	t.Logf("per request: 64² %d allocs %.0f B, 512² %d allocs %.0f B", smallAllocs, smallBytes, bigAllocs, bigBytes)
+	if smallAllocs != bigAllocs {
+		t.Errorf("allocs per request grow with n: %d at 64², %d at 512²", smallAllocs, bigAllocs)
+	}
+	if d := bigBytes - smallBytes; d > 1024 || d < -1024 {
+		t.Errorf("bytes per request differ by %.0f between 64² (%.0f) and 512² (%.0f), want within 1 KiB", d, smallBytes, bigBytes)
 	}
 }
 

@@ -40,8 +40,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 
 	"abmm"
+	"abmm/internal/pool"
 	"abmm/internal/reqtrace"
 )
 
@@ -66,11 +68,20 @@ const wireFlagTrace = 0x01
 // ErrFrame reports a malformed or truncated wire frame.
 var ErrFrame = errors.New("server: malformed wire frame")
 
+// errTruncated is prebuilt so the payload codec's error path stays
+// allocation free.
+var errTruncated = fmt.Errorf("%w: truncated frame", ErrFrame)
+
 // Request is one decoded multiplication request: multiply A (m×k) by
 // B (k×n) with the named catalog algorithm at the given recursion
 // depth (LevelsAuto for automatic). TraceID/TraceSpan, when non-zero,
 // carry the caller's trace context in the v2 frame; a zero TraceID
 // encodes as a plain v1 frame.
+//
+// A request returned by DecodeRequest holds A and B in storage drawn
+// from the process-wide size-class pools (internal/pool). Call Release
+// once nothing reads the operands any more to recycle that storage; a
+// request that is never released simply leaves it to the GC.
 type Request struct {
 	Alg    string
 	Levels int
@@ -80,11 +91,41 @@ type Request struct {
 	// caller's span the server-side work nests under. See reqtrace.
 	TraceID   reqtrace.ID
 	TraceSpan uint64
+
+	// pooled marks A and B as drawn by DecodeRequest, so Release never
+	// recycles storage a caller built and still owns.
+	pooled bool
+}
+
+// Release returns the operand storage DecodeRequest drew to the pools
+// and clears A and B. It is idempotent, and a no-op on requests that
+// DecodeRequest did not build. The caller must not touch the old A or
+// B afterwards: their storage is handed to the next request.
+func (req *Request) Release() {
+	if !req.pooled {
+		return
+	}
+	req.pooled = false
+	pool.Put(req.A.Data)
+	pool.Put(req.B.Data)
+	req.A, req.B = nil, nil
 }
 
 // wireChunk is the streaming buffer size for float payloads: large
 // enough to amortize io calls, small enough to stay cache-friendly.
 const wireChunk = 4096 * 8
+
+// chunks recycles the payload codec's chunk buffers; a pointer to an
+// array stores in the pool's interface without an allocation.
+var chunks = sync.Pool{New: func() any { return new([wireChunk]byte) }}
+
+// wireAlgs interns algorithm names: a decoded name that matches a
+// catalog entry reuses the catalog's string instead of allocating one.
+var wireAlgs = abmm.Names()
+
+// maxHeader is the longest request header: magic, algLen, the longest
+// name, levels, three dimensions, the v2 flags byte and trace field.
+const maxHeader = 4 + 1 + 255 + 1 + 12 + 1 + 24
 
 // EncodeRequest writes req in the binary wire format: the v1 frame
 // when the request carries no trace context (byte-compatible with old
@@ -128,22 +169,26 @@ func EncodeRequest(w io.Writer, req *Request) error {
 // DecodeRequest reads one binary request from r, accepting both the v1
 // and the v2 frame. maxElems bounds the element count of any single
 // operand or the result; a frame that announces more is rejected before
-// its payload is read.
+// its payload is read. It reads exactly one frame and nothing past it.
+//
+// A and B of the returned request live in pooled storage; see
+// Request.Release. On error DecodeRequest returns no request and keeps
+// nothing it drew.
 func DecodeRequest(r io.Reader, maxElems int) (*Request, error) {
-	var fixed [6]byte // magic + algLen + at least 1 more byte pending
-	if _, err := io.ReadFull(r, fixed[:5]); err != nil {
+	var hdr [maxHeader]byte
+	if _, err := io.ReadFull(r, hdr[:5]); err != nil {
 		return nil, frameErr(err)
 	}
-	magic := [4]byte(fixed[:4])
+	magic := [4]byte(hdr[:4])
 	if magic != reqMagic && magic != reqMagicV2 {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrFrame, fixed[:4])
+		return nil, fmt.Errorf("%w: bad magic %q", ErrFrame, hdr[:4])
 	}
-	algBuf := make([]byte, int(fixed[4])+1+12)
-	if _, err := io.ReadFull(r, algBuf); err != nil {
+	algLen := int(hdr[4])
+	fixed := hdr[5 : 5+algLen+1+12]
+	if _, err := io.ReadFull(r, fixed); err != nil {
 		return nil, frameErr(err)
 	}
-	alg := string(algBuf[:fixed[4]])
-	rest := algBuf[fixed[4]:]
+	rest := fixed[algLen:]
 	levels := int(int8(rest[0]))
 	m := int(binary.LittleEndian.Uint32(rest[1:5]))
 	k := int(binary.LittleEndian.Uint32(rest[5:9]))
@@ -151,10 +196,10 @@ func DecodeRequest(r io.Reader, maxElems int) (*Request, error) {
 	if err := checkShape(m, k, n, maxElems); err != nil {
 		return nil, err
 	}
-	req := &Request{Alg: alg, Levels: levels}
+	req := &Request{Alg: internAlg(fixed[:algLen]), Levels: levels}
 	if magic == reqMagicV2 {
-		var fb [1]byte
-		if _, err := io.ReadFull(r, fb[:]); err != nil {
+		fb := hdr[5+len(fixed):]
+		if _, err := io.ReadFull(r, fb[:1]); err != nil {
 			return nil, frameErr(err)
 		}
 		flags := fb[0]
@@ -164,8 +209,8 @@ func DecodeRequest(r io.Reader, maxElems int) (*Request, error) {
 			return nil, fmt.Errorf("%w: unknown v2 flags %#02x", ErrFrame, unknown)
 		}
 		if flags&wireFlagTrace != 0 {
-			var tc [24]byte
-			if _, err := io.ReadFull(r, tc[:]); err != nil {
+			tc := fb[1:25]
+			if _, err := io.ReadFull(r, tc); err != nil {
 				return nil, frameErr(err)
 			}
 			req.TraceID = reqtrace.ID{
@@ -175,14 +220,56 @@ func DecodeRequest(r io.Reader, maxElems int) (*Request, error) {
 			req.TraceSpan = binary.LittleEndian.Uint64(tc[16:24])
 		}
 	}
-	req.A, req.B = abmm.NewMatrix(m, k), abmm.NewMatrix(k, n)
-	if err := readFloats(r, req.A.Data); err != nil {
+	a, b, err := readOperands(r, m, k, n)
+	if err != nil {
+		pool.Put(a)
+		pool.Put(b)
 		return nil, err
 	}
-	if err := readFloats(r, req.B.Data); err != nil {
-		return nil, err
-	}
+	req.A, req.B = &abmm.Matrix{}, &abmm.Matrix{}
+	req.A.Init(m, k, a)
+	req.B.Init(k, n, b)
+	req.pooled = true
 	return req, nil
+}
+
+// internAlg returns the catalog's own string for a known name, and a
+// fresh copy of any other (which the handler then refuses with 404).
+func internAlg(name []byte) string {
+	for _, s := range wireAlgs {
+		if string(name) == s {
+			return s
+		}
+	}
+	return string(name)
+}
+
+// readOperands draws the storage of A (m×k) and B (k×n) from the pools
+// and fills it from r. Every element is overwritten, so dirty recycled
+// storage never shows. On error it returns whatever it drew, for the
+// caller to put back.
+//
+//abmm:hotpath
+func readOperands(r io.Reader, m, k, n int) (a, b []float64, err error) {
+	a = pool.Get(m * k)
+	if err = readFloats(r, a); err != nil {
+		return a, nil, err
+	}
+	b = pool.Get(k * n)
+	return a, b, readFloats(r, b)
+}
+
+// frameEnd checks that r holds nothing past a decoded frame.
+func frameEnd(r io.Reader) error {
+	var one [1]byte
+	switch _, err := io.ReadFull(r, one[:]); {
+	case err == nil:
+		return fmt.Errorf("%w: trailing bytes after the frame", ErrFrame)
+	case errors.Is(err, io.EOF):
+		return nil
+	default:
+		return err
+	}
 }
 
 // EncodeResponse writes the product in the binary wire format.
@@ -243,51 +330,63 @@ func checkShape(m, k, n, maxElems int) error {
 
 func frameErr(err error) error {
 	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-		return fmt.Errorf("%w: truncated frame", ErrFrame)
+		return errTruncated
 	}
 	return err
 }
 
-// writeMatrix streams a matrix row-major as little-endian float64s,
-// chunked through one scratch buffer (views with a stride are handled
-// row by row).
+// writeMatrix streams a matrix row-major as little-endian float64s
+// through one pooled chunk buffer, converting a whole run of a row per
+// pass (views with a stride are handled row by row).
+//
+//abmm:hotpath
 func writeMatrix(w io.Writer, m *abmm.Matrix) error {
-	buf := make([]byte, 0, wireChunk)
+	buf := chunks.Get().(*[wireChunk]byte)
+	defer chunks.Put(buf)
+	used := 0
 	for i := 0; i < m.Rows; i++ {
-		for _, v := range m.Row(i) {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-			if len(buf) == wireChunk {
-				if _, err := w.Write(buf); err != nil {
+		row := m.Row(i)
+		for len(row) > 0 {
+			run := row[:min(len(row), (wireChunk-used)/8)]
+			out := buf[used : used+8*len(run)]
+			for j, v := range run {
+				binary.LittleEndian.PutUint64(out[8*j:], math.Float64bits(v))
+			}
+			used += len(out)
+			row = row[len(run):]
+			if used == wireChunk {
+				if _, err := w.Write(buf[:]); err != nil {
 					return err
 				}
-				buf = buf[:0]
+				used = 0
 			}
 		}
 	}
-	if len(buf) > 0 {
-		if _, err := w.Write(buf); err != nil {
+	if used > 0 {
+		if _, err := w.Write(buf[:used]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// readFloats fills dst from r, decoding little-endian float64s through
-// one chunk buffer.
+// readFloats fills dst from r, decoding little-endian float64s one
+// pooled chunk at a time.
+//
+//abmm:hotpath
 func readFloats(r io.Reader, dst []float64) error {
-	buf := make([]byte, wireChunk)
+	buf := chunks.Get().(*[wireChunk]byte)
+	defer chunks.Put(buf)
 	for len(dst) > 0 {
-		want := len(dst) * 8
-		if want > len(buf) {
-			want = len(buf)
-		}
-		if _, err := io.ReadFull(r, buf[:want]); err != nil {
+		run := dst[:min(len(dst), wireChunk/8)]
+		in := buf[:8*len(run)]
+		if _, err := io.ReadFull(r, in); err != nil {
 			return frameErr(err)
 		}
-		for o := 0; o < want; o += 8 {
-			dst[0] = math.Float64frombits(binary.LittleEndian.Uint64(buf[o : o+8]))
-			dst = dst[1:]
+		for j := range run {
+			run[j] = math.Float64frombits(binary.LittleEndian.Uint64(in[8*j:]))
 		}
+		dst = dst[len(run):]
 	}
 	return nil
 }

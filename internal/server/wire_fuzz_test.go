@@ -4,7 +4,8 @@ package server
 // panic on adversarial input, every rejection must be an ErrFrame (the
 // handler maps those to 400s; anything else would surface as a 500),
 // and every accepted frame must satisfy the decoder's contract — shapes
-// within the element cap, and a lossless re-encode round trip.
+// within the element cap, and a lossless re-encode round trip that
+// decodes into the recycled, dirty storage the first decode released.
 
 import (
 	"bytes"
@@ -102,10 +103,15 @@ func FuzzDecodeFrame(f *testing.F) {
 		if got := int64(buf.Len()); got != RequestWireSize(req) {
 			t.Fatalf("RequestWireSize = %d, encoded %d bytes", RequestWireSize(req), got)
 		}
+		wantA := append([]float64(nil), req.A.Data...)
+		wantB := append([]float64(nil), req.B.Data...)
+		req.Release()
+		req.Release() // idempotent
 		re, err := DecodeRequest(bytes.NewReader(buf.Bytes()), fuzzMaxElems)
 		if err != nil {
 			t.Fatalf("re-decode of re-encoded frame: %v", err)
 		}
+		defer re.Release()
 		if re.Alg != req.Alg || re.Levels != req.Levels {
 			t.Fatalf("round trip changed alg/levels: %q/%d -> %q/%d",
 				req.Alg, req.Levels, re.Alg, re.Levels)
@@ -114,16 +120,16 @@ func FuzzDecodeFrame(f *testing.F) {
 			t.Fatalf("round trip changed shape: %dx%d·%dx%d -> %dx%d·%dx%d",
 				m, k, k, n, re.A.Rows, re.A.Cols, re.B.Rows, re.B.Cols)
 		}
-		for i := range req.A.Data {
-			if math.Float64bits(re.A.Data[i]) != math.Float64bits(req.A.Data[i]) {
+		for i := range wantA {
+			if math.Float64bits(re.A.Data[i]) != math.Float64bits(wantA[i]) {
 				t.Fatalf("A[%d] changed bits: %x -> %x", i,
-					math.Float64bits(req.A.Data[i]), math.Float64bits(re.A.Data[i]))
+					math.Float64bits(wantA[i]), math.Float64bits(re.A.Data[i]))
 			}
 		}
-		for i := range req.B.Data {
-			if math.Float64bits(re.B.Data[i]) != math.Float64bits(req.B.Data[i]) {
+		for i := range wantB {
+			if math.Float64bits(re.B.Data[i]) != math.Float64bits(wantB[i]) {
 				t.Fatalf("B[%d] changed bits: %x -> %x", i,
-					math.Float64bits(req.B.Data[i]), math.Float64bits(re.B.Data[i]))
+					math.Float64bits(wantB[i]), math.Float64bits(re.B.Data[i]))
 			}
 		}
 		// Trace context survives exactly when the frame carried a
