@@ -50,11 +50,13 @@ bench:
 	$(GO) test -run xxx -bench 'BenchmarkMultiplyInto' -benchmem .
 
 # Base-case kernel benchmarks: packed register-tiled kernel vs the
-# blocked reference loop (ns/op, GFLOPS via -benchmem MB/s, allocs).
+# blocked reference loop (ns/op, GFLOPS via -benchmem MB/s, allocs),
+# and the micro-kernel's measured ceiling (BenchmarkMicroPeak: GFLOP/s
+# of each routine the host runs on L1-resident panels, kc 64/128/256).
 # The full trajectory version (durable JSON cells at 256/1024/4096) is
 # `make bench-json`; this is the quick in-place comparison.
 kernel-bench:
-	$(GO) test -run xxx -bench 'BenchmarkBaseCase' -benchmem ./internal/kernel/
+	$(GO) test -run xxx -bench 'BenchmarkBaseCase|BenchmarkMicroPeak' -benchmem ./internal/kernel/
 
 # Durable benchmark trajectory (cmd/bench): run the fixed matrix and
 # write the next BENCH_<k>.json, or re-run and diff against the newest

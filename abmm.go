@@ -43,6 +43,7 @@ import (
 	"io"
 	"math/rand/v2"
 	"net/http"
+	"runtime"
 	"sort"
 	"sync"
 
@@ -50,8 +51,10 @@ import (
 	"abmm/internal/bilinear"
 	"abmm/internal/core"
 	"abmm/internal/dd"
+	"abmm/internal/kernel"
 	"abmm/internal/matrix"
 	"abmm/internal/obs"
+	"abmm/internal/pool"
 	"abmm/internal/scaling"
 	"abmm/internal/stability"
 )
@@ -214,11 +217,16 @@ func Multiply(alg *Algorithm, a, b *Matrix, opt Options) *Matrix {
 	return core.Multiply(alg, a, b, opt)
 }
 
-// MultiplyClassical computes a·b with the cache-blocked parallel
-// classical kernel (the library's DGEMM stand-in).
+// MultiplyClassical computes a·b with the packed classical kernel, the
+// base case every fast algorithm recurses to and the library's DGEMM
+// stand-in, on workers goroutines (≤ 0 means GOMAXPROCS). The result is
+// bitwise equal to the textbook triple loop at every worker count.
 func MultiplyClassical(a, b *Matrix, workers int) *Matrix {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	c := matrix.New(a.Rows, b.Cols)
-	matrix.Mul(c, a, b, workers)
+	kernel.Mul(c, a, b, kernel.Blocking{}, workers, pool.Global, nil)
 	return c
 }
 

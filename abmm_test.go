@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"abmm"
+	"abmm/internal/matrix"
 )
 
 func TestLookupAndNames(t *testing.T) {
@@ -46,6 +47,27 @@ func TestPublicMultiply(t *testing.T) {
 				if math.Abs(got.At(i, j)-want.At(i, j)) > 1e-12 {
 					t.Fatalf("%s: c[%d][%d] = %g", name, i, j, got.At(i, j))
 				}
+			}
+		}
+	}
+}
+
+// TestMultiplyClassicalBitwiseEqualsNaive pins the public classical
+// baseline to the triple-loop oracle at every worker count, across
+// ragged tiles, two kc slices and three mc blocks, so what the examples
+// and Figure 2 time against is the product the recursion's base case
+// computes.
+func TestMultiplyClassicalBitwiseEqualsNaive(t *testing.T) {
+	for _, s := range []struct{ m, k, n int }{{1, 1, 1}, {17, 300, 9}, {257, 129, 130}} {
+		a, b := abmm.NewMatrix(s.m, s.k), abmm.NewMatrix(s.k, s.n)
+		a.FillUniform(abmm.Rand(uint64(s.m)), -1, 1)
+		b.FillUniform(abmm.Rand(uint64(s.n)+1), -1, 1)
+		want := abmm.NewMatrix(s.m, s.n)
+		matrix.MulNaive(want, a, b)
+		for _, workers := range []int{0, 1, 2} {
+			if got := abmm.MultiplyClassical(a, b, workers); !matrix.Equal(got, want) {
+				t.Errorf("%dx%dx%d workers=%d: MultiplyClassical differs bitwise from MulNaive (max diff %g)",
+					s.m, s.k, s.n, workers, matrix.MaxAbsDiff(got, want))
 			}
 		}
 	}

@@ -31,8 +31,10 @@ const blockedKernelCap = 1024
 // runKernelCells measures the kernel variants at each size with the
 // shared Cell schema: Levels 0 (no recursion) and Workers 1 (the
 // kernel's single-thread contract is what the 1.5× target is against).
-// Error fields stay zero — both variants are bitwise equal to the
-// naive loop by the kernel tests, so there is no error to sample.
+// Error fields stay zero: these cells time the base case, not its
+// accuracy. The packed kernel is bitwise equal to the naive loop (the
+// kernel tests pin it); the blocked loop's c += a*b is fused or not as
+// the compiler chooses, so on amd64 it differs in low-order bits.
 func runKernelCells(sizes []int, reps int) []Cell {
 	var cells []Cell
 	for _, n := range sizes {

@@ -46,8 +46,9 @@ const maxFusedDim = 32
 // base block's inner dimension fits one kc slice; a product whose
 // decode is a single unit-coefficient accumulation instead takes the
 // kernel's direct path, which extends the destination's own ascending-k
-// chain (bitwise equal to a naive c += a·b, the contract kernel.MulAdd
-// pins) and differs from materialize-then-add in low-order bits.
+// chain of fused multiply-adds, c = fma(a, b, c) (the contract
+// kernel.MulAdd pins), and differs from materialize-then-add in
+// low-order bits.
 // Deeper inner dimensions additionally round the decode once per kc
 // slice. None of this changes the error analysis — each output element
 // still receives the same number of rounded partial sums.

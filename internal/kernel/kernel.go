@@ -16,11 +16,13 @@
 // ("Implementing Strassen's Algorithm with BLIS") for the lineage.
 //
 // The single-output unscaled path (Mul, MulAdd) accumulates directly
-// into the destination tile in ascending-k order and is bitwise
-// identical to matrix.MulNaive; the multi-output scaled path rounds
-// once more per kc block at the write-out, which changes low-order bits
-// but none of the error analysis (each output element still receives
-// ⌈K/kc⌉ rounded partial sums).
+// into the destination tile, one fused multiply-add per k in ascending
+// order, and is bitwise identical to matrix.MulNaive, which computes
+// the same chain with math.FMA; the results are the same on every
+// architecture. The multi-output scaled path rounds once more per kc
+// block at the write-out, which changes low-order bits but none of the
+// error analysis (each output element still receives ⌈K/kc⌉ rounded
+// partial sums).
 package kernel
 
 import (
@@ -106,9 +108,11 @@ type Out struct {
 }
 
 // Mul computes c = a·b through the packed kernel. c must not alias a or
-// b. The result is bitwise identical to matrix.MulNaive. al supplies
-// the panel workspace (pool.Global when no arena is in play); rec, when
-// non-nil, receives nested PhasePack/PhaseKernel spans.
+// b. Every element is the chain c = fma(a_ik, b_kj, c) over ascending
+// k from zero, so the result is bitwise identical to matrix.MulNaive.
+// al supplies the panel workspace (pool.Global when no arena is in
+// play); rec, when non-nil, receives nested PhasePack/PhaseKernel
+// spans.
 func Mul(c, a, b *matrix.Matrix, bl Blocking, workers int, al pool.Allocator, rec obs.Recorder) {
 	outs := [1]Out{{Coeff: 1, M: c}}
 	at := [1]Term{{Coeff: 1, M: a}}
@@ -117,8 +121,9 @@ func Mul(c, a, b *matrix.Matrix, bl Blocking, workers int, al pool.Allocator, re
 }
 
 // MulAdd computes c += a·b through the packed kernel; the accumulation
-// chain extends c's prior value exactly as a naive c[i][j] += Σ a·b
-// would, so it too is bitwise reproducible. c must not alias a or b.
+// chain starts from c's prior value and applies one fused multiply-add
+// per k in ascending order, c = fma(a_ik, b_kj, c), so it too is
+// bitwise reproducible. c must not alias a or b.
 func MulAdd(c, a, b *matrix.Matrix, bl Blocking, workers int, al pool.Allocator, rec obs.Recorder) {
 	outs := [1]Out{{Coeff: 1, M: c, Accum: true}}
 	at := [1]Term{{Coeff: 1, M: a}}
@@ -166,7 +171,7 @@ func GEMM(outs []Out, aTerms, bTerms []Term, bl Blocking, workers int, al pool.A
 	bl = bl.normalized()
 	// direct: a single unscaled output lets the micro-kernel seed its
 	// accumulators from the destination tile and store straight back, so
-	// every element is one ascending-k rounding chain (bitwise == naive).
+	// every element is one ascending-k fused chain (bitwise == naive).
 	direct := len(outs) == 1 && outs[0].Coeff == 1
 
 	timed := rec != nil

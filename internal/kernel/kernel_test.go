@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -94,7 +95,7 @@ func TestMulAddBitwiseEqualsNaiveChain(t *testing.T) {
 			for j := 0; j < s.n; j++ {
 				v := want.At(i, j)
 				for k := 0; k < s.k; k++ {
-					v += a.At(i, k) * b.At(k, j)
+					v = math.FMA(a.At(i, k), b.At(k, j), v)
 				}
 				want.Set(i, j, v)
 			}

@@ -1,5 +1,7 @@
 package kernel
 
+import "math"
+
 // The register micro-kernel. MR×NR is the register-tile shape: one call
 // accumulates an MR×NR tile of the product over a kc-deep slice of the
 // inner dimension, reading the operands from packed micro-panels so
@@ -7,21 +9,19 @@ package kernel
 // for the whole k loop.
 //
 // 16×8 is sized to AVX-512. Register budget: one 8-lane ZMM register
-// holds one output row, so the tile is sixteen accumulators, and with
-// the B row and up to fifteen product temporaries it fills the 32 ZMM
-// registers. Without AVX-512 the same tile runs as four 4×8 sub-tiles,
-// each eight YMM accumulators (two per row) plus the two B halves and
-// six temporaries in the 16 YMM registers.
+// holds one output row, so the tile is sixteen accumulators plus the B
+// row, and the broadcast A element is a memory operand of the fused
+// multiply-add. Without AVX-512 the same tile runs as four 4×8
+// sub-tiles, each eight YMM accumulators (two per row) plus the two B
+// halves and four broadcast A elements in the 16 YMM registers.
 //
-// Why so many accumulators: the kernel issues a separate multiply and
-// add per accumulator (not FMA) on two shared vector ports, so one k
-// step takes about one cycle per accumulator, and an add cannot start
-// until the previous add to the same accumulator has finished (4 cycles
-// on current x86 cores). With four accumulators (a 4×4 YMM tile) a k
-// step is exactly that latency and any stall idles the ports; with
-// sixteen every chain has four times the slack. Both tile extents
-// divide 64, so the power-of-two base blocks the recursion produces
-// never have ragged micro-panels.
+// Why so many accumulators: each k step issues one fused multiply-add
+// per accumulator on two shared vector ports, and an FMA cannot start
+// until the previous FMA into the same accumulator has finished (4
+// cycles on current x86 cores). Keeping both ports busy takes at least
+// eight independent chains; sixteen give every chain twice that slack.
+// Both tile extents divide 64, so the power-of-two base blocks the
+// recursion produces never have ragged micro-panels.
 const (
 	// MR is the number of A rows (product rows) per register tile.
 	MR = 16
@@ -30,13 +30,15 @@ const (
 )
 
 // isa names one routine that computes the packed MR×NR tile. All of
-// them apply each product to its accumulator as a separate multiply
-// then add, one k at a time in ascending order, so they agree to the
-// bit and differ only in speed.
+// them apply each product to its accumulator as one fused multiply-add
+// (c = fma(a, b, c), a single rounding), one k at a time in ascending
+// order, so they agree to the bit and differ only in speed.
 type isa uint8
 
 const (
-	// isaGo is the portable Go loop (microGo).
+	// isaGo is the portable Go loop (microGo). On amd64 it runs only on
+	// hosts without FMA, where math.FMA is emulated in software: correct
+	// to the bit but slow.
 	isaGo isa = iota
 	// isaAVX2 computes the tile as four 4×8 sub-tiles in YMM registers.
 	isaAVX2
@@ -57,8 +59,10 @@ var useISA = hostISA
 //
 // Each routine gives every output element the same rounding chain as
 // the textbook triple loop, which is what lets the packed path pin
-// bitwise equality with MulNaive. FMA is deliberately not used: it
-// rounds once where the scalar c += a*b rounds twice.
+// bitwise equality with MulNaive: one fused multiply-add per k,
+// rounding a·b + c once, in ascending k. MulNaive uses math.FMA for the
+// same reason, so the contract holds on every architecture rather than
+// only where the compiler happens not to fuse c += a*b.
 //
 //abmm:hotpath
 func microKernel(ap, bp []float64, acc *[MR * NR]float64) {
@@ -78,8 +82,10 @@ func microKernel(ap, bp []float64, acc *[MR * NR]float64) {
 // in lock step, and the fixed-size array views let the compiler drop
 // the bounds checks inside it. Scalar code is bound by the FP ports,
 // not by where the accumulators live: a hand-unrolled tile held in
-// named locals measured no faster (~1.8 GFLOP/s at 256³ on a 2.1 GHz
-// Xeon either way).
+// named locals measured no faster. math.FMA compiles to one fused
+// instruction on arm64 and on amd64 hosts with FMA; an amd64 host
+// without FMA (pre-2013) takes this routine and emulates every FMA in
+// software, which is correct but far slower than the vector routines.
 //
 //abmm:hotpath
 func microGo(ap, bp []float64, acc *[MR * NR]float64) {
@@ -88,7 +94,7 @@ func microGo(ap, bp []float64, acc *[MR * NR]float64) {
 		for r, a := range (*[MR]float64)(ap) {
 			c := (*[NR]float64)(acc[r*NR:])
 			for x, v := range b {
-				c[x] += a * v
+				c[x] = math.FMA(a, v, c[x])
 			}
 		}
 		ap = ap[MR:]

@@ -4,23 +4,23 @@
 // Ap is a 16-row micro-panel (16 float64 per k step, 128 bytes) and Bp
 // an 8-column micro-panel (8 float64 per k step, 64 bytes). Each k step
 // multiplies one B row by each broadcast A element and adds the product
-// to that row's accumulator with a separate VMULPD and VADDPD —
-// deliberately NOT VFMADD: the fused multiply-add rounds once where
-// mul-then-add rounds twice, and the kernel's contract is bitwise
-// equality with the scalar naive triple loop, which rounds twice. Per
-// output element the adds form one serial ascending-k chain, so each
-// element's rounding history is identical to the scalar kernel's.
+// to that row's accumulator with one VFMADD231PD, which rounds a·b + c
+// once. Per output element the fused multiply-adds form one serial
+// ascending-k chain, c = fma(a, b, c), the chain matrix.MulNaive and
+// microGo compute with math.FMA, so each element's rounding history is
+// identical to the scalar kernel's. Both routines need the FMA CPUID
+// bit, which detectISA checks.
 
 #include "textflag.h"
 
-// ZROW applies one k step to accumulator row acc: tmp = B row (Z16) ×
-// the A element at off(SI) broadcast to all eight lanes; acc += tmp.
-#define ZROW(off, acc, tmp) VMULPD.BCST off(SI), Z16, tmp; VADDPD tmp, acc, acc
+// ZROW applies one k step to accumulator row acc: acc = fma(B row
+// (Z16), the A element at off(SI) broadcast to all eight lanes, acc).
+#define ZROW(off, acc) VFMADD231PD.BCST off(SI), Z16, acc
 
 // func micro16x8AVX512(ap, bp *float64, kc int, acc *[128]float64)
 //
-// One ZMM accumulator per output row (Z0–Z15), the B row in Z16,
-// product temporaries in Z17–Z31.
+// One ZMM accumulator per output row (Z0–Z15) and the B row in Z16;
+// Z17–Z31 are unused.
 TEXT ·micro16x8AVX512(SB), NOSPLIT, $0-32
 	MOVQ ap+0(FP), SI
 	MOVQ bp+8(FP), DI
@@ -46,22 +46,22 @@ TEXT ·micro16x8AVX512(SB), NOSPLIT, $0-32
 
 zloop:
 	VMOVUPD (DI), Z16
-	ZROW(0, Z0, Z17)
-	ZROW(8, Z1, Z18)
-	ZROW(16, Z2, Z19)
-	ZROW(24, Z3, Z20)
-	ZROW(32, Z4, Z21)
-	ZROW(40, Z5, Z22)
-	ZROW(48, Z6, Z23)
-	ZROW(56, Z7, Z24)
-	ZROW(64, Z8, Z25)
-	ZROW(72, Z9, Z26)
-	ZROW(80, Z10, Z27)
-	ZROW(88, Z11, Z28)
-	ZROW(96, Z12, Z29)
-	ZROW(104, Z13, Z30)
-	ZROW(112, Z14, Z31)
-	ZROW(120, Z15, Z17)
+	ZROW(0, Z0)
+	ZROW(8, Z1)
+	ZROW(16, Z2)
+	ZROW(24, Z3)
+	ZROW(32, Z4)
+	ZROW(40, Z5)
+	ZROW(48, Z6)
+	ZROW(56, Z7)
+	ZROW(64, Z8)
+	ZROW(72, Z9)
+	ZROW(80, Z10)
+	ZROW(88, Z11)
+	ZROW(96, Z12)
+	ZROW(104, Z13)
+	ZROW(112, Z14)
+	ZROW(120, Z15)
 	ADDQ $128, SI
 	ADDQ $64, DI
 	DECQ CX
@@ -87,17 +87,17 @@ zloop:
 	RET
 
 // YROW applies one k step to the two YMM halves (lo, hi) of one
-// accumulator row: the A element at off(R9) is broadcast into t0 and
-// multiplied by both B halves (Y8, Y9).
-#define YROW(off, lo, hi, t0, t1, t2) VBROADCASTSD off(R9), t0; VMULPD Y8, t0, t1; VMULPD Y9, t0, t2; VADDPD t1, lo, lo; VADDPD t2, hi, hi
+// accumulator row: the A element at off(R9) is broadcast into t and
+// each half becomes fma(t, its B half (Y8, Y9), itself).
+#define YROW(off, lo, hi, t) VBROADCASTSD off(R9), t; VFMADD231PD Y8, t, lo; VFMADD231PD Y9, t, hi
 
 // func micro16x8AVX2(ap, bp *float64, kc int, acc *[128]float64)
 //
 // Four passes over the B micro-panel, one per 4-row sub-tile: eight
 // YMM accumulators (Y0–Y7, two per row), the B row's halves in Y8 and
-// Y9, temporaries in Y10–Y15. SI steps through the sub-tiles' row
-// offsets within each 128-byte A step, DX through the accumulator's
-// 256-byte row groups.
+// Y9, the broadcast A elements in Y10–Y13. SI steps through the
+// sub-tiles' row offsets within each 128-byte A step, DX through the
+// accumulator's 256-byte row groups.
 TEXT ·micro16x8AVX2(SB), NOSPLIT, $0-32
 	MOVQ ap+0(FP), SI
 	MOVQ acc+24(FP), DX
@@ -119,10 +119,10 @@ ysub:
 yloop:
 	VMOVUPD (DI), Y8
 	VMOVUPD 32(DI), Y9
-	YROW(0, Y0, Y1, Y10, Y11, Y12)
-	YROW(8, Y2, Y3, Y13, Y14, Y15)
-	YROW(16, Y4, Y5, Y10, Y11, Y12)
-	YROW(24, Y6, Y7, Y13, Y14, Y15)
+	YROW(0, Y0, Y1, Y10)
+	YROW(8, Y2, Y3, Y11)
+	YROW(16, Y4, Y5, Y12)
+	YROW(24, Y6, Y7, Y13)
 	ADDQ $128, R9
 	ADDQ $64, DI
 	DECQ CX

@@ -53,8 +53,10 @@ func DefaultConfig(dir string) Config {
 				"abmm/internal/bilinear",
 				"abmm/internal/core",
 				"abmm/internal/dd",
+				"abmm/internal/kernel",
 				"abmm/internal/matrix",
 				"abmm/internal/obs",
+				"abmm/internal/pool",
 				"abmm/internal/scaling",
 				"abmm/internal/stability",
 			},
@@ -156,9 +158,11 @@ func DefaultConfig(dir string) Config {
 				"abmm/internal/core",
 				"abmm/internal/dd",
 				"abmm/internal/dist",
+				"abmm/internal/kernel",
 				"abmm/internal/matrix",
 				"abmm/internal/obs",
 				"abmm/internal/parallel",
+				"abmm/internal/pool",
 				"abmm/internal/scaling",
 				"abmm/internal/stability",
 			},

@@ -1,6 +1,10 @@
 package matrix
 
-import "abmm/internal/parallel"
+import (
+	"math"
+
+	"abmm/internal/parallel"
+)
 
 // Blocking parameters for the classical kernel. The micro-tile is sized
 // so that a block of A (mc×kc) and a panel of B (kc×nc) fit in L2/L1
@@ -13,12 +17,13 @@ const (
 )
 
 // Mul computes c = a·b with the cache-blocked classical loop: zero the
-// destination, then accumulate. c must not alias a or b. This is the
-// portable reference kernel and the "DGEMM" baseline that runtimes are
-// normalized against (the paper uses Intel MKL; see DESIGN.md §4 for
-// the substitution); the recursion base case of the fast algorithms is
-// the packed-panel kernel in internal/kernel, which this package
-// cannot reach (it would invert the import DAG).
+// destination, then accumulate. c must not alias a or b. Its inner
+// c += a*b is fused or not as the compiler chooses for the target, so
+// it agrees with MulNaive only to rounding. The "DGEMM" baseline that
+// runtimes are normalized against (the paper uses Intel MKL; see
+// DESIGN.md §4 for the substitution) is the packed-panel kernel in
+// internal/kernel, the recursion base case of the fast algorithms,
+// which this package cannot reach (it would invert the import DAG).
 //
 //abmm:hotpath
 func Mul(c, a, b *Matrix, workers int) {
@@ -93,7 +98,12 @@ func mulBlocks(c, a, b *Matrix, lo, hi int) {
 }
 
 // MulNaive is the textbook triple loop, used only as an independent
-// oracle in tests.
+// oracle in tests. Each element is the chain s = fma(a_ik, b_kj, s) in
+// ascending k, one rounding per step: the chain every micro-kernel
+// routine of the packed kernel computes, which the oracle pins bitwise.
+// It calls math.FMA rather than writing s += a*b because the compiler
+// may fuse the latter or not, depending on the target (arm64 does,
+// amd64 does not); math.FMA gives the same bits on every architecture.
 func MulNaive(c, a, b *Matrix) {
 	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
 		panic(ErrShape)
@@ -102,7 +112,7 @@ func MulNaive(c, a, b *Matrix) {
 		for j := 0; j < c.Cols; j++ {
 			var s float64
 			for k := 0; k < a.Cols; k++ {
-				s += a.At(i, k) * b.At(k, j)
+				s = math.FMA(a.At(i, k), b.At(k, j), s)
 			}
 			c.Set(i, j, s)
 		}

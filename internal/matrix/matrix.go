@@ -1,9 +1,10 @@
 // Package matrix implements the dense float64 matrix substrate used by
 // the alternative basis matrix multiplication library: zero-copy strided
 // views, fused linear-combination kernels, norms, padding, random fills
-// for the paper's experiment distributions, and a cache-blocked parallel
-// classical multiply that serves as the recursion base case and as the
-// DGEMM stand-in for runtime normalization.
+// for the paper's experiment distributions, a cache-blocked parallel
+// classical multiply, and the triple-loop test oracle MulNaive. The
+// recursion base case and the DGEMM stand-in for runtime normalization
+// is the packed kernel in internal/kernel.
 package matrix
 
 import (
