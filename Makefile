@@ -15,14 +15,16 @@ test:
 
 # Race-detector pass at small sizes: the shared-Multiplier concurrency
 # tests (including concurrent cancellation) plus the core/bilinear
-# engines that execute under it, the observability collector's
-# concurrent span aggregation, the serving layer (admission gate,
-# coalescer, concurrent same-shape requests), and the analyzer suite's
-# own fixture tests (-short skips its slow repo-wide pass, which
-# `make lint` runs directly).
+# engines that execute under it, the parallel package's primitives
+# (the top-step fan-out runs on ForChunks and Cancel), the parallel row
+# loops under every encode, decode and reference product (matrix, dd),
+# the observability collector's concurrent span aggregation, the
+# serving layer (admission gate, coalescer, concurrent same-shape
+# requests), and the analyzer suite's own fixture tests (-short skips
+# its slow repo-wide pass, which `make lint` runs directly).
 race:
 	$(GO) test -race -short -run 'TestMultiplierConcurrent|TestMultiplyIntoPadded|TestMultiplierStats' .
-	$(GO) test -race -short ./internal/core/... ./internal/bilinear/... ./internal/basis/... ./internal/kernel/... ./internal/pool/... ./internal/obs/... ./internal/reqtrace/... ./internal/lint/... ./internal/server/... ./internal/tune/...
+	$(GO) test -race -short ./internal/core/... ./internal/bilinear/... ./internal/basis/... ./internal/kernel/... ./internal/pool/... ./internal/parallel/... ./internal/matrix/... ./internal/dd/... ./internal/obs/... ./internal/reqtrace/... ./internal/lint/... ./internal/server/... ./internal/tune/...
 
 # The 386 pass type-checks code and tests for a 32-bit int.
 vet:

@@ -96,7 +96,7 @@ type CacheStats = core.CacheStats
 
 // PlanRegistry is the bounded per-plan telemetry registry: attach one
 // via Options.Plans and every compiled plan claims a slot keyed by
-// (shape, algorithm, levels, schedule, kernel blocking), recording
+// (shape, algorithm, levels, kernel blocking), recording
 // latency, arena high-water, and sampled error per plan with plain
 // atomics — the warm MultiplyInto path stays 0 allocs/op. Several
 // Multipliers may share one registry; the serving layer surfaces it at
@@ -117,7 +117,7 @@ func NewPlanRegistry(maxPlans int) *PlanRegistry { return obs.NewPlanRegistry(ma
 
 // Tuner decides plan configuration on plan-cache miss: attach one via
 // Options.Tuner and shapes whose recursion depth was left automatic get
-// their (algorithm, levels, schedule, workers) tuple from a persisted
+// their (algorithm, levels, workers) tuple from a persisted
 // tuning profile or bounded measurement instead of the static defaults.
 // internal/tune provides the implementation; tuned plans carry a
 // "/tuned" marker in their identity.
@@ -132,7 +132,7 @@ type TunedChoice = core.TunedChoice
 type SLOConfig = obs.SLOConfig
 
 // Recorder receives execution events (per-phase spans, multiplication
-// totals, task dispatch, arena traffic) from every multiplication run
+// totals, arena traffic) from every multiplication run
 // with it in Options.Recorder. A nil Recorder disables recording and
 // keeps the warm MultiplyInto path at 0 allocs/op.
 type Recorder = obs.Recorder
@@ -247,7 +247,7 @@ func MultiplyMixed(algs []*Algorithm, a, b *Matrix, opt Options) (*Matrix, error
 		}
 		specs[i] = alg.Spec
 	}
-	bopt := bilinear.Options{Workers: opt.Workers, TaskParallel: opt.TaskParallel, Direct: opt.Direct}
+	bopt := bilinear.Options{Workers: opt.Workers, Kernel: opt.Kernel}
 	return bilinear.MultiplyMixed(specs, a, b, bopt), nil
 }
 

@@ -243,27 +243,6 @@ func BenchmarkClassicalKernel(b *testing.B) {
 
 // --- Ablations (DESIGN.md §6) ---
 
-// BenchmarkAblationSchedule compares the CSE-scheduled engine against
-// the direct (unshared) linear phase: the scheduled Winograd should
-// win, reflecting its 15-vs-24 addition counts.
-func BenchmarkAblationSchedule(b *testing.B) {
-	for _, direct := range []bool{false, true} {
-		b.Run(fmt.Sprintf("winograd/direct=%v", direct), func(b *testing.B) {
-			benchMultiply(b, "winograd", 512, 3, core.Options{Direct: direct})
-		})
-	}
-}
-
-// BenchmarkAblationTaskParallel compares kernel-parallel (the paper's
-// scheme) against task-parallel recursion.
-func BenchmarkAblationTaskParallel(b *testing.B) {
-	for _, task := range []bool{false, true} {
-		b.Run(fmt.Sprintf("ours/task=%v", task), func(b *testing.B) {
-			benchMultiply(b, "ours", 512, 2, core.Options{TaskParallel: task})
-		})
-	}
-}
-
 // BenchmarkAblationLevels sweeps recursion depth for the paper's
 // algorithm: the arithmetic savings against the linear-phase overhead.
 func BenchmarkAblationLevels(b *testing.B) {

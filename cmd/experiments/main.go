@@ -81,9 +81,8 @@ func main() {
 		"fig4":   func() *experiments.Table { return experiments.Fig4(p) },
 		"dist":   func() *experiments.Table { return experiments.Dist(p) },
 		"phases": func() *experiments.Table { return experiments.Phases(p) },
-		"fused":  func() *experiments.Table { return experiments.Fused(p) },
 	}
-	order := []string{"table1", "table2", "table3", "fig1", "fig2a", "fig2b", "fig2c", "fig2d", "fig3", "fig4", "dist", "phases", "fused"}
+	order := []string{"table1", "table2", "table3", "fig1", "fig2a", "fig2b", "fig2c", "fig2d", "fig3", "fig4", "dist", "phases"}
 
 	selected := order
 	if *expList != "all" {

@@ -31,10 +31,6 @@ func TestMultiplyStrassenMatchesClassical(t *testing.T) {
 		for _, opt := range []bilinear.Options{
 			{Workers: 1},
 			{Workers: 4},
-			{Workers: 4, TaskParallel: true},
-			{Workers: 1, Direct: true},
-			{Workers: 4, Direct: true},
-			{Workers: 4, Direct: true, TaskParallel: true},
 		} {
 			if d := maxDiffVsClassical(t, alg, 64, 64, 64, levels, opt); d > 1e-11 {
 				t.Errorf("levels=%d opt=%+v: diff %g", levels, opt, d)

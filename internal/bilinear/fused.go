@@ -32,23 +32,25 @@ const maxFusedDim = 32
 // (u[i][r], A_i) × (v[i][r], B_i) and scatters w[k][r]·P_r into each
 // output group C_k during the kernel's tile write-out. The first
 // product to touch a group overwrites it (Accum false) and later
-// products accumulate, mirroring the Scale/AddScaled discipline of the
-// sequential schedule; groups no product touches are zeroed at the
-// end.
+// products accumulate, in product order; groups no product touches are
+// zeroed at the end.
 //
-// Rounding relative to the unfused schedule (see fused_test.go for the
-// pinned statements): the encode fusion is exact — packing applies
-// terms with matrix.LinearCombine's per-element operation order, so a
-// fused pack is bitwise identical to materializing S_r/T_r and packing
-// the result. On the decode side, a product that scatters (≥ 2
-// outputs, a non-unit coefficient, or a first-touch overwrite)
-// reproduces the unfused Scale/AddScaled rounding exactly when the
-// base block's inner dimension fits one kc slice; a product whose
-// decode is a single unit-coefficient accumulation instead takes the
-// kernel's direct path, which extends the destination's own ascending-k
-// chain of fused multiply-adds, c = fma(a, b, c) (the contract
-// kernel.MulAdd pins), and differs from materialize-then-add in
-// low-order bits.
+// Rounding relative to the unfused step — the scheduled step over
+// kernel.Mul leaves, which materializes S_r/T_r and runs the decode
+// program (see fused_test.go for the pinned statements): the encode
+// fusion is exact — packing applies terms with matrix.LinearCombine's
+// per-element operation order, so a fused pack is bitwise identical to
+// materializing S_r/T_r and packing the result. On the decode side, a
+// product that scatters (≥ 2 outputs, a non-unit coefficient, or a
+// first-touch overwrite) reproduces materialize-then-Scale/AddScaled
+// rounding exactly when the base block's inner dimension fits one kc
+// slice, so an output group written by a single product matches the
+// unfused step bitwise; a group summing several products may associate
+// its sum differently from the decode program. A product whose decode
+// is a single unit-coefficient accumulation instead takes the kernel's
+// direct path, which extends the destination's own ascending-k chain
+// of fused multiply-adds, c = fma(a, b, c) (the contract kernel.MulAdd
+// pins), and differs from materialize-then-add in low-order bits.
 // Deeper inner dimensions additionally round the decode once per kc
 // slice. None of this changes the error analysis — each output element
 // still receives the same number of rounded partial sums.
@@ -56,7 +58,6 @@ const maxFusedDim = 32
 //abmm:hotpath
 func (e *Engine) fusedStep(c, a, b *matrix.Matrix, al pool.Allocator, cn *parallel.Cancel) {
 	s := e.specAt(1)
-	sc := e.colsOf(s)
 	aGroups := groupsIn(al, a, s.DU())
 	bGroups := groupsIn(al, b, s.DV())
 	cGroups := groupsIn(al, c, s.DW())
@@ -94,16 +95,16 @@ func (e *Engine) fusedStep(c, a, b *matrix.Matrix, al pool.Allocator, cn *parall
 			break
 		}
 		na := 0
-		for i, u := range sc.u[r] {
-			if u != 0 {
-				at[na] = kernel.Term{Coeff: u, M: aGroups[i]}
+		for i, g := range aGroups {
+			if u := s.uF.At(i, r); u != 0 {
+				at[na] = kernel.Term{Coeff: u, M: g}
 				na++
 			}
 		}
 		nb := 0
-		for i, v := range sc.v[r] {
-			if v != 0 {
-				bt[nb] = kernel.Term{Coeff: v, M: bGroups[i]}
+		for i, g := range bGroups {
+			if v := s.vF.At(i, r); v != 0 {
+				bt[nb] = kernel.Term{Coeff: v, M: g}
 				nb++
 			}
 		}
@@ -117,7 +118,7 @@ func (e *Engine) fusedStep(c, a, b *matrix.Matrix, al pool.Allocator, cn *parall
 			no++
 			touched[k] = true
 		}
-		kernel.GEMM(outs[:no], at[:na], bt[:nb], e.kb, e.kernelWorkers, al, e.rec)
+		kernel.GEMM(outs[:no], at[:na], bt[:nb], e.kb, e.workers, al, e.rec)
 	}
 	for k, t := range touched {
 		if !t {

@@ -6,13 +6,14 @@ package bilinear_test
 //  1. Encode fusion is exact: packing a (coefficient, source) term list
 //     is bitwise identical to materializing the linear combination with
 //     matrix.LinearCombine and packing the result.
-//  2. End-to-end, fused equals unfused bitwise whenever no product's
-//     decode is a single unit-coefficient accumulation (e.g. classical
-//     algorithms with k0 = 1, whose outputs are each written by exactly
-//     one product).
-//  3. Elsewhere the two schedules differ only in low-order bits — the
+//  2. End-to-end, fused equals unfused bitwise when every output group
+//     is written by exactly one product (e.g. classical algorithms with
+//     k0 = 1).
+//  3. Elsewhere the two paths differ only in low-order bits — the
 //     fused path chains single-output accumulations like a naive
-//     c += a·b while the unfused path materializes and adds once.
+//     c += a·b and sums scattered products in product order, while the
+//     unfused reference (bilinear.MultiplyUnfused) materializes each
+//     product and runs the decode program.
 
 import (
 	"testing"
@@ -85,18 +86,15 @@ func TestFusedEncodePackBitwiseEqualsMaterialized(t *testing.T) {
 	}
 }
 
-// fusedPair runs one multiplication twice, fused and unfused, with
-// otherwise identical options, and returns both products.
+// fusedPair runs one multiplication twice, fused and through the
+// unfused reference, with identical options, and returns both products.
 func fusedPair(alg *algos.Algorithm, m, k, n, levels int, opt bilinear.Options) (fused, unfused *matrix.Matrix) {
 	a := matrix.New(m, k)
 	b := matrix.New(k, n)
 	a.FillUniform(matrix.Rand(uint64(m*k+levels)), -1, 1)
 	b.FillUniform(matrix.Rand(uint64(k*n+levels+7)), -1, 1)
-	fopt, uopt := opt, opt
-	fopt.NoFuse = false
-	uopt.NoFuse = true
-	return bilinear.Multiply(alg.Spec, a, b, levels, fopt),
-		bilinear.Multiply(alg.Spec, a, b, levels, uopt)
+	return bilinear.Multiply(alg.Spec, a, b, levels, opt),
+		bilinear.MultiplyUnfused(alg.Spec, a, b, levels, opt)
 }
 
 // TestFusedBitwiseEqualsUnfusedNoAccum pins statement 2: with k0 = 1
@@ -112,11 +110,7 @@ func TestFusedBitwiseEqualsUnfusedNoAccum(t *testing.T) {
 		{algos.Classical(2, 1, 2), 64, 32, 64},
 	} {
 		for _, levels := range []int{1, 2} {
-			for _, opt := range []bilinear.Options{
-				{Workers: 1},
-				{Workers: 4},
-				{Workers: 4, TaskParallel: true},
-			} {
+			for _, opt := range []bilinear.Options{{Workers: 1}, {Workers: 4}} {
 				fused, unfused := fusedPair(tc.alg, tc.m, tc.k, tc.n, levels, opt)
 				if !matrix.Equal(fused, unfused) {
 					t.Errorf("%s %dx%dx%d levels=%d opt=%+v: fused differs from unfused (max diff %g)",
@@ -144,7 +138,7 @@ func TestFusedMatchesUnfusedWithinUlps(t *testing.T) {
 		{algos.Classical(3, 2, 4), 36, 16, 64},
 	} {
 		for _, levels := range []int{1, 2} {
-			for _, opt := range []bilinear.Options{{Workers: 1}, {Workers: 4, TaskParallel: true}} {
+			for _, opt := range []bilinear.Options{{Workers: 1}, {Workers: 4}} {
 				fused, unfused := fusedPair(tc.alg, tc.m, tc.k, tc.n, levels, opt)
 				if d := matrix.MaxAbsDiff(fused, unfused); d > 1e-13 {
 					t.Errorf("%s %dx%dx%d levels=%d opt=%+v: fused vs unfused diff %g, want ≤ 1e-13",

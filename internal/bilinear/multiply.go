@@ -14,16 +14,20 @@ func Multiply(s *Spec, a, b *matrix.Matrix, levels int, opt Options) *matrix.Mat
 	if !s.IsStandard() {
 		panic("bilinear: Multiply requires a standard-basis spec")
 	}
+	return multiplyWith(NewEngine(s, opt, levels), a, b)
+}
+
+// multiplyWith is Multiply on a constructed engine, whose top-level
+// spec fixes the padding and the layout.
+func multiplyWith(e *Engine, a, b *matrix.Matrix) *matrix.Matrix {
 	if a.Cols != b.Rows {
 		panic(matrix.ErrShape)
 	}
-	w := opt.workers()
+	s, levels, w := e.s, e.levels, e.workers
 	pm, pk, pn := matrix.PadShape(a.Rows, a.Cols, b.Cols, s.M0, s.K0, s.N0, levels)
-	ap := a.PadTo(pm, pk)
-	bp := b.PadTo(pk, pn)
-	as := ToRecursive(ap, s.M0, s.K0, levels, w)
-	bs := ToRecursive(bp, s.K0, s.N0, levels, w)
-	cs := Exec(s, as, bs, levels, opt)
+	as := ToRecursive(a.PadTo(pm, pk), s.M0, s.K0, levels, w)
+	bs := ToRecursive(b.PadTo(pk, pn), s.K0, s.N0, levels, w)
+	cs := e.exec(as, bs)
 	cp := matrix.New(pm, pn)
 	FromRecursive(cs, cp, s.M0, s.N0, levels, w)
 	return cp.CropTo(a.Rows, b.Cols)

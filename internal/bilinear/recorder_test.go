@@ -20,13 +20,11 @@ import (
 type countRec struct {
 	phases atomic.Int64
 	muls   atomic.Int64
-	tasks  atomic.Int64
 	arenas atomic.Int64
 }
 
 func (r *countRec) PhaseDone(obs.Phase, time.Duration) { r.phases.Add(1) }
 func (r *countRec) MulDone(obs.MulInfo, time.Duration) { r.muls.Add(1) }
-func (r *countRec) TaskSpawn(bool)                     { r.tasks.Add(1) }
 func (r *countRec) ArenaRelease(obs.ArenaUsage)        { r.arenas.Add(1) }
 
 func TestEngineWithRecorder(t *testing.T) {

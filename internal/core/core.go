@@ -32,32 +32,25 @@ type Options struct {
 	// explicit. Default 512, which empirically sits at the
 	// overhead-vs-arithmetic sweet spot for the pure-Go kernels.
 	MinBase int
-	// Workers is the degree of parallelism; 0 means GOMAXPROCS.
+	// Workers is the degree of parallelism; 0 means GOMAXPROCS. With
+	// one worker a multiplication runs entirely on the calling
+	// goroutine; see bilinear.Options for how more are used.
 	Workers int
-	// TaskParallel and Direct select engine schedules; see
-	// bilinear.Options.
-	TaskParallel bool
-	Direct       bool
 	// Kernel overrides the packed base-case kernel's cache-blocking
 	// parameters (mc/kc/nc); the zero value selects
 	// kernel.DefaultBlocking. See DESIGN.md §2e for selection guidance.
 	Kernel kernel.Blocking
-	// NoFuse disables folding the leaf-level encode/decode linear
-	// combinations into the kernel's packing and write-out passes,
-	// restoring the materialize-then-multiply schedule at the recursion
-	// cutoff. Ablation point; see bilinear.Options.NoFuse.
-	NoFuse bool
 	// PlanCache bounds the number of shape-keyed plans a Multiplier
 	// retains; 0 means DefaultPlanCache.
 	PlanCache int
 	// Recorder, when non-nil, receives per-phase spans, multiplication
-	// totals, task dispatch events, and arena traffic from every
-	// execution (see internal/obs). nil keeps the warm MultiplyInto
-	// path allocation-free and costs a handful of branches.
+	// totals, and arena traffic from every execution (see
+	// internal/obs). nil keeps the warm MultiplyInto path
+	// allocation-free and costs a handful of branches.
 	Recorder obs.Recorder
 	// Plans, when non-nil, attributes telemetry to individual compiled
 	// plans: each plan claims a registry slot at compile time (keyed by
-	// shape, algorithm, levels, schedule, and kernel blocking) and
+	// shape, algorithm, levels, and kernel blocking) and
 	// records latency, arena high-water, and sampled error into it with
 	// plain atomics — the warm-path guarantees are unchanged. Several
 	// Multipliers may share one registry; plans evicted from the cache
@@ -65,9 +58,9 @@ type Options struct {
 	Plans *obs.PlanRegistry
 	// Tuner, when non-nil, is consulted once per plan-cache miss whose
 	// recursion depth was left automatic (Levels < 0): the tuner may
-	// override the algorithm, levels, schedule, and workers for that
-	// shape (from a persisted tuning profile, or by bounded measurement —
-	// see internal/tune). Plans compiled from a tuner decision carry a
+	// override the algorithm, levels, and workers for that shape (from a
+	// persisted tuning profile, or by bounded measurement — see
+	// internal/tune). Plans compiled from a tuner decision carry a
 	// "/tuned" marker in their identity (X-Abmm-Plan, /debug/plans).
 	// Explicit Levels settings always win: a caller who pinned the depth
 	// is never second-guessed. The warm path never consults the tuner —
@@ -117,11 +110,6 @@ type TunedChoice struct {
 	// Levels is the recursion depth to compile; negative keeps automatic
 	// selection.
 	Levels int
-	// TaskParallel and Direct select the engine schedule (both false =
-	// the default CSE schedule, deliberately not "keep default": the
-	// schedule is part of the tuned tuple).
-	TaskParallel bool
-	Direct       bool
 	// Workers overrides the degree of parallelism; 0 keeps the default.
 	Workers int
 	// Kernel overrides the base-case blocking; the zero value keeps the
@@ -189,7 +177,6 @@ func compilePlan(alg *algos.Algorithm, opt Options, m, k, n int) *Plan {
 	if ch.Levels >= 0 {
 		opt.Levels = ch.Levels
 	}
-	opt.TaskParallel, opt.Direct = ch.TaskParallel, ch.Direct
 	if ch.Workers > 0 {
 		opt.Workers = ch.Workers
 	}

@@ -84,7 +84,7 @@ type Plan struct {
 	// registry slot (nil when no registry is attached — every recording
 	// method no-ops on nil), plans the registry to release it to when the
 	// plan-cache evicts this plan, and desc the precomputed
-	// "alg/L<levels>/<schedule>" identity string the serving layer echoes
+	// "alg/L<levels>/seq" identity string the serving layer echoes
 	// as X-Abmm-Plan.
 	slot  *obs.PlanSlot
 	plans *obs.PlanRegistry
@@ -132,12 +132,9 @@ func NewPlan(alg *algos.Algorithm, opt Options, m, k, n int) *Plan {
 		levels:  levels,
 		workers: w,
 		tuned:   opt.tuned,
-		bopt: bilinear.Options{
-			Workers: w, TaskParallel: opt.TaskParallel, Direct: opt.Direct,
-			Recorder: opt.Recorder, Kernel: opt.Kernel, NoFuse: opt.NoFuse,
-		},
-		kb:  opt.Kernel,
-		rec: opt.Recorder,
+		bopt:    bilinear.Options{Workers: w, Recorder: opt.Recorder, Kernel: opt.Kernel},
+		kb:      opt.Kernel,
+		rec:     opt.Recorder,
 	}
 	if opt.ErrorSampleEvery > 0 {
 		if es, ok := opt.Recorder.(obs.ErrorSampler); ok {
@@ -205,18 +202,14 @@ func NewPlan(alg *algos.Algorithm, opt Options, m, k, n int) *Plan {
 
 // claimSlot fixes the plan's identity string and, when a per-plan
 // registry is attached, claims its telemetry slot. Runs once at compile
-// time, after compileInfo (the slot stores the flop accountings).
+// time, after compileInfo (the slot stores the flop accountings). The
+// schedule segment is always "seq", the engine's one recursion
+// schedule; identities keep it so X-Abmm-Plan values, abmm_plan_*
+// labels and tuning profiles stay stable.
 func (p *Plan) claimSlot(reg *obs.PlanRegistry) {
-	sched := "seq"
-	if p.bopt.TaskParallel {
-		sched = "task"
-	}
-	if p.bopt.Direct {
-		sched += "-direct"
-	}
 	id := obs.PlanID{
 		Alg: p.alg.Name, M: p.key.M, K: p.key.K, N: p.key.N,
-		Levels: p.levels, Schedule: sched, Kernel: p.kb.Label(),
+		Levels: p.levels, Schedule: "seq", Kernel: p.kb.Label(),
 		Tuned: p.tuned,
 	}
 	p.desc = id.Desc()
@@ -274,7 +267,7 @@ func (p *Plan) ArenaBytes() int64 { return p.bytes.Load() }
 // resident footprint.
 func (p *Plan) PanelWorkspaceBytes() int64 { return p.panelBytes }
 
-// Desc returns the plan's identity string "alg/L<levels>/<schedule>" —
+// Desc returns the plan's identity string "alg/L<levels>/seq" —
 // the form the serving layer echoes as the X-Abmm-Plan response header
 // and the per-plan /metrics label.
 func (p *Plan) Desc() string { return p.desc }

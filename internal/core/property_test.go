@@ -12,7 +12,7 @@ import (
 )
 
 // TestAllCatalogAlgorithmsAgreeProperty multiplies random problems with
-// every catalog algorithm and every engine mode, asserting agreement
+// every catalog algorithm at one and two workers, asserting agreement
 // with the classical kernel within the theoretical bound scale.
 func TestAllCatalogAlgorithmsAgreeProperty(t *testing.T) {
 	catalog := []*algos.Algorithm{
@@ -28,8 +28,7 @@ func TestAllCatalogAlgorithmsAgreeProperty(t *testing.T) {
 		a, b := matrix.New(m, k), matrix.New(k, n)
 		a.FillUniform(matrix.Rand(seed), -1, 1)
 		b.FillUniform(matrix.Rand(seed+1), -1, 1)
-		opt := core.Options{Levels: levels, Workers: int(seed%2) + 1,
-			Direct: seed%5 == 0, TaskParallel: seed%7 == 0}
+		opt := core.Options{Levels: levels, Workers: int(seed%2) + 1}
 		got := core.Multiply(alg, a, b, opt)
 		want := matrix.New(m, n)
 		matrix.Mul(want, a, b, 2)

@@ -104,19 +104,6 @@ func TestFigSmokes(t *testing.T) {
 	}
 }
 
-func TestFusedSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("ablation smoke is slow")
-	}
-	tab := Fused(tinyParams())
-	if len(tab.Rows) == 0 {
-		t.Error("fused ablation produced no rows")
-	}
-	if !strings.Contains(tab.String(), "Fused vs unfused") {
-		t.Error("fused ablation missing title")
-	}
-}
-
 func TestTableStringAlignment(t *testing.T) {
 	tab := &Table{Title: "x", Header: []string{"a", "bb"}, Rows: [][]string{{"lonng", "1"}}, Notes: []string{"n"}}
 	out := tab.String()

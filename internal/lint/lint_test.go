@@ -254,6 +254,42 @@ func TestAllowScoping(t *testing.T) {
 	}
 }
 
+// TestExternalTestSeesExportHooks pins the go tool's external-test
+// rule in the loader: package a_test sees a together with a's
+// in-package test files (an export_test.go hook), and b, which imports
+// a, is re-checked against that variant, so a value built by b passes
+// to the hook without a type mismatch.
+func TestExternalTestSeesExportHooks(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"go.mod":           "module xt\n",
+		"a/a.go":           "package a\n\ntype T struct{ n int }\n\nfunc New() *T { return &T{n: 1} }\n",
+		"a/export_test.go": "package a\n\nfunc Hook(t *T) int { return t.n }\n",
+		"a/a_test.go":      "package a_test\n\nimport (\n\t\"xt/a\"\n\t\"xt/b\"\n)\n\nvar _ = a.Hook(b.Make())\n",
+		"b/b.go":           "package b\n\nimport \"xt/a\"\n\nfunc Make() *a.T { return a.New() }\n",
+	}
+	for name, body := range files {
+		path := filepath.Join(dir, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l, err := NewLoader(dir, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	units, err := l.LoadUnits("xt/a")
+	if err != nil {
+		t.Fatalf("LoadUnits: %v", err)
+	}
+	if len(units) != 3 || units[2].Kind != unitXTest {
+		t.Fatalf("got %d units, want base, test-augmented and external test", len(units))
+	}
+}
+
 // TestRepoClean runs the repository's own configuration over the whole
 // module and requires zero findings: the invariant the abmmvet CI gate
 // enforces. Skipped in -short mode (the source importer re-type-checks

@@ -67,6 +67,12 @@ type Loader struct {
 	loading map[string]bool
 	fakes   map[string]*types.Package
 	parsed  map[string]*ast.File
+
+	// parent and under are set on the universe an external test
+	// package is checked in (see xtestLoader): module packages that do
+	// not import under are shared with parent, the rest are re-checked.
+	parent *Loader
+	under  string
 }
 
 // NewLoader prepares a loader for the module rooted at dir. When
@@ -169,6 +175,16 @@ func (l *Loader) load(path string) (*Package, error) {
 	if p, ok := l.base[path]; ok {
 		return p, nil
 	}
+	if l.parent != nil {
+		p, err := l.parent.load(path)
+		if err != nil {
+			return nil, err
+		}
+		if !l.importsPath(p.Types, l.under) {
+			l.base[path] = p
+			return p, nil
+		}
+	}
 	if l.loading[path] {
 		return nil, fmt.Errorf("lint: import cycle through %s", path)
 	}
@@ -201,21 +217,61 @@ func (l *Loader) LoadUnits(path string) ([]*Package, error) {
 	if err != nil {
 		return nil, err
 	}
+	var aug *Package
 	if len(bp.TestGoFiles) > 0 {
-		aug, err := l.check(path, basePkg.Dir, unitTest, append(append([]string{}, bp.GoFiles...), bp.TestGoFiles...), basePkg.Files)
+		aug, err = l.check(path, basePkg.Dir, unitTest, append(append([]string{}, bp.GoFiles...), bp.TestGoFiles...), basePkg.Files)
 		if err != nil {
 			return nil, err
 		}
 		units = append(units, aug)
 	}
 	if len(bp.XTestGoFiles) > 0 {
-		xt, err := l.check(path+"_test", basePkg.Dir, unitXTest, bp.XTestGoFiles, nil)
+		xl := l
+		if aug != nil {
+			xl = l.xtestLoader(path, aug)
+		}
+		xt, err := xl.check(path+"_test", basePkg.Dir, unitXTest, bp.XTestGoFiles, nil)
 		if err != nil {
 			return nil, err
 		}
 		units = append(units, xt)
 	}
 	return units, nil
+}
+
+// xtestLoader returns the universe the external test package of path
+// is checked in. As with the go tool, that package sees path as its
+// test-augmented unit aug, so hooks declared in in-package _test.go
+// files (export_test.go) resolve, and every module package that
+// imports path is re-checked against aug; the rest are shared with l.
+func (l *Loader) xtestLoader(path string, aug *Package) *Loader {
+	x := *l // shares the file set, importers, and parse cache
+	x.base = map[string]*Package{path: aug}
+	x.loading = make(map[string]bool)
+	x.parent, x.under = l, path
+	return &x
+}
+
+// importsPath reports whether pkg imports the module package path,
+// directly or through other module packages.
+func (l *Loader) importsPath(pkg *types.Package, path string) bool {
+	seen := make(map[*types.Package]bool)
+	var walk func(p *types.Package) bool
+	walk = func(p *types.Package) bool {
+		for _, q := range p.Imports() {
+			if q.Path() == path {
+				return true
+			}
+			if l.IsModulePath(q.Path()) && !seen[q] {
+				seen[q] = true
+				if walk(q) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	return walk(pkg)
 }
 
 // check parses (with caching, so identical files share one *ast.File

@@ -11,10 +11,10 @@ import (
 )
 
 // Collector is the concrete Recorder: lock-free atomic aggregation of
-// phase spans, multiplication totals, task dispatch counts, and arena
-// traffic. All methods are safe for concurrent use and tolerate a nil
-// receiver (a nil *Collector records nothing), so it can be threaded
-// through Options unconditionally.
+// phase spans, multiplication totals, and arena traffic. All methods
+// are safe for concurrent use and tolerate a nil receiver (a nil
+// *Collector records nothing), so it can be threaded through Options
+// unconditionally.
 type Collector struct {
 	labels atomic.Bool
 
@@ -25,9 +25,6 @@ type Collector struct {
 	maxLevels      atomic.Int64
 
 	phases [NumPhases]phaseAgg
-
-	tasksSpawned atomic.Int64
-	tasksInline  atomic.Int64
 
 	arenaReleases  atomic.Int64
 	arenaAlloc     atomic.Int64 // max AllocBytes seen across releases
@@ -128,20 +125,6 @@ func (c *Collector) ErrorSample(measured, bound float64) {
 	}
 }
 
-// TaskSpawn implements Recorder.
-//
-//abmm:hotpath
-func (c *Collector) TaskSpawn(spawned bool) {
-	if c == nil {
-		return
-	}
-	if spawned {
-		c.tasksSpawned.Add(1)
-	} else {
-		c.tasksInline.Add(1)
-	}
-}
-
 // ArenaRelease implements Recorder.
 //
 //abmm:hotpath
@@ -176,8 +159,6 @@ func (c *Collector) Reset() {
 		c.phases[i].nanos.Store(0)
 		c.phaseDur[i].Reset()
 	}
-	c.tasksSpawned.Store(0)
-	c.tasksInline.Store(0)
 	c.arenaReleases.Store(0)
 	c.arenaAlloc.Store(0)
 	c.arenaHighWater.Store(0)
@@ -251,8 +232,6 @@ type Snapshot struct {
 	ClassicalFlops  int64        `json:"classical_flops"`
 	AlgFlops        int64        `json:"alg_flops"`
 	Phases          []PhaseStats `json:"phases"`
-	TasksSpawned    int64        `json:"tasks_spawned"`
-	TasksInline     int64        `json:"tasks_inline"`
 	Arena           ArenaStats   `json:"arena"`
 	// MulDuration is the per-multiplication wall-time distribution in
 	// seconds; ArenaRequest the per-release requested scratch bytes.
@@ -304,8 +283,6 @@ func (c *Collector) Snapshot() Snapshot {
 	s.Errors.Measured = em.Stats(1 / errAttoScale)
 	er := c.errRatio.Snapshot()
 	s.Errors.BoundRatio = er.Stats(1 / errAttoScale)
-	s.TasksSpawned = c.tasksSpawned.Load()
-	s.TasksInline = c.tasksInline.Load()
 	s.Arena = ArenaStats{
 		Releases:       c.arenaReleases.Load(),
 		AllocBytes:     c.arenaAlloc.Load(),
@@ -354,7 +331,6 @@ func (s Snapshot) Report() string {
 		dur(s.MulDuration.P50), dur(s.MulDuration.P95), dur(s.MulDuration.P99), dur(s.MulDuration.Max))
 	fmt.Fprintf(&b, "  throughput: %.2f classical-equivalent GFLOP/s, %.2f effective GFLOP/s\n",
 		s.ClassicalGFLOPS, s.EffectiveGFLOPS)
-	fmt.Fprintf(&b, "  tasks: %d spawned, %d inline\n", s.TasksSpawned, s.TasksInline)
 	fmt.Fprintf(&b, "  arena: %.1f MiB allocated, %.1f MiB high-water, %.1f%% scratch reuse (%d release(s))",
 		float64(s.Arena.AllocBytes)/(1<<20), float64(s.Arena.HighWaterBytes)/(1<<20),
 		100*s.Arena.ReuseRatio, s.Arena.Releases)

@@ -144,10 +144,6 @@ func WriteMetrics(w io.Writer, c *Collector) {
 		fmt.Fprintf(w, "abmm_phase_seconds_total{phase=%q} %s\n", p.Name, fnum(p.Seconds))
 	}
 
-	fmt.Fprintf(w, "# HELP abmm_tasks_total Recursive products dispatched by the task-parallel engine.\n# TYPE abmm_tasks_total counter\n")
-	fmt.Fprintf(w, "abmm_tasks_total{kind=\"spawned\"} %s\n", fnum(float64(s.TasksSpawned)))
-	fmt.Fprintf(w, "abmm_tasks_total{kind=\"inline\"} %s\n", fnum(float64(s.TasksInline)))
-
 	counter("abmm_arena_releases_total", "Workspace arena releases.", float64(s.Arena.Releases))
 	counter("abmm_arena_requested_bytes_total", "Scratch bytes requested from workspace arenas.", float64(s.Arena.RequestedBytes))
 	counter("abmm_arena_reused_bytes_total", "Requested scratch bytes served from warm free lists.", float64(s.Arena.ReusedBytes))

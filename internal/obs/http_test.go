@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestMetricsGolden pins the Prometheus text exposition the same way
@@ -243,15 +244,15 @@ func TestServeBadAddr(t *testing.T) {
 
 func ExampleWriteMetrics() {
 	c := NewCollector()
-	c.TaskSpawn(true)
+	c.MulDone(MulInfo{M: 2, K: 2, N: 2, ClassicalFlops: 16}, time.Millisecond)
 	var buf bytes.Buffer
 	WriteMetrics(&buf, c)
 	for _, line := range strings.Split(buf.String(), "\n") {
-		if strings.HasPrefix(line, "abmm_tasks_total{") {
+		if strings.HasPrefix(line, "abmm_mults_total ") || strings.HasPrefix(line, "abmm_classical_flops_total ") {
 			fmt.Println(line)
 		}
 	}
 	// Output:
-	// abmm_tasks_total{kind="spawned"} 1
-	// abmm_tasks_total{kind="inline"} 0
+	// abmm_mults_total 1
+	// abmm_classical_flops_total 16
 }

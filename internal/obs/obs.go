@@ -129,8 +129,9 @@ type ArenaUsage struct {
 
 // Recorder receives execution events from the multiply pipeline. All
 // methods must be safe for concurrent use: a shared Multiplier executes
-// plans from many goroutines, and the task-parallel engine calls
-// TaskSpawn from worker goroutines. A nil Recorder disables recording;
+// plans from many goroutines, and with more than one worker the engine
+// reports kernel spans from the goroutines running the top node's
+// products. A nil Recorder disables recording;
 // implementations should also tolerate nil receivers so a typed-nil
 // *Collector stays a no-op.
 type Recorder interface {
@@ -138,11 +139,6 @@ type Recorder interface {
 	PhaseDone(p Phase, d time.Duration)
 	// MulDone reports one completed multiplication.
 	MulDone(info MulInfo, total time.Duration)
-	// TaskSpawn reports one recursive product dispatched by the
-	// task-parallel engine: spawned on a fresh goroutine (true) or run
-	// inline because the limiter was saturated or it was the trailing
-	// product (false).
-	TaskSpawn(spawned bool)
 	// ArenaRelease reports workspace traffic when an execution returns
 	// its arena.
 	ArenaRelease(u ArenaUsage)

@@ -45,7 +45,6 @@ func TestNilSafety(t *testing.T) {
 	var c *Collector
 	c.PhaseDone(PhasePad, time.Second)
 	c.MulDone(MulInfo{}, time.Second)
-	c.TaskSpawn(true)
 	c.ArenaRelease(ArenaUsage{})
 	c.ErrorSample(1e-15, 1e-12)
 	c.Reset()
@@ -98,7 +97,6 @@ func TestCollectorConcurrent(t *testing.T) {
 			for r := 0; r < reps; r++ {
 				c.PhaseDone(Phase(r%NumPhases), time.Millisecond)
 				c.MulDone(MulInfo{Levels: g % 4, ClassicalFlops: 10, AlgFlops: 7}, 5*time.Millisecond)
-				c.TaskSpawn(r%2 == 0)
 				c.ArenaRelease(ArenaUsage{
 					AllocBytes:     int64(1000 + g),
 					HighWaterBytes: int64(500 + g),
@@ -128,9 +126,6 @@ func TestCollectorConcurrent(t *testing.T) {
 	if phaseCount != total {
 		t.Errorf("phase spans = %d, want %d", phaseCount, total)
 	}
-	if s.TasksSpawned != total/2 || s.TasksInline != total/2 {
-		t.Errorf("tasks = %d spawned / %d inline, want %d each", s.TasksSpawned, s.TasksInline, total/2)
-	}
 	if s.Arena.Releases != total {
 		t.Errorf("releases = %d, want %d", s.Arena.Releases, total)
 	}
@@ -145,7 +140,7 @@ func TestCollectorConcurrent(t *testing.T) {
 	}
 
 	c.Reset()
-	if s := c.Snapshot(); s.Mults != 0 || s.Arena.AllocBytes != 0 || s.TasksSpawned != 0 {
+	if s := c.Snapshot(); s.Mults != 0 || s.Arena.AllocBytes != 0 || s.Phases[0].Count != 0 {
 		t.Errorf("reset left state: %+v", s)
 	}
 }
@@ -164,9 +159,6 @@ func goldenCollector() *Collector {
 	// so they are excluded from the share-sum invariant.
 	c.PhaseDone(PhasePack, 90*time.Millisecond)
 	c.PhaseDone(PhaseKernel, 260*time.Millisecond)
-	c.TaskSpawn(true)
-	c.TaskSpawn(true)
-	c.TaskSpawn(false)
 	c.ArenaRelease(ArenaUsage{AllocBytes: 1 << 25, HighWaterBytes: 3 << 23, RequestedBytes: 1 << 26, ReusedBytes: 3 << 24})
 	c.ErrorSample(0x1p-48, 0x1p-40) // measured 2^-48 against bound 2^-40: ratio 2^-8
 	return c
@@ -224,7 +216,7 @@ func TestReportContents(t *testing.T) {
 	rep := goldenCollector().Snapshot().Report()
 	for _, want := range []string{"pad", "forward", "bilinear", "inverse", "crop",
 		"pack", "kernel",
-		"classical-equivalent", "effective", "spawned", "inline", "high-water"} {
+		"classical-equivalent", "effective", "high-water", "scratch reuse"} {
 		if !bytes.Contains([]byte(rep), []byte(want)) {
 			t.Errorf("report missing %q:\n%s", want, rep)
 		}
@@ -337,7 +329,7 @@ func TestResetWindowConcurrent(t *testing.T) {
 	// window: totals, distributions, and sampling state all zero.
 	c.Reset()
 	s := c.Snapshot()
-	if s.Mults != 0 || s.Seconds != 0 || s.TasksSpawned != 0 ||
+	if s.Mults != 0 || s.Seconds != 0 ||
 		s.MulDuration.Count != 0 || s.MulDuration.Max != 0 ||
 		s.ArenaRequest.Count != 0 || s.Errors.Samples != 0 ||
 		s.Errors.Measured.Count != 0 || s.Errors.BoundRatio.Max != 0 {

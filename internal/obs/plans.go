@@ -301,8 +301,8 @@ type PlanStats struct {
 	Shape  string `json:"shape"`
 	Alg    string `json:"alg"`
 	Levels int    `json:"levels"`
-	// Schedule is the engine schedule ("seq", "task", optionally with a
-	// "-direct" suffix); Kernel the base-case blocking "mcxkcxnc".
+	// Schedule is the engine schedule (core compiles every plan as
+	// "seq"); Kernel the base-case blocking "mcxkcxnc".
 	Schedule string `json:"schedule"`
 	Kernel   string `json:"kernel"`
 	// Tuned reports whether the plan's configuration came from a tuner

@@ -35,11 +35,6 @@ func (t *tee) MulDone(info MulInfo, total time.Duration) {
 	t.b.MulDone(info, total)
 }
 
-func (t *tee) TaskSpawn(spawned bool) {
-	t.a.TaskSpawn(spawned)
-	t.b.TaskSpawn(spawned)
-}
-
 func (t *tee) ArenaRelease(u ArenaUsage) {
 	t.a.ArenaRelease(u)
 	t.b.ArenaRelease(u)

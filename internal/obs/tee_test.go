@@ -8,13 +8,12 @@ import (
 // teeRec counts events and optionally implements the refinement
 // interfaces.
 type teeRec struct {
-	phases, muls, tasks, arenas, errs int
-	labels                            bool
+	phases, muls, arenas, errs int
+	labels                     bool
 }
 
 func (r *teeRec) PhaseDone(Phase, time.Duration) { r.phases++ }
 func (r *teeRec) MulDone(MulInfo, time.Duration) { r.muls++ }
-func (r *teeRec) TaskSpawn(bool)                 { r.tasks++ }
 func (r *teeRec) ArenaRelease(ArenaUsage)        { r.arenas++ }
 func (r *teeRec) PprofLabels() bool              { return r.labels }
 func (r *teeRec) ErrorSample(measured, bound float64) {
@@ -26,11 +25,10 @@ func TestTeeForwardsToBoth(t *testing.T) {
 	rec := Tee(a, b)
 	rec.PhaseDone(PhaseBilinear, time.Millisecond)
 	rec.MulDone(MulInfo{M: 2, K: 2, N: 2}, time.Millisecond)
-	rec.TaskSpawn(true)
 	rec.ArenaRelease(ArenaUsage{})
 	rec.(ErrorSampler).ErrorSample(1e-16, 1e-12)
 	for name, r := range map[string]*teeRec{"a": a, "b": b} {
-		if r.phases != 1 || r.muls != 1 || r.tasks != 1 || r.arenas != 1 || r.errs != 1 {
+		if r.phases != 1 || r.muls != 1 || r.arenas != 1 || r.errs != 1 {
 			t.Errorf("side %s missed events: %+v", name, r)
 		}
 	}

@@ -1,13 +1,14 @@
 // Package parallel provides lightweight shared-memory parallelism
-// primitives used throughout the library: a bounded task pool for
-// recursive divide-and-conquer work and a grain-controlled parallel
-// for-loop for flat linear-algebra kernels.
+// primitives used throughout the library: a grain-controlled parallel
+// for-loop for flat linear-algebra kernels, a "parallel sections"
+// helper, and a cooperative cancellation token for the recursions.
 //
 // The design mirrors the OpenMP usage in the paper's reference
 // implementation: linear combinations (matrix additions, basis
-// transformations) are parallelized as flat loops over row blocks, while
-// the recursive bilinear phase spawns tasks down to a bounded depth and
-// then continues sequentially.
+// transformations) are parallelized as flat loops over row blocks,
+// while the recursive bilinear phase runs the top node's products
+// concurrently on the same for-loop and recurses depth-first below
+// it.
 package parallel
 
 import (
@@ -157,45 +158,4 @@ func WatchContext(ctx context.Context) (*Cancel, func() bool) {
 	cn := NewCancel()
 	stop := context.AfterFunc(ctx, cn.Set)
 	return cn, stop
-}
-
-// Limiter bounds the number of concurrently outstanding spawned tasks.
-// Recursive algorithms use it to spawn goroutines near the top of the
-// recursion tree and fall back to sequential execution once the
-// budget is exhausted, keeping goroutine counts proportional to the
-// number of processors rather than to the problem size.
-type Limiter struct {
-	slots chan struct{}
-}
-
-// NewLimiter returns a Limiter that allows up to n concurrently
-// spawned tasks. n < 1 is treated as 1.
-func NewLimiter(n int) *Limiter {
-	if n < 1 {
-		n = 1
-	}
-	return &Limiter{slots: make(chan struct{}, n)}
-}
-
-// TrySpawn runs fn in a new goroutine if a slot is available and
-// reports whether it did; the slot is released and wg signalled when fn
-// returns. When it returns false the caller should run fn inline.
-func (l *Limiter) TrySpawn(wg *sync.WaitGroup, fn func()) bool {
-	if l == nil {
-		return false
-	}
-	select {
-	case l.slots <- struct{}{}:
-		wg.Add(1)
-		go func() {
-			defer func() {
-				<-l.slots
-				wg.Done()
-			}()
-			fn()
-		}()
-		return true
-	default:
-		return false
-	}
 }

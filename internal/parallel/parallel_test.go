@@ -99,50 +99,3 @@ func TestDoRunsAll(t *testing.T) {
 		t.Fatal("single-thunk Do did not run inline")
 	}
 }
-
-func TestLimiterBoundsConcurrency(t *testing.T) {
-	const limit = 4
-	l := NewLimiter(limit)
-	var wg sync.WaitGroup
-	var cur, peak atomic.Int32
-	spawned := 0
-	for i := 0; i < 200; i++ {
-		ok := l.TrySpawn(&wg, func() {
-			c := cur.Add(1)
-			for {
-				p := peak.Load()
-				if c <= p || peak.CompareAndSwap(p, c) {
-					break
-				}
-			}
-			cur.Add(-1)
-		})
-		if ok {
-			spawned++
-		}
-	}
-	wg.Wait()
-	if peak.Load() > limit {
-		t.Fatalf("concurrency peak %d exceeds limit %d", peak.Load(), limit)
-	}
-	if spawned == 0 {
-		t.Fatal("limiter never spawned")
-	}
-}
-
-func TestNilLimiterNeverSpawns(t *testing.T) {
-	var l *Limiter
-	var wg sync.WaitGroup
-	if l.TrySpawn(&wg, func() {}) {
-		t.Fatal("nil limiter spawned")
-	}
-}
-
-func TestNewLimiterClampsToOne(t *testing.T) {
-	l := NewLimiter(-3)
-	var wg sync.WaitGroup
-	if !l.TrySpawn(&wg, func() {}) {
-		t.Fatal("limiter with clamped capacity should allow one task")
-	}
-	wg.Wait()
-}

@@ -69,9 +69,10 @@ func (globalAlloc) PutMat(m *matrix.Matrix) { Put(m.Data) }
 // keeps free lists of every buffer, header, and pointer slice it has
 // handed out, so after the first (warming) execution of a fixed-shape
 // plan, repeated executions allocate nothing. An Arena is safe for
-// concurrent use (task-parallel schedules allocate from the tasks), but
-// it is designed to be owned by one execution at a time and pooled
-// across executions by core.Plan.
+// concurrent use (the engine's top-step fan-out draws every product
+// subtree's scratch from the execution's one arena), but it is
+// designed to be owned by one execution at a time and pooled across
+// executions by core.Plan.
 type Arena struct {
 	mu sync.Mutex
 	// floats[c] holds free buffers with capacity exactly 1<<c.

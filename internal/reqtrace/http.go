@@ -199,9 +199,6 @@ func writeTraceHTML(w http.ResponseWriter, t Snapshot) {
 		fmt.Fprintf(w, "engine   pack %d calls %s · kernel %d calls %s\n",
 			eng.PackCalls, fdur(eng.PackNs), eng.KernelCalls, fdur(eng.KernelNs))
 	}
-	if eng.TasksSpawned > 0 || eng.TasksInline > 0 {
-		fmt.Fprintf(w, "tasks    %d spawned, %d inline\n", eng.TasksSpawned, eng.TasksInline)
-	}
 	if eng.ArenaRequestedBytes > 0 {
 		fmt.Fprintf(w, "arena    %d B requested, %d B reused\n", eng.ArenaRequestedBytes, eng.ArenaReusedBytes)
 	}

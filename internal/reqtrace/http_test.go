@@ -39,8 +39,6 @@ func goldenStore() *Store {
 	ok.PhaseDone(obs.PhaseInverse, time.Millisecond)
 	ok.PhaseDone(obs.PhaseCrop, time.Millisecond)
 	ok.MulDone(obs.MulInfo{M: 256, K: 256, N: 256, Levels: 2}, 12*time.Millisecond)
-	ok.TaskSpawn(true)
-	ok.TaskSpawn(false)
 	ok.ArenaRelease(obs.ArenaUsage{RequestedBytes: 4096, ReusedBytes: 4096})
 	exec.End()
 	enc := ok.StartSpan("encode")
@@ -124,7 +122,7 @@ func TestHandlerHTML(t *testing.T) {
 		"bilinear",
 		"levels out of range",
 		"remote",
-		"tasks    1 spawned, 1 inline",
+		"arena    4096 B requested, 4096 B reused",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("HTML missing %q", want)

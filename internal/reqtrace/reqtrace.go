@@ -261,8 +261,6 @@ type Trace struct {
 	// are summed, not stored as spans.
 	packCount, packNs     atomic.Int64
 	kernelCount, kernelNs atomic.Int64
-	tasksSpawned          atomic.Int64
-	tasksInline           atomic.Int64
 	arenaRequested        atomic.Int64
 	arenaReused           atomic.Int64
 
@@ -540,20 +538,6 @@ func (t *Trace) MulDone(info obs.MulInfo, total time.Duration) {
 	t.hasMul = true
 }
 
-// TaskSpawn implements obs.Recorder.
-//
-//abmm:hotpath
-func (t *Trace) TaskSpawn(spawned bool) {
-	if t == nil {
-		return
-	}
-	if spawned {
-		t.tasksSpawned.Add(1)
-	} else {
-		t.tasksInline.Add(1)
-	}
-}
-
 // ArenaRelease implements obs.Recorder.
 //
 //abmm:hotpath
@@ -604,8 +588,6 @@ type EngineSnapshot struct {
 	PackNs              int64 `json:"pack_ns"`
 	KernelCalls         int64 `json:"kernel_calls"`
 	KernelNs            int64 `json:"kernel_ns"`
-	TasksSpawned        int64 `json:"tasks_spawned"`
-	TasksInline         int64 `json:"tasks_inline"`
 	ArenaRequestedBytes int64 `json:"arena_requested_bytes"`
 	ArenaReusedBytes    int64 `json:"arena_reused_bytes"`
 }
@@ -648,8 +630,6 @@ func (t *Trace) Snapshot() Snapshot {
 			PackNs:              t.packNs.Load(),
 			KernelCalls:         t.kernelCount.Load(),
 			KernelNs:            t.kernelNs.Load(),
-			TasksSpawned:        t.tasksSpawned.Load(),
-			TasksInline:         t.tasksInline.Load(),
 			ArenaRequestedBytes: t.arenaRequested.Load(),
 			ArenaReusedBytes:    t.arenaReused.Load(),
 		},

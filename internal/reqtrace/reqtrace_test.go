@@ -179,8 +179,6 @@ func TestRecorderPhases(t *testing.T) {
 	rec.PhaseDone(obs.PhaseKernel, time.Millisecond) // aggregated, not a span
 	rec.PhaseDone(obs.PhaseBilinear, 3*time.Millisecond)
 	rec.MulDone(obs.MulInfo{M: 64, K: 64, N: 64, Levels: 2}, 9*time.Millisecond)
-	rec.TaskSpawn(true)
-	rec.TaskSpawn(false)
 	rec.ArenaRelease(obs.ArenaUsage{RequestedBytes: 100, ReusedBytes: 80})
 	exec.End()
 	// After End the anchor resets: phases parent at the root again.
@@ -206,9 +204,6 @@ func TestRecorderPhases(t *testing.T) {
 	eng := snap.Engine
 	if eng.PackCalls != 1 || eng.PackNs != 1e6 || eng.KernelCalls != 1 || eng.KernelNs != 1e6 {
 		t.Errorf("pack/kernel aggregates = %+v", eng)
-	}
-	if eng.TasksSpawned != 1 || eng.TasksInline != 1 {
-		t.Errorf("task aggregates = %+v", eng)
 	}
 	if eng.ArenaRequestedBytes != 100 || eng.ArenaReusedBytes != 80 {
 		t.Errorf("arena aggregates = %+v", eng)
@@ -283,7 +278,6 @@ func TestNilTraceIsNoop(t *testing.T) {
 	tr.Eventf("e %d", 1)
 	tr.PhaseDone(obs.PhasePad, time.Second)
 	tr.MulDone(obs.MulInfo{}, time.Second)
-	tr.TaskSpawn(true)
 	tr.ArenaRelease(obs.ArenaUsage{})
 	if tr.Finish(OutcomeOK, "") {
 		t.Fatal("nil Finish returned true")
@@ -316,7 +310,6 @@ func TestUntracedRecorderZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		tr := FromContext(ctx)
 		tr.PhaseDone(obs.PhaseBilinear, time.Millisecond)
-		tr.TaskSpawn(true)
 		tr.ArenaRelease(obs.ArenaUsage{})
 		s := tr.StartSpan("x")
 		s.End()
@@ -337,7 +330,6 @@ func TestTracedAnnotationZeroAlloc(t *testing.T) {
 		s.AdoptPhases()
 		tr.PhaseDone(obs.PhasePad, time.Millisecond)
 		tr.PhaseDone(obs.PhasePack, time.Microsecond)
-		tr.TaskSpawn(false)
 		tr.ArenaRelease(obs.ArenaUsage{RequestedBytes: 1, ReusedBytes: 1})
 		s.End()
 	})
@@ -359,7 +351,6 @@ func TestConcurrentAnnotation(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				tr.PhaseDone(obs.PhasePack, time.Microsecond)
 				tr.PhaseDone(obs.PhaseKernel, time.Microsecond)
-				tr.TaskSpawn(i%2 == 0)
 				s := tr.StartSpan("worker")
 				s.End()
 			}

@@ -29,6 +29,13 @@ import (
 // by the serving layer as a cache miss, never silently misread.
 const Schema = 1
 
+// schedule is the one engine schedule a profile cell may name, the
+// schedule segment of every plan identity (obs.PlanID.Schedule).
+// Profiles written when the engine also ran "task", "seq-direct" and
+// "task-direct" fail Decode, so they load as no profile and serve
+// untuned.
+const schedule = "seq"
+
 // maxLevels bounds the recursion depth a decoded profile may request;
 // deeper than this is certainly corruption (4^20 blocks overflows any
 // realistic shape).
@@ -43,8 +50,8 @@ type Entry struct {
 	N int `json:"n"`
 
 	// The winning tuple: catalog algorithm name (abmm.Lookup), recursion
-	// depth, engine schedule ("seq", "task", optionally "-direct"
-	// suffixed), and worker count (0 = GOMAXPROCS).
+	// depth, engine schedule (always "seq"; see schedule), and worker
+	// count (0 = GOMAXPROCS).
 	Alg      string `json:"alg"`
 	Levels   int    `json:"levels"`
 	Schedule string `json:"schedule"`
@@ -152,8 +159,8 @@ func Decode(data []byte) (*Profile, error) {
 		if e.Alg == "" {
 			return nil, fmt.Errorf("tune: cell %d: empty algorithm name", i)
 		}
-		if _, _, err := parseSchedule(e.Schedule); err != nil {
-			return nil, fmt.Errorf("tune: cell %d: %w", i, err)
+		if e.Schedule != schedule {
+			return nil, fmt.Errorf("tune: cell %d: unknown schedule %q (this build runs only %q)", i, e.Schedule, schedule)
 		}
 		if e.Workers < 0 {
 			return nil, fmt.Errorf("tune: cell %d: negative workers %d", i, e.Workers)
@@ -213,32 +220,4 @@ func (p *Profile) WriteFile(path string) error {
 		return fmt.Errorf("tune: %w", err)
 	}
 	return nil
-}
-
-// parseSchedule maps an Entry.Schedule string onto the engine's
-// (TaskParallel, Direct) pair; the strings match obs.PlanID.Schedule.
-func parseSchedule(s string) (task, direct bool, err error) {
-	switch s {
-	case "seq":
-		return false, false, nil
-	case "task":
-		return true, false, nil
-	case "seq-direct":
-		return false, true, nil
-	case "task-direct":
-		return true, true, nil
-	}
-	return false, false, fmt.Errorf("tune: unknown schedule %q", s)
-}
-
-// scheduleName is parseSchedule's inverse.
-func scheduleName(task, direct bool) string {
-	s := "seq"
-	if task {
-		s = "task"
-	}
-	if direct {
-		s += "-direct"
-	}
-	return s
 }

@@ -87,6 +87,9 @@ func TestDecodeRejects(t *testing.T) {
 		{"absurd levels", `{"schema": 1, "cells": [{"m":8,"k":8,"n":8,"alg":"ours","levels":21,"schedule":"seq"}]}`, "invalid levels"},
 		{"empty alg", `{"schema": 1, "cells": [{"m":8,"k":8,"n":8,"alg":"","levels":0,"schedule":"seq"}]}`, "empty algorithm"},
 		{"unknown schedule", `{"schema": 1, "cells": [{"m":8,"k":8,"n":8,"alg":"ours","levels":0,"schedule":"turbo"}]}`, "unknown schedule"},
+		{"retired task", `{"schema": 1, "cells": [{"m":8,"k":8,"n":8,"alg":"ours","levels":0,"schedule":"task"}]}`, "unknown schedule"},
+		{"retired seq-direct", `{"schema": 1, "cells": [{"m":8,"k":8,"n":8,"alg":"ours","levels":0,"schedule":"seq-direct"}]}`, "unknown schedule"},
+		{"retired task-direct", `{"schema": 1, "cells": [{"m":8,"k":8,"n":8,"alg":"ours","levels":0,"schedule":"task-direct"}]}`, "unknown schedule"},
 		{"negative workers", `{"schema": 1, "cells": [{"m":8,"k":8,"n":8,"alg":"ours","levels":0,"schedule":"seq","workers":-1}]}`, "negative workers"},
 		{"negative measurement", `{"schema": 1, "cells": [{"m":8,"k":8,"n":8,"alg":"ours","levels":0,"schedule":"seq","ns_per_op":-5}]}`, "negative measurement"},
 		{"duplicate cell", `{"schema": 1, "cells": [
@@ -108,16 +111,22 @@ func TestDecodeRejects(t *testing.T) {
 
 // TestLoadFileBadProfileLeavesTunerServing pins the serve-path
 // contract: a corrupt, truncated, version-skewed, or missing profile
-// file surfaces as a LoadFile error for the boot log, but the tuner
-// stays fully serviceable — Choose answers "no opinion" (a plan-cache
-// miss compiles the untuned default) and the profile-loaded gauge
-// stays 0.
+// file, or one naming a retired engine schedule, surfaces as a
+// LoadFile error for the boot log, but the tuner stays fully
+// serviceable — Choose answers "no opinion" for every shape (a
+// plan-cache miss compiles the untuned default) and the profile-loaded
+// gauge stays 0.
 func TestLoadFileBadProfileLeavesTunerServing(t *testing.T) {
 	dir := t.TempDir()
 	bad := map[string]string{
 		"corrupt.json":   `{"schema": 1, "cells": [{]}`,
 		"truncated.json": `{"schema": 1, "cells": [{"m": 1536,`,
 		"skewed.json":    `{"schema": 99, "cells": []}`,
+		// A valid seq cell next to a retired-schedule one: the whole
+		// file is refused, so neither shape is tuned.
+		"retired.json": `{"schema": 1, "cells": [
+			{"m":768,"k":768,"n":3072,"alg":"laderman-alt","levels":1,"schedule":"seq"},
+			{"m":1536,"k":512,"n":1536,"alg":"ours","levels":2,"schedule":"task-direct"}]}`,
 	}
 	for name, body := range bad {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
@@ -132,15 +141,17 @@ func TestLoadFileBadProfileLeavesTunerServing(t *testing.T) {
 			if err := tn.LoadFile(filepath.Join(dir, name)); err == nil {
 				t.Fatal("LoadFile accepted a bad profile")
 			}
-			if _, ok := tn.Choose(nil, coreOptions(), 1536, 512, 1536); ok {
-				t.Error("Choose had an opinion after a failed load")
+			for _, sh := range [][3]int{{1536, 512, 1536}, {768, 768, 3072}} {
+				if _, ok := tn.Choose(nil, coreOptions(), sh[0], sh[1], sh[2]); ok {
+					t.Errorf("Choose had an opinion on %v after a failed load", sh)
+				}
 			}
 			var buf bytes.Buffer
 			tn.WriteMetrics(&buf)
 			for _, want := range []string{
 				"abmm_tune_profile_loaded 0",
 				"abmm_tune_profile_entries 0",
-				`abmm_tune_decisions_total{source="default"} 1`,
+				`abmm_tune_decisions_total{source="default"} 2`,
 			} {
 				if !strings.Contains(buf.String(), want) {
 					t.Errorf("metrics missing %q after failed load:\n%s", want, buf.String())
@@ -201,20 +212,5 @@ func TestGainPercent(t *testing.T) {
 		if got := tc.e.GainPercent(); math.Abs(got-tc.want) > 1e-12 {
 			t.Errorf("GainPercent(%+v) = %g, want %g", tc.e, got, tc.want)
 		}
-	}
-}
-
-func TestScheduleNames(t *testing.T) {
-	for _, s := range []string{"seq", "task", "seq-direct", "task-direct"} {
-		task, direct, err := parseSchedule(s)
-		if err != nil {
-			t.Fatalf("parseSchedule(%q): %v", s, err)
-		}
-		if back := scheduleName(task, direct); back != s {
-			t.Errorf("scheduleName(parseSchedule(%q)) = %q", s, back)
-		}
-	}
-	if _, _, err := parseSchedule("turbo"); err == nil {
-		t.Error("parseSchedule accepted an unknown schedule")
 	}
 }

@@ -8,11 +8,15 @@ package abmm_test
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"abmm"
 	"abmm/internal/matrix"
+	"abmm/internal/obs"
 	"abmm/internal/tune"
 )
 
@@ -160,6 +164,41 @@ func TestMultiplyIntoZeroAllocWarm(t *testing.T) {
 	mu.MultiplyInto(dst, a, b)
 	if av := testing.AllocsPerRun(10, func() { mu.MultiplyInto(dst, a, b) }); av != 0 {
 		t.Fatalf("warm MultiplyInto allocated %.1f objects/op, want 0", av)
+	}
+}
+
+// goroutineRec records the largest runtime.NumGoroutine() seen at any
+// phase boundary, the base case's pack and kernel spans included.
+type goroutineRec struct{ peak atomic.Int64 }
+
+func (r *goroutineRec) PhaseDone(obs.Phase, time.Duration) {
+	n := int64(runtime.NumGoroutine())
+	for p := r.peak.Load(); n > p && !r.peak.CompareAndSwap(p, n); p = r.peak.Load() {
+	}
+}
+func (r *goroutineRec) MulDone(obs.MulInfo, time.Duration) {}
+func (r *goroutineRec) ArenaRelease(obs.ArenaUsage)        {}
+
+// TestWorkersOneStaysOnCallerGoroutine pins the Workers contract at 1:
+// the whole multiplication — pad, transforms, every recursion node and
+// every base-case kernel call — runs on the calling goroutine, so no
+// phase ever sees more goroutines than were alive before the call.
+func TestWorkersOneStaysOnCallerGoroutine(t *testing.T) {
+	alg, _ := abmm.Lookup("ours")
+	for _, tc := range []struct{ n, levels int }{{96, 0}, {128, 2}, {199, 3}} {
+		rec := &goroutineRec{}
+		mu := abmm.NewMultiplier(alg, abmm.Options{Levels: tc.levels, Workers: 1, Recorder: rec})
+		a, b := abmm.NewMatrix(tc.n, tc.n), abmm.NewMatrix(tc.n, tc.n)
+		a.FillUniform(abmm.Rand(1), -1, 1)
+		b.FillUniform(abmm.Rand(2), -1, 1)
+		before := int64(runtime.NumGoroutine())
+		mu.Multiply(a, b)
+		switch peak := rec.peak.Load(); {
+		case peak == 0:
+			t.Errorf("n=%d L=%d: no phase recorded", tc.n, tc.levels)
+		case peak > before:
+			t.Errorf("n=%d L=%d: %d goroutines during the call, %d before", tc.n, tc.levels, peak, before)
+		}
 	}
 }
 
