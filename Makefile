@@ -19,8 +19,8 @@ test:
 # (the top-step fan-out runs on ForChunks and Cancel), the parallel row
 # loops under every encode, decode and reference product (matrix, dd),
 # the observability collector's concurrent span aggregation, the
-# serving layer (admission gate, coalescer, concurrent same-shape
-# requests), and the analyzer suite's own fixture tests (-short skips
+# serving layer (admission gate, concurrent same-shape requests on one
+# plan cache), and the analyzer suite's own fixture tests (-short skips
 # its slow repo-wide pass, which `make lint` runs directly).
 race:
 	$(GO) test -race -short -run 'TestMultiplierConcurrent|TestMultiplyIntoPadded|TestMultiplierStats' .
@@ -89,7 +89,9 @@ perfbench-selftest:
 # zero hard errors, and a clean traceparent round-trip on every
 # response (loadgen -trace, the default, exits nonzero on any
 # X-Abmm-Trace-Id mismatch), check that /debug/requests serves filed
-# span trees, then drain via SIGTERM. CI runs this step.
+# span trees and that the live /metrics exposition carries the engine,
+# server and per-plan families of the traffic just served, then drain
+# via SIGTERM. CI runs this step.
 SMOKE_ADDR ?= 127.0.0.1:18080
 serve-smoke:
 	$(GO) build -o /tmp/abmmd ./cmd/abmmd
@@ -112,6 +114,13 @@ serve-smoke:
 		wget -q -O /tmp/abmm-plans.json "http://$(SMOKE_ADDR)/debug/plans?format=json" && \
 		grep -q '"plan": "ours/' /tmp/abmm-plans.json || \
 		{ echo "serve-smoke: /debug/plans missing the served plans" >&2; status=1; }; \
+	fi; \
+	if [ $$status -eq 0 ]; then \
+		wget -q -O /tmp/abmm-metrics.txt http://$(SMOKE_ADDR)/metrics && \
+		grep -Eq '^abmm_mults_total [1-9]' /tmp/abmm-metrics.txt && \
+		grep -Eq '^abmm_server_requests_total\{code="200"\} [1-9]' /tmp/abmm-metrics.txt && \
+		grep -q '^abmm_plan_execs_total{plan="ours/' /tmp/abmm-metrics.txt || \
+		{ echo "serve-smoke: /metrics missing the served engine, request or plan series" >&2; status=1; }; \
 	fi; \
 	kill -TERM $$pid; wait $$pid; \
 	exit $$status

@@ -13,9 +13,9 @@ func DefaultConfig(dir string) Config {
 		},
 		// The serving layer's acquire/release obligations, enforced by
 		// resource-pairing: traces reach Finish, spans reach End, gate
-		// slots and coalescer windows call their release closures, plan
-		// claims return to the registry, arena draws go back to their
-		// allocator. Deferred releases satisfy panic paths too.
+		// slots call their release closures, plan claims return to the
+		// registry, arena draws go back to their allocator. Deferred
+		// releases satisfy panic paths too.
 		Pairs: []Pair{
 			{Acquire: "abmm/internal/reqtrace.New", Err: -1,
 				Releases: []string{"method:Finish"}, What: "trace"},
@@ -27,8 +27,6 @@ func DefaultConfig(dir string) Config {
 				Releases: []string{"method:End"}, What: "child span"},
 			{Acquire: "(*abmm/internal/server.gate).acquire", Result: 0, Err: 2,
 				Releases: []string{"call"}, What: "gate slot"},
-			{Acquire: "(*abmm/internal/server.coalescer).enter", Result: 1, Err: -1,
-				Releases: []string{"call"}, What: "coalescer window"},
 			{Acquire: "(*abmm/internal/obs.PlanRegistry).Claim", Err: -1,
 				Releases: []string{"pass:(*abmm/internal/obs.PlanRegistry).Release"}, What: "plan slot"},
 			{Acquire: "(abmm/internal/pool.Allocator).Floats", Err: -1,
@@ -197,14 +195,16 @@ func DefaultConfig(dir string) Config {
 				"abmm/internal/exact",
 			},
 			// The tuner imports the abmm facade (like internal/bench, for
-			// the catalog registry) plus the engine layers it measures; the
-			// reverse arrows never exist — core sees only the Tuner
-			// interface it defines, server only abmm.Tuner.
+			// the catalog registry), the engine layers it measures, and obs
+			// for the /metrics exposition writer; the reverse arrows never
+			// exist — core sees only the Tuner interface it defines, server
+			// only abmm.Tuner.
 			"abmm/internal/tune": {
 				"abmm",
 				"abmm/internal/algos",
 				"abmm/internal/core",
 				"abmm/internal/matrix",
+				"abmm/internal/obs",
 				"abmm/internal/stability",
 			},
 		},

@@ -19,8 +19,8 @@
 // the kernel:
 //
 //   - resource-pairing: every configured acquire (trace/span start, gate
-//     acquire, coalescer enter, plan claim, arena draw) reaches its
-//     release on every return path, or is deferred.
+//     acquire, plan claim, arena draw) reaches its release on every
+//     return path, or is deferred.
 //   - ctx-discipline: no context.Background()/TODO() outside package
 //     main, and no exported entry point that takes a ctx and drops it.
 //   - lock-discipline: no channel ops, blocking calls, or dynamic
@@ -42,6 +42,9 @@
 //	//abmm:guards <field>       (struct-field doc or trailing comment)
 //	                            the field is guarded by the sibling
 //	                            mutex field named <field>
+//	//abmm:labels               (func doc) the variadic parameter takes
+//	                            label name/value pairs, whose values
+//	                            metric-cardinality judges at each call
 //
 // Every //abmm:allow must sit in a comment group that also carries at
 // least one plain prose line justifying it; a bare allow is itself a
@@ -194,10 +197,11 @@ type pass struct {
 	units  []*Package
 	base   []*Package
 
-	// hot/cold mark annotated functions; allowFunc holds function-scoped
-	// suppressions; allowLine[file][line] holds line-scoped ones.
+	// hot/cold/labels mark annotated functions; allowFunc holds
+	// function-scoped suppressions, allowLine[file][line] line-scoped ones.
 	hot       map[*ast.FuncDecl]bool
 	cold      map[*ast.FuncDecl]bool
+	labels    map[*ast.FuncDecl]bool
 	allowFunc map[*ast.FuncDecl]map[string]bool
 	allowLine map[string]map[int]map[string]bool
 
@@ -262,6 +266,7 @@ type guardDecl struct {
 func (p *pass) scanDirectives() {
 	p.hot = make(map[*ast.FuncDecl]bool)
 	p.cold = make(map[*ast.FuncDecl]bool)
+	p.labels = make(map[*ast.FuncDecl]bool)
 	p.allowFunc = make(map[*ast.FuncDecl]map[string]bool)
 	p.allowLine = make(map[string]map[int]map[string]bool)
 	p.guards = make(map[string]*guardDecl)
@@ -334,6 +339,10 @@ func (p *pass) scanFileDirectives(f *ast.File) {
 			case "coldpath":
 				if fd != nil {
 					p.cold[fd] = true
+				}
+			case "labels":
+				if fd != nil {
+					p.labels[fd] = true
 				}
 			case "guards":
 				fld := fieldDocs[cg]

@@ -11,11 +11,13 @@ import (
 
 // metric-cardinality: Prometheus label values must come from bounded
 // sets, or the time-series count grows with traffic until the scrape
-// (and the process) falls over. The repo writes the text exposition
-// format directly through fmt, so the check parses the constant format
-// strings of fmt.Sprintf/Fprintf/Appendf calls, finds the verbs that
-// sit in a label-value position — inside a {...} block, immediately
-// after `=` or `="` — and judges the matching argument:
+// (and the process) falls over. The check judges the label values of
+// two kinds of call: the variadic name/value pairs passed to a
+// function marked //abmm:labels (obs.Family's sample writers; a slice
+// spread into them is not followed), and the operands of string verbs
+// that a constant fmt.Sprintf/Fprintf/Appendf format puts in a
+// label-value position — inside a {...} block, immediately after `=`
+// or `="`:
 //
 //   - flagged: the result of fmt.Sprintf/Sprint/Sprintln (an unbounded
 //     string build), a non-constant string concatenation, or any
@@ -37,12 +39,8 @@ func checkMetrics(p *pass) {
 				if !ok {
 					return true
 				}
-				fmtIdx := formatArgIndex(info, call)
-				if fmtIdx < 0 || fmtIdx >= len(call.Args) {
-					return true
-				}
-				format, ok := constString(info, call.Args[fmtIdx])
-				if !ok {
+				args := labelValueArgs(p, info, call)
+				if len(args) == 0 {
 					return true
 				}
 				var fd *ast.FuncDecl
@@ -54,15 +52,11 @@ func checkMetrics(p *pass) {
 				if p.allowedInFunc(fd, metricCheck) {
 					return true
 				}
-				for _, vi := range labelVerbIndexes(format) {
-					argIdx := fmtIdx + 1 + vi
-					if argIdx >= len(call.Args) {
-						break
-					}
-					if msg := judgeLabelArg(info, call.Args[argIdx]); msg != "" {
-						p.report(call.Args[argIdx].Pos(), metricCheck,
+				for _, arg := range args {
+					if msg := judgeLabelArg(info, arg); msg != "" {
+						p.report(arg.Pos(), metricCheck,
 							fmt.Sprintf("metric label value %s: %s; label values must come from a bounded set",
-								exprString(p.fset, call.Args[argIdx]), msg))
+								exprString(p.fset, arg), msg))
 					}
 				}
 				return true
@@ -71,20 +65,41 @@ func checkMetrics(p *pass) {
 	}
 }
 
-// formatArgIndex returns the index of the format-string argument for
-// recognized fmt formatting calls, or -1.
-func formatArgIndex(info *types.Info, call *ast.CallExpr) int {
+// formatArgs maps the recognized fmt formatting calls to the index of
+// their format-string argument.
+var formatArgs = map[string]int{"fmt.Sprintf": 0, "fmt.Printf": 0, "fmt.Fprintf": 1, "fmt.Appendf": 1}
+
+// labelValueArgs returns the arguments of call that become metric
+// label values: the pair values of an //abmm:labels function, or the
+// label-position operands of a recognized fmt formatting call.
+func labelValueArgs(p *pass, info *types.Info, call *ast.CallExpr) []ast.Expr {
 	fn, _ := staticCallee(info, call)
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "fmt" {
-		return -1
+	if fn == nil || fn.Pkg() == nil {
+		return nil
 	}
-	switch fn.Name() {
-	case "Sprintf", "Printf":
-		return 0
-	case "Fprintf", "Appendf":
-		return 1
+	var out []ast.Expr
+	if p.labels[p.declFor(fn)] {
+		// The pairs start at the variadic parameter, values at its odd
+		// offsets; a spread slice leaves no argument past it.
+		for i := fn.Type().(*types.Signature).Params().Len(); i < len(call.Args); i += 2 {
+			out = append(out, call.Args[i])
+		}
+		return out
 	}
-	return -1
+	fmtIdx, ok := formatArgs[fn.Pkg().Path()+"."+fn.Name()]
+	if !ok || fmtIdx >= len(call.Args) {
+		return nil
+	}
+	format, ok := constString(info, call.Args[fmtIdx])
+	if !ok {
+		return nil
+	}
+	for _, vi := range labelVerbIndexes(format) {
+		if argIdx := fmtIdx + 1 + vi; argIdx < len(call.Args) {
+			out = append(out, call.Args[argIdx])
+		}
+	}
+	return out
 }
 
 func constString(info *types.Info, e ast.Expr) (string, bool) {

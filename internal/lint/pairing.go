@@ -9,14 +9,13 @@ import (
 )
 
 // resource-pairing: every configured acquire — a reqtrace trace/span
-// start, a gate acquire, a coalescer enter, a PlanRegistry claim, an
-// arena draw — must reach its release on every return path of the
-// function that performed it, or be deferred (which also covers panic
-// paths). The analysis is CFG-lite in the style of vet's lostcancel:
-// it walks the statement list of the acquiring function, treats a
-// deferred release as satisfying every subsequent path, and flags
-// return statements (and falling off the end) reached while the
-// resource is live.
+// start, a gate acquire, a PlanRegistry claim, an arena draw — must
+// reach its release on every return path of the function that
+// performed it, or be deferred (which also covers panic paths). The
+// analysis is CFG-lite in the style of vet's lostcancel: it walks the
+// statement list of the acquiring function, treats a deferred release
+// as satisfying every subsequent path, and flags return statements
+// (and falling off the end) reached while the resource is live.
 //
 // It is escape-tolerant: a resource that is returned, stored into a
 // struct or slice, passed to a non-release call, sent on a channel, or

@@ -12,7 +12,7 @@ import (
 // Box shares a map and a channel across goroutines.
 type Box struct {
 	mu sync.RWMutex
-	// windows is the coalescer pattern: only touched under mu.
+	// windows is a guarded map: only touched under mu.
 	//abmm:guards mu
 	windows map[int]int
 	ch      chan int

@@ -5,6 +5,7 @@ package metricspkg
 import (
 	"fmt"
 	"io"
+	"net/http"
 )
 
 type row struct {
@@ -44,4 +45,30 @@ func WriteOutsideBraces(w io.Writer, r row) {
 // bounded: the format parse looks at the label position, not the call.
 func Buffered(r row) string {
 	return fmt.Sprintf("req_total{plan=%q} %d\n", r.name, r.n)
+}
+
+// family mirrors obs.Family: label name/value pairs travel as
+// variadic strings, judged through the //abmm:labels directive.
+type family struct{}
+
+//abmm:labels
+func (family) Int(v int64, labels ...string) {}
+
+//abmm:labels
+func (family) Hist(h []int64, scale float64, labels ...string) {}
+
+// WriteHelper passes Sprintf-built and request-derived label values to
+// the helper, histogram series included.
+func WriteHelper(f family, r row, req *http.Request, id int) {
+	f.Int(1, "user", fmt.Sprintf("u-%d", id))                         // want metric-cardinality
+	f.Hist(nil, 1e-9, "plan", r.name, "shape", fmt.Sprintf("%d", id)) // want metric-cardinality
+	f.Hist(nil, 1e-9, "path", req.URL.Path)                           // want metric-cardinality
+}
+
+// WriteHelperBounded passes struct fields, method results and
+// constants, and spreads a slice, which the check does not follow.
+func WriteHelperBounded(f family, r row, labels []string) {
+	f.Int(int64(r.n), "plan", r.name, "kind", "classical")
+	f.Hist(nil, 1, "plan", r.String())
+	f.Int(0, labels...)
 }

@@ -10,11 +10,9 @@ package obs
 //	              Collector there as live snapshot JSON)
 //	/debug/pprof  the net/http/pprof profile family
 //
-// The format pinned by testdata/metrics.golden.txt is the subset of
-// the Prometheus exposition format the stdlib can render without a
-// client library: HELP/TYPE comments, plain and labelled samples, and
-// histogram _bucket/_sum/_count series with only the non-empty
-// cumulative buckets emitted (plus the mandatory +Inf).
+// Family (below) writes every /metrics family of the module, in the
+// subset of the Prometheus text format the stdlib can render without
+// a client library.
 
 import (
 	"expvar"
@@ -124,111 +122,74 @@ func (s *Server) Close() error { return s.srv.Close() }
 // WriteMetrics renders the collector's current state in Prometheus
 // text exposition format. A nil collector renders the empty state.
 func WriteMetrics(w io.Writer, c *Collector) {
+	if c == nil {
+		c = new(Collector)
+	}
 	s := c.Snapshot()
 
-	counter := func(name, help string, v float64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %s\n", name, help, name, name, fnum(v))
-	}
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %s\n", name, help, name, name, fnum(v))
-	}
+	WriteFamily(w, "abmm_mults_total", "counter", "Completed multiplications.").Float(float64(s.Mults))
+	WriteFamily(w, "abmm_mul_seconds_total", "counter", "Total multiplication wall time in seconds.").Float(s.Seconds)
+	WriteFamily(w, "abmm_classical_flops_total", "counter", "Classical-equivalent flops (2mkn) of completed multiplications.").Float(float64(s.ClassicalFlops))
+	WriteFamily(w, "abmm_alg_flops_total", "counter", "True algorithm flops (stability.ArithmeticCost) of completed multiplications.").Float(float64(s.AlgFlops))
+	WriteFamily(w, "abmm_levels_max", "gauge", "Maximum compiled recursion depth observed.").Float(float64(s.Levels))
 
-	counter("abmm_mults_total", "Completed multiplications.", float64(s.Mults))
-	counter("abmm_mul_seconds_total", "Total multiplication wall time in seconds.", s.Seconds)
-	counter("abmm_classical_flops_total", "Classical-equivalent flops (2mkn) of completed multiplications.", float64(s.ClassicalFlops))
-	counter("abmm_alg_flops_total", "True algorithm flops (stability.ArithmeticCost) of completed multiplications.", float64(s.AlgFlops))
-	gauge("abmm_levels_max", "Maximum compiled recursion depth observed.", float64(s.Levels))
-
-	fmt.Fprintf(w, "# HELP abmm_phase_seconds_total Wall time per Algorithm 1 pipeline phase in seconds.\n# TYPE abmm_phase_seconds_total counter\n")
+	phases := WriteFamily(w, "abmm_phase_seconds_total", "counter", "Wall time per Algorithm 1 pipeline phase in seconds.")
 	for _, p := range s.Phases {
-		fmt.Fprintf(w, "abmm_phase_seconds_total{phase=%q} %s\n", p.Name, fnum(p.Seconds))
+		phases.Float(p.Seconds, "phase", p.Name)
 	}
 
-	counter("abmm_arena_releases_total", "Workspace arena releases.", float64(s.Arena.Releases))
-	counter("abmm_arena_requested_bytes_total", "Scratch bytes requested from workspace arenas.", float64(s.Arena.RequestedBytes))
-	counter("abmm_arena_reused_bytes_total", "Requested scratch bytes served from warm free lists.", float64(s.Arena.ReusedBytes))
-	gauge("abmm_arena_alloc_bytes", "Lifetime allocated arena float storage (max across releases).", float64(s.Arena.AllocBytes))
-	gauge("abmm_arena_high_water_bytes", "Peak simultaneously-outstanding arena scratch (max across releases).", float64(s.Arena.HighWaterBytes))
+	WriteFamily(w, "abmm_arena_releases_total", "counter", "Workspace arena releases.").Float(float64(s.Arena.Releases))
+	WriteFamily(w, "abmm_arena_requested_bytes_total", "counter", "Scratch bytes requested from workspace arenas.").Float(float64(s.Arena.RequestedBytes))
+	WriteFamily(w, "abmm_arena_reused_bytes_total", "counter", "Requested scratch bytes served from warm free lists.").Float(float64(s.Arena.ReusedBytes))
+	WriteFamily(w, "abmm_arena_alloc_bytes", "gauge", "Lifetime allocated arena float storage (max across releases).").Float(float64(s.Arena.AllocBytes))
+	WriteFamily(w, "abmm_arena_high_water_bytes", "gauge", "Peak simultaneously-outstanding arena scratch (max across releases).").Float(float64(s.Arena.HighWaterBytes))
 
-	writeHist(w, "abmm_mul_duration_seconds", "Per-multiplication wall time in seconds.", "", c.mulDurHist().Snapshot(), 1e-9)
-	fmt.Fprintf(w, "# HELP abmm_phase_duration_seconds Per-phase span duration in seconds.\n# TYPE abmm_phase_duration_seconds histogram\n")
-	for i := 0; i < NumPhases; i++ {
-		writeHistSeries(w, "abmm_phase_duration_seconds", fmt.Sprintf("phase=%q", Phase(i).String()), c.hist(i).Snapshot(), 1e-9)
+	WriteFamily(w, "abmm_mul_duration_seconds", "histogram", "Per-multiplication wall time in seconds.").Hist(c.mulDur.Snapshot(), 1e-9)
+	phaseDur := WriteFamily(w, "abmm_phase_duration_seconds", "histogram", "Per-phase span duration in seconds.")
+	for i := range c.phaseDur {
+		phaseDur.Hist(c.phaseDur[i].Snapshot(), 1e-9, "phase", Phase(i).String())
 	}
-	writeHist(w, "abmm_arena_request_bytes", "Per-release requested arena scratch bytes.", "", c.arenaReqHist().Snapshot(), 1)
+	WriteFamily(w, "abmm_arena_request_bytes", "histogram", "Per-release requested arena scratch bytes.").Hist(c.arenaReq.Snapshot(), 1)
 
-	counter("abmm_error_samples_total", "Multiplications re-run through the quad-precision reference.", float64(s.Errors.Samples))
-	writeHist(w, "abmm_error_measured", "Sampled relative error vs the quad-precision reference (max norms).", "", c.errMeasuredHist().Snapshot(), 1/errAttoScale)
-	writeHist(w, "abmm_error_bound_ratio", "Sampled measured error over the predicted Theorem III.8 bound.", "", c.errRatioHist().Snapshot(), 1/errAttoScale)
+	WriteFamily(w, "abmm_error_samples_total", "counter", "Multiplications re-run through the quad-precision reference.").Float(float64(s.Errors.Samples))
+	WriteFamily(w, "abmm_error_measured", "histogram", "Sampled relative error vs the quad-precision reference (max norms).").Hist(c.errMeasured.Snapshot(), 1/errAttoScale)
+	WriteFamily(w, "abmm_error_bound_ratio", "histogram", "Sampled measured error over the predicted Theorem III.8 bound.").Hist(c.errRatio.Snapshot(), 1/errAttoScale)
 }
 
-// Histogram accessors tolerating a nil collector (nil *Histogram
-// snapshots to the empty distribution).
-func (c *Collector) hist(phase int) *Histogram {
-	if c == nil {
-		return nil
-	}
-	return &c.phaseDur[phase]
+// Family is one metric family being written to a /metrics scrape:
+// WriteFamily emits its HELP/TYPE header, Int, Float and Hist its
+// samples, labelled by name/value pairs ("plan", p.Plan) whose values
+// are quoted as %q quotes them and judged by metric-cardinality.
+type Family struct {
+	w    io.Writer
+	name string
 }
 
-func (c *Collector) mulDurHist() *Histogram {
-	if c == nil {
-		return nil
-	}
-	return &c.mulDur
+// WriteFamily writes the header of metric family name, of Prometheus
+// type typ (counter, gauge or histogram), and returns the family.
+func WriteFamily(w io.Writer, name, typ, help string) Family {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+	return Family{w, name}
 }
 
-func (c *Collector) arenaReqHist() *Histogram {
-	if c == nil {
-		return nil
-	}
-	return &c.arenaReq
-}
+// Int writes one integer sample.
+//
+//abmm:labels
+func (f Family) Int(v int64, labels ...string) { f.line("", labels, strconv.FormatInt(v, 10)) }
 
-func (c *Collector) errMeasuredHist() *Histogram {
-	if c == nil {
-		return nil
-	}
-	return &c.errMeasured
-}
+// Float writes one sample in the shortest form that round-trips, as
+// Prometheus client libraries do.
+//
+//abmm:labels
+func (f Family) Float(v float64, labels ...string) { f.line("", labels, fnum(v)) }
 
-func (c *Collector) errRatioHist() *Histogram {
-	if c == nil {
-		return nil
-	}
-	return &c.errRatio
-}
-
-// WriteHistogram renders one histogram snapshot as a complete
-// Prometheus metric family (HELP/TYPE header plus cumulative
-// _bucket/_sum/_count series), with recorded values multiplied by
-// scale on output. It exists for MetricsWriter extras: a layer that
-// keeps its own obs.Histogram (e.g. the HTTP serving layer's
-// request-duration and queue-wait distributions) renders it onto the
-// shared /metrics endpoint in the same format as the engine families.
-func WriteHistogram(w io.Writer, name, help string, h HistSnapshot, scale float64) {
-	writeHist(w, name, help, "", h, scale)
-}
-
-// writeHist emits one full histogram metric family (HELP/TYPE plus the
-// series); writeHistSeries emits only the series, for families that
-// carry several labelled histograms under one TYPE header.
-func writeHist(w io.Writer, name, help, labels string, h HistSnapshot, scale float64) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-	writeHistSeries(w, name, labels, h, scale)
-}
-
-func writeHistSeries(w io.Writer, name, labels string, h HistSnapshot, scale float64) {
-	withLe := func(le string) string {
-		if labels == "" {
-			return `{le="` + le + `"}`
-		}
-		return "{" + labels + `,le="` + le + `"}`
-	}
-	plain := ""
-	if labels != "" {
-		plain = "{" + labels + "}"
-	}
+// Hist writes one histogram's series: the cumulative _bucket counts of
+// its non-empty buckets plus the mandatory +Inf, then _sum and _count,
+// with recorded values multiplied by scale on output.
+//
+//abmm:labels
+func (f Family) Hist(h HistSnapshot, scale float64, labels ...string) {
+	labels = labels[:len(labels):len(labels)] // each le append copies
 	var cum int64
 	for i, c := range h.Buckets {
 		if c == 0 {
@@ -236,13 +197,26 @@ func writeHistSeries(w io.Writer, name, labels string, h HistSnapshot, scale flo
 		}
 		cum += c
 		_, hi := histBucketBounds(i)
-		fmt.Fprintf(w, "%s_bucket%s %d\n", name, withLe(fnum(hi*scale)), cum)
+		f.line("_bucket", append(labels, "le", fnum(hi*scale)), strconv.FormatInt(cum, 10))
 	}
-	fmt.Fprintf(w, "%s_bucket%s %d\n", name, withLe("+Inf"), h.Count)
-	fmt.Fprintf(w, "%s_sum%s %s\n", name, plain, fnum(float64(h.Sum)*scale))
-	fmt.Fprintf(w, "%s_count%s %d\n", name, plain, h.Count)
+	f.line("_bucket", append(labels, "le", "+Inf"), strconv.FormatInt(h.Count, 10))
+	f.line("_sum", labels, fnum(float64(h.Sum)*scale))
+	f.line("_count", labels, strconv.FormatInt(h.Count, 10))
 }
 
-// fnum formats a float the shortest way that round-trips, matching
-// what Prometheus client libraries emit.
+// line writes one sample: the family name and suffix, the label block
+// when there are labels, and the value.
+func (f Family) line(suffix string, labels []string, value string) {
+	sep, s := "{", f.name+suffix
+	for i := 0; i+1 < len(labels); i += 2 {
+		s += sep + labels[i] + "=" + strconv.Quote(labels[i+1])
+		sep = ","
+	}
+	if sep == "," {
+		s += "}"
+	}
+	io.WriteString(f.w, s+" "+value+"\n")
+}
+
+// fnum formats a float the shortest way that round-trips.
 func fnum(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }

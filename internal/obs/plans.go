@@ -330,6 +330,9 @@ type PlanStats struct {
 	SlowestTrace   string `json:"slowest_trace,omitempty"`
 	SlowestTraceNs int64  `json:"slowest_trace_ns,omitempty"`
 	LastTrace      string `json:"last_trace,omitempty"`
+
+	// The distributions behind Latency and ErrorRatio, for WritePlanMetrics.
+	latencyHist, errRatioHist HistSnapshot
 }
 
 // PlansPage is the JSON document served by /debug/plans.
@@ -345,9 +348,9 @@ type PlansPage struct {
 // stats summarizes the slot (registry mutex held for identity fields;
 // counters read atomically).
 func (s *PlanSlot) stats() PlanStats {
-	lat := s.latency.Snapshot()
-	er := s.errRatio.Snapshot()
 	ps := PlanStats{
+		latencyHist:         s.latency.Snapshot(),
+		errRatioHist:        s.errRatio.Snapshot(),
 		Plan:                s.id.Desc(),
 		Shape:               s.id.Shape(),
 		Alg:                 s.id.Alg,
@@ -358,11 +361,11 @@ func (s *PlanSlot) stats() PlanStats {
 		Live:                s.refs > 0 || s.overflow,
 		Execs:               s.execs.Load(),
 		Seconds:             float64(s.nanos.Load()) / 1e9,
-		Latency:             lat.Stats(1e-9),
 		ArenaHighWaterBytes: s.arenaHW.Load(),
 		ErrorSamples:        s.errSamples.Load(),
-		ErrorRatio:          er.Stats(1 / errAttoScale),
 	}
+	ps.Latency = ps.latencyHist.Stats(1e-9)
+	ps.ErrorRatio = ps.errRatioHist.Stats(1 / errAttoScale)
 	if nanos := s.nanos.Load(); nanos > 0 {
 		ps.ClassicalGFLOPS = float64(s.classicalFlops*ps.Execs) / float64(nanos)
 		ps.EffectiveGFLOPS = float64(s.algFlops*ps.Execs) / float64(nanos)

@@ -13,7 +13,6 @@ import (
 	"html"
 	"io"
 	"net/http"
-	"sort"
 )
 
 // Handler serves the /debug/plans inspector: an HTML table of every
@@ -114,8 +113,9 @@ func fdur(sec float64) string {
 //	abmm_plan_overflowed_total             compilations beyond the bound
 //
 // The overflow slot is emitted with plan="other",shape="other", keeping
-// total cardinality at MaxPlans+1 series per family. A nil registry
-// writes nothing.
+// total cardinality at MaxPlans+1 series per family. Every family is
+// rendered from one Page, so counters and histograms describe the same
+// registry state. A nil registry writes nothing.
 func (r *PlanRegistry) WritePlanMetrics(w io.Writer) {
 	if r == nil {
 		return
@@ -126,65 +126,31 @@ func (r *PlanRegistry) WritePlanMetrics(w io.Writer) {
 		rows = append(append([]PlanStats{}, rows...), *page.Other)
 	}
 
-	fmt.Fprintf(w, "# HELP abmm_plan_execs_total Completed executions per compiled plan.\n# TYPE abmm_plan_execs_total counter\n")
+	execs := WriteFamily(w, "abmm_plan_execs_total", "counter", "Completed executions per compiled plan.")
 	for _, p := range rows {
-		fmt.Fprintf(w, "abmm_plan_execs_total{plan=%q,shape=%q} %d\n", p.Plan, p.Shape, p.Execs)
+		execs.Int(p.Execs, "plan", p.Plan, "shape", p.Shape)
 	}
 
-	fmt.Fprintf(w, "# HELP abmm_plan_latency_seconds Per-plan execution wall time in seconds.\n# TYPE abmm_plan_latency_seconds histogram\n")
-	r.eachSlotHist(func(p PlanStats, lat, _ HistSnapshot) {
-		writeHistSeries(w, "abmm_plan_latency_seconds", fmt.Sprintf("plan=%q,shape=%q", p.Plan, p.Shape), lat, 1e-9)
-	})
-
-	fmt.Fprintf(w, "# HELP abmm_plan_gflops Sustained per-plan flop rate (classical counts 2mkn, effective the algorithm's true cost).\n# TYPE abmm_plan_gflops gauge\n")
+	latency := WriteFamily(w, "abmm_plan_latency_seconds", "histogram", "Per-plan execution wall time in seconds.")
 	for _, p := range rows {
-		fmt.Fprintf(w, "abmm_plan_gflops{plan=%q,shape=%q,kind=\"classical\"} %s\n", p.Plan, p.Shape, fnum(p.ClassicalGFLOPS))
-		fmt.Fprintf(w, "abmm_plan_gflops{plan=%q,shape=%q,kind=\"effective\"} %s\n", p.Plan, p.Shape, fnum(p.EffectiveGFLOPS))
+		latency.Hist(p.latencyHist, 1e-9, "plan", p.Plan, "shape", p.Shape)
 	}
 
-	fmt.Fprintf(w, "# HELP abmm_plan_error_ratio Per-plan sampled measured error over the predicted Theorem III.8 bound.\n# TYPE abmm_plan_error_ratio histogram\n")
-	r.eachSlotHist(func(p PlanStats, _, er HistSnapshot) {
-		writeHistSeries(w, "abmm_plan_error_ratio", fmt.Sprintf("plan=%q,shape=%q", p.Plan, p.Shape), er, 1/errAttoScale)
-	})
-
-	fmt.Fprintf(w, "# HELP abmm_plan_arena_high_water_bytes Peak workspace arena bytes per plan.\n# TYPE abmm_plan_arena_high_water_bytes gauge\n")
+	gflops := WriteFamily(w, "abmm_plan_gflops", "gauge", "Sustained per-plan flop rate (classical counts 2mkn, effective the algorithm's true cost).")
 	for _, p := range rows {
-		fmt.Fprintf(w, "abmm_plan_arena_high_water_bytes{plan=%q,shape=%q} %d\n", p.Plan, p.Shape, p.ArenaHighWaterBytes)
+		gflops.Float(p.ClassicalGFLOPS, "plan", p.Plan, "shape", p.Shape, "kind", "classical")
+		gflops.Float(p.EffectiveGFLOPS, "plan", p.Plan, "shape", p.Shape, "kind", "effective")
 	}
 
-	fmt.Fprintf(w, "# HELP abmm_plan_overflowed_total Plan compilations beyond the registry bound, attributed to the shared other slot.\n# TYPE abmm_plan_overflowed_total counter\nabmm_plan_overflowed_total %d\n", page.Overflowed)
-}
+	errRatio := WriteFamily(w, "abmm_plan_error_ratio", "histogram", "Per-plan sampled measured error over the predicted Theorem III.8 bound.")
+	for _, p := range rows {
+		errRatio.Hist(p.errRatioHist, 1/errAttoScale, "plan", p.Plan, "shape", p.Shape)
+	}
 
-// eachSlotHist visits every slot's histograms in the same order Page
-// sorts its rows (plus the overflow slot last), pairing each with its
-// stats row. Histogram snapshots are taken outside the registry lock.
-func (r *PlanRegistry) eachSlotHist(fn func(p PlanStats, latency, errRatio HistSnapshot)) {
-	r.mu.Lock()
-	type row struct {
-		slot *PlanSlot
-		ps   PlanStats
+	arena := WriteFamily(w, "abmm_plan_arena_high_water_bytes", "gauge", "Peak workspace arena bytes per plan.")
+	for _, p := range rows {
+		arena.Int(p.ArenaHighWaterBytes, "plan", p.Plan, "shape", p.Shape)
 	}
-	rows := make([]row, 0, len(r.slots)+1)
-	for _, s := range r.slots {
-		rows = append(rows, row{s, s.stats()})
-	}
-	overflowUsed := r.overflowed.Load() > 0 || r.other.execs.Load() > 0
-	r.mu.Unlock()
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].ps.Execs != rows[j].ps.Execs {
-			return rows[i].ps.Execs > rows[j].ps.Execs
-		}
-		if rows[i].ps.Plan != rows[j].ps.Plan {
-			return rows[i].ps.Plan < rows[j].ps.Plan
-		}
-		return rows[i].ps.Shape < rows[j].ps.Shape
-	})
-	if overflowUsed {
-		ps := r.other.stats()
-		ps.Plan, ps.Shape = "other", "other"
-		rows = append(rows, row{&r.other, ps})
-	}
-	for _, rw := range rows {
-		fn(rw.ps, rw.slot.latency.Snapshot(), rw.slot.errRatio.Snapshot())
-	}
+
+	WriteFamily(w, "abmm_plan_overflowed_total", "counter", "Plan compilations beyond the registry bound, attributed to the shared other slot.").Int(page.Overflowed)
 }

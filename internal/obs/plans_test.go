@@ -207,22 +207,25 @@ func TestPlansHandlerHTML(t *testing.T) {
 	}
 }
 
+// TestWritePlanMetrics pins the per-plan Prometheus families the way
+// TestMetricsGolden pins the engine's: goldenRegistry's counters,
+// gauges and labelled histogram series must render byte-identically.
 func TestWritePlanMetrics(t *testing.T) {
 	var buf bytes.Buffer
 	goldenRegistry().WritePlanMetrics(&buf)
-	out := buf.String()
-	for _, want := range []string{
-		`abmm_plan_execs_total{plan="ours/L2/seq",shape="256x256x256"} 2`,
-		`abmm_plan_latency_seconds_count{plan="ours/L2/seq",shape="256x256x256"} 2`,
-		`abmm_plan_gflops{plan="ours/L2/seq",shape="256x256x256",kind="classical"}`,
-		`abmm_plan_error_ratio_count{plan="ours/L2/seq",shape="256x256x256"} 1`,
-		`abmm_plan_arena_high_water_bytes{plan="ours/L2/seq",shape="256x256x256"} 3145728`,
-		`abmm_plan_execs_total{plan="other",shape="other"} 1`,
-		"abmm_plan_overflowed_total 1",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("metrics missing %q\n%s", want, out)
+	got := buf.Bytes()
+	golden := filepath.Join("testdata", "plan_metrics.golden.txt")
+	if *update {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
 		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("missing golden (run with -update): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("per-plan metrics drifted from %s (regenerate with -update):\n%s", golden, got)
 	}
 	// A nil registry writes nothing.
 	var empty bytes.Buffer

@@ -1,7 +1,7 @@
 // Package parallel provides lightweight shared-memory parallelism
 // primitives used throughout the library: a grain-controlled parallel
-// for-loop for flat linear-algebra kernels, a "parallel sections"
-// helper, and a cooperative cancellation token for the recursions.
+// for-loop for flat linear-algebra kernels and a cooperative
+// cancellation token for the recursions.
 //
 // The design mirrors the OpenMP usage in the paper's reference
 // implementation: linear combinations (matrix additions, basis
@@ -93,29 +93,6 @@ func ForChunks(n, workers, grain int, body func(lo, hi int)) {
 		}()
 	}
 	worker()
-	wg.Wait()
-}
-
-// Do runs the given thunks, each in its own goroutine when workers
-// permit, and waits for all of them. It is the "parallel sections"
-// primitive used to overlap independent recursive calls.
-func Do(fns ...func()) {
-	if len(fns) == 0 {
-		return
-	}
-	if len(fns) == 1 {
-		fns[0]()
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(len(fns) - 1)
-	for _, fn := range fns[1:] {
-		go func() {
-			defer wg.Done()
-			fn()
-		}()
-	}
-	fns[0]()
 	wg.Wait()
 }
 

@@ -82,20 +82,3 @@ func TestForZeroAndNegativeN(t *testing.T) {
 		t.Fatal("body ran for n <= 0")
 	}
 }
-
-func TestDoRunsAll(t *testing.T) {
-	var n atomic.Int32
-	fns := make([]func(), 17)
-	for i := range fns {
-		fns[i] = func() { n.Add(1) }
-	}
-	Do(fns...)
-	if n.Load() != 17 {
-		t.Fatalf("Do ran %d of 17 thunks", n.Load())
-	}
-	Do() // must not panic
-	Do(func() { n.Add(1) })
-	if n.Load() != 18 {
-		t.Fatal("single-thunk Do did not run inline")
-	}
-}

@@ -3,8 +3,7 @@
 // aggregates globally (histograms and phase totals that say *that* p99
 // regressed), a Trace attributes one request's latency to its own span
 // tree (*which* request, *which* phase, *why*) — admission wait, queue
-// wait, coalesce-window join, plan resolution, and the engine's
-// Algorithm 1 pipeline phases.
+// wait, plan resolution, and the engine's Algorithm 1 pipeline phases.
 //
 // The pieces:
 //

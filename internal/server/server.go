@@ -4,8 +4,8 @@
 // echo mode for small matrices) are routed through shared
 // abmm.Multiplier instances keyed by (algorithm, levels), so every
 // request for a previously seen shape executes on the zero-alloc warm
-// path; concurrent same-shape requests coalesce into one plan window
-// (coalesce.go); a bounded admission gate sheds overload with 429 +
+// path (the Multiplier's plan cache compiles each shape once, under its
+// mutex); a bounded admission gate sheds overload with 429 +
 // Retry-After (admission.go); and every request carries a deadline that
 // cancels the recursion cooperatively at node boundaries
 // (core.Plan.MultiplyIntoCtx). The observability surface mounts on the
@@ -172,7 +172,6 @@ type Server struct {
 	cfg  Config
 	rec  *abmm.Collector
 	gate *gate
-	co   coalescer
 	algs map[string]bool
 
 	musMu sync.RWMutex
@@ -206,7 +205,8 @@ type Server struct {
 }
 
 // trackedCodes are the response codes counted individually in
-// abmm_server_requests_total; anything else lands in code="other".
+// abmm_server_requests_total, in exposition order; anything else lands
+// in code="other".
 var trackedCodes = []int{
 	http.StatusOK, http.StatusBadRequest, http.StatusNotFound,
 	http.StatusMethodNotAllowed, http.StatusRequestEntityTooLarge,
@@ -447,7 +447,6 @@ type jsonResponse struct {
 	QueueNs    int64   `json:"queue_ns"`
 	ExecNs     int64   `json:"exec_ns"`
 	ErrorBound float64 `json:"error_bound"`
-	Coalesced  bool    `json:"coalesced"`
 }
 
 // startTrace decides a request's tracing before its body is read. A
@@ -638,18 +637,9 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 	queueNs := time.Since(start).Nanoseconds()
 	s.queueWait.Observe(queueNs)
 
-	key := shapeKey{alg: req.Alg, levels: req.Levels, m: m, k: k, n: n}
-	coSpan := tr.StartSpan("coalesce")
-	plan, leave, joined := s.co.enter(key, func() *abmm.Plan {
-		resolve := coSpan.StartChild("plan-resolve")
-		defer resolve.End()
-		return mu.Plan(m, k, n)
-	})
-	coSpan.End()
-	defer leave()
-	if joined {
-		tr.Eventf("joined open plan window")
-	}
+	resolve := tr.StartSpan("plan-resolve")
+	plan := mu.Plan(m, k, n)
+	resolve.End()
 
 	// The product comes back dirty from the pool; the multiply
 	// overwrites all of it, and a canceled product is never encoded.
@@ -680,9 +670,6 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 	h.Set("X-Abmm-Queue-Ns", strconv.FormatInt(queueNs, 10))
 	h.Set("X-Abmm-Exec-Ns", strconv.FormatInt(execNs, 10))
 	h.Set("X-Abmm-Error-Bound", strconv.FormatFloat(plan.ErrorBound(), 'g', -1, 64))
-	if joined {
-		h.Set("X-Abmm-Coalesced", "1")
-	}
 	if tr != nil {
 		h.Set("X-Abmm-Trace-Id", tr.ID().String())
 		h.Set("traceparent", tr.Traceparent())
@@ -692,7 +679,7 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 		resp := jsonResponse{
 			C: toRows(dst), Alg: req.Alg, Plan: plan.Desc(), Levels: plan.Levels(),
 			QueueNs: queueNs, ExecNs: execNs,
-			ErrorBound: plan.ErrorBound(), Coalesced: joined,
+			ErrorBound: plan.ErrorBound(),
 		}
 		var buf bytes.Buffer
 		if err := json.NewEncoder(&buf).Encode(&resp); err != nil {
@@ -718,7 +705,7 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 		s.reqLog(tr).Info("multiply ok",
 			"alg", req.Alg, "levels", plan.Levels(),
 			"shape", fmt.Sprintf("%dx%dx%d", m, k, n),
-			"queue_ns", queueNs, "exec_ns", execNs, "coalesced", joined)
+			"queue_ns", queueNs, "exec_ns", execNs)
 	}
 }
 
@@ -837,59 +824,40 @@ func (s *Server) count(code int) {
 // writeMetrics appends the server's own metric families to a /metrics
 // scrape, after the engine families (see abmm.MountStats).
 func (s *Server) writeMetrics(w io.Writer) {
-	fmt.Fprintf(w, "# HELP abmm_server_requests_total Multiplication requests by response code.\n# TYPE abmm_server_requests_total counter\n")
-	codes := make([]int, 0, len(s.codes))
-	for code := range s.codes {
-		codes = append(codes, code)
+	requests := obs.WriteFamily(w, "abmm_server_requests_total", "counter", "Multiplication requests by response code.")
+	for _, code := range trackedCodes {
+		requests.Int(s.codes[code].Load(), "code", strconv.Itoa(code))
 	}
-	sort.Ints(codes)
-	for _, code := range codes {
-		fmt.Fprintf(w, "abmm_server_requests_total{code=\"%d\"} %d\n", code, s.codes[code].Load())
-	}
-	fmt.Fprintf(w, "abmm_server_requests_total{code=\"other\"} %d\n", s.codesOther.Load())
+	requests.Int(s.codesOther.Load(), "code", "other")
 
-	fmt.Fprintf(w, "# HELP abmm_server_rejected_total Requests shed by admission control.\n# TYPE abmm_server_rejected_total counter\n")
-	fmt.Fprintf(w, "abmm_server_rejected_total{reason=\"queue_full\"} %d\n", s.gate.rejectedFull.Load())
-	fmt.Fprintf(w, "abmm_server_rejected_total{reason=\"queue_timeout\"} %d\n", s.gate.rejectedTimeout.Load())
-	fmt.Fprintf(w, "abmm_server_rejected_total{reason=\"slo_shed\"} %d\n", s.gate.rejectedShed.Load())
+	rejected := obs.WriteFamily(w, "abmm_server_rejected_total", "counter", "Requests shed by admission control.")
+	rejected.Int(s.gate.rejectedFull.Load(), "reason", "queue_full")
+	rejected.Int(s.gate.rejectedTimeout.Load(), "reason", "queue_timeout")
+	rejected.Int(s.gate.rejectedShed.Load(), "reason", "slo_shed")
 
-	fmt.Fprintf(w, "# HELP abmm_server_canceled_total Requests abandoned mid-flight.\n# TYPE abmm_server_canceled_total counter\n")
-	fmt.Fprintf(w, "abmm_server_canceled_total{cause=\"deadline\"} %d\n", s.canceledDeadline.Load())
-	fmt.Fprintf(w, "abmm_server_canceled_total{cause=\"client\"} %d\n", s.canceledClient.Load())
+	canceled := obs.WriteFamily(w, "abmm_server_canceled_total", "counter", "Requests abandoned mid-flight.")
+	canceled.Int(s.canceledDeadline.Load(), "cause", "deadline")
+	canceled.Int(s.canceledClient.Load(), "cause", "client")
 
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	counter("abmm_server_admitted_total", "Requests that acquired an execution slot.", s.gate.admitted.Load())
-	counter("abmm_server_panics_total", "Handler panics caught by the isolation wrapper.", s.panics.Load())
-	gauge("abmm_server_in_flight", "Multiplications currently executing.", s.gate.inFlight.Load())
-	gauge("abmm_server_queue_depth", "Requests currently waiting for an execution slot.", s.gate.queued.Load())
-	gauge("abmm_server_queue_depth_peak", "High-water mark of the admission queue.", s.gate.queuedPeak.Load())
-	gauge("abmm_server_queue_capacity", "Admission queue capacity (Config.MaxQueued).", int64(s.cfg.MaxQueued))
+	obs.WriteFamily(w, "abmm_server_admitted_total", "counter", "Requests that acquired an execution slot.").Int(s.gate.admitted.Load())
+	obs.WriteFamily(w, "abmm_server_panics_total", "counter", "Handler panics caught by the isolation wrapper.").Int(s.panics.Load())
+	obs.WriteFamily(w, "abmm_server_in_flight", "gauge", "Multiplications currently executing.").Int(s.gate.inFlight.Load())
+	obs.WriteFamily(w, "abmm_server_queue_depth", "gauge", "Requests currently waiting for an execution slot.").Int(s.gate.queued.Load())
+	obs.WriteFamily(w, "abmm_server_queue_depth_peak", "gauge", "High-water mark of the admission queue.").Int(s.gate.queuedPeak.Load())
+	obs.WriteFamily(w, "abmm_server_queue_capacity", "gauge", "Admission queue capacity (Config.MaxQueued).").Int(int64(s.cfg.MaxQueued))
 
-	fmt.Fprintf(w, "# HELP abmm_server_traced_total Completed request traces filed per /debug/requests ring.\n# TYPE abmm_server_traced_total counter\n")
+	traced := obs.WriteFamily(w, "abmm_server_traced_total", "counter", "Completed request traces filed per /debug/requests ring.")
 	for b := reqtrace.Bucket(0); b < reqtrace.NumBuckets; b++ {
-		fmt.Fprintf(w, "abmm_server_traced_total{bucket=%q} %d\n", b.String(), s.traces.Total(b))
+		traced.Int(s.traces.Total(b), "bucket", b.String())
 	}
-	counter("abmm_server_coalesce_opened_total", "Plan execution windows opened.", s.co.opened.Load())
-	counter("abmm_server_coalesce_joined_total", "Requests that joined an open same-shape window.", s.co.joined.Load())
-	gauge("abmm_server_coalesce_windows_open", "Execution windows currently open.", int64(s.co.open()))
-	var draining int64
-	if s.draining.Load() {
-		draining = 1
-	}
-	gauge("abmm_server_draining", "1 while the server refuses new work to drain.", draining)
+	obs.WriteFamily(w, "abmm_server_draining", "gauge", "1 while the server refuses new work to drain.").Int(b2i(s.draining.Load()))
 
-	obs.WriteHistogram(w, "abmm_server_request_duration_seconds",
-		"Full request wall time (parse, queue, execute, encode) in seconds.", s.reqDur.Snapshot(), 1e-9)
-	obs.WriteHistogram(w, "abmm_server_queue_wait_seconds",
-		"Admission wait (parse to execution slot) in seconds.", s.queueWait.Snapshot(), 1e-9)
+	obs.WriteFamily(w, "abmm_server_request_duration_seconds", "histogram",
+		"Full request wall time (parse, queue, execute, encode) in seconds.").Hist(s.reqDur.Snapshot(), 1e-9)
+	obs.WriteFamily(w, "abmm_server_queue_wait_seconds", "histogram",
+		"Admission wait (parse to execution slot) in seconds.").Hist(s.queueWait.Snapshot(), 1e-9)
 
-	// Plan-cache counters summed across the shared multipliers: the
-	// CacheStats that until now were only reachable as a Stats string.
+	// Plan-cache counters summed across the shared multipliers.
 	var cs abmm.CacheStats
 	s.musMu.RLock()
 	for _, mu := range s.mus {
@@ -901,30 +869,23 @@ func (s *Server) writeMetrics(w io.Writer) {
 		cs.ArenaBytes += st.ArenaBytes
 	}
 	s.musMu.RUnlock()
-	counter("abmm_plan_cache_hits_total", "Plan-cache lookups served by a cached plan, all multipliers.", int64(cs.Hits))
-	counter("abmm_plan_cache_misses_total", "Plan-cache lookups that compiled a new plan, all multipliers.", int64(cs.Misses))
-	counter("abmm_plan_cache_evictions_total", "Plans dropped by the LRU policy, all multipliers.", int64(cs.Evictions))
-	gauge("abmm_plan_cache_plans", "Plans currently cached across all multipliers.", int64(cs.Plans))
-	gauge("abmm_plan_cache_arena_bytes", "Summed per-plan high-water workspace bytes retained by the caches.", cs.ArenaBytes)
+	obs.WriteFamily(w, "abmm_plan_cache_hits_total", "counter", "Plan-cache lookups served by a cached plan, all multipliers.").Int(int64(cs.Hits))
+	obs.WriteFamily(w, "abmm_plan_cache_misses_total", "counter", "Plan-cache lookups that compiled a new plan, all multipliers.").Int(int64(cs.Misses))
+	obs.WriteFamily(w, "abmm_plan_cache_evictions_total", "counter", "Plans dropped by the LRU policy, all multipliers.").Int(int64(cs.Evictions))
+	obs.WriteFamily(w, "abmm_plan_cache_plans", "gauge", "Plans currently cached across all multipliers.").Int(int64(cs.Plans))
+	obs.WriteFamily(w, "abmm_plan_cache_arena_bytes", "gauge", "Summed per-plan high-water workspace bytes retained by the caches.").Int(cs.ArenaBytes)
 
 	// SLO burn state (a disabled engine reports ready=1, shed=0), then
 	// the per-plan attribution families.
 	st := s.slo.Status()
-	var ready, enabled int64
-	if st.Ready {
-		ready = 1
-	}
-	if st.Enabled {
-		enabled = 1
-	}
-	gauge("abmm_slo_enabled", "1 when latency/error objectives are configured.", enabled)
-	gauge("abmm_slo_ready", "1 while every objective is within budget (what /readyz reports, drain aside).", ready)
-	fmt.Fprintf(w, "# HELP abmm_slo_shed_probability Admission shed hint from the short-window burn rate.\n# TYPE abmm_slo_shed_probability gauge\nabmm_slo_shed_probability %s\n", fnum(st.ShedProbability))
-	fmt.Fprintf(w, "# HELP abmm_slo_burn_rate Error-budget burn rate per objective and window.\n# TYPE abmm_slo_burn_rate gauge\n")
-	fmt.Fprintf(w, "abmm_slo_burn_rate{objective=\"latency\",window=\"long\"} %s\n", fnum(st.Latency.Long.Burn))
-	fmt.Fprintf(w, "abmm_slo_burn_rate{objective=\"latency\",window=\"short\"} %s\n", fnum(st.Latency.Short.Burn))
-	fmt.Fprintf(w, "abmm_slo_burn_rate{objective=\"errors\",window=\"long\"} %s\n", fnum(st.Errors.Long.Burn))
-	fmt.Fprintf(w, "abmm_slo_burn_rate{objective=\"errors\",window=\"short\"} %s\n", fnum(st.Errors.Short.Burn))
+	obs.WriteFamily(w, "abmm_slo_enabled", "gauge", "1 when latency/error objectives are configured.").Int(b2i(st.Enabled))
+	obs.WriteFamily(w, "abmm_slo_ready", "gauge", "1 while every objective is within budget (what /readyz reports, drain aside).").Int(b2i(st.Ready))
+	obs.WriteFamily(w, "abmm_slo_shed_probability", "gauge", "Admission shed hint from the short-window burn rate.").Float(st.ShedProbability)
+	burn := obs.WriteFamily(w, "abmm_slo_burn_rate", "gauge", "Error-budget burn rate per objective and window.")
+	burn.Float(st.Latency.Long.Burn, "objective", "latency", "window", "long")
+	burn.Float(st.Latency.Short.Burn, "objective", "latency", "window", "short")
+	burn.Float(st.Errors.Long.Burn, "objective", "errors", "window", "long")
+	burn.Float(st.Errors.Short.Burn, "objective", "errors", "window", "short")
 
 	s.plans.WritePlanMetrics(w)
 
@@ -936,9 +897,13 @@ func (s *Server) writeMetrics(w io.Writer) {
 	}
 }
 
-// fnum formats a float the shortest way that round-trips (the
-// Prometheus text-format convention for non-integer samples).
-func fnum(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+// b2i renders a boolean gauge as 0 or 1.
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
 
 // decodeJSONRequest parses the JSON echo mode and validates it against
 // the same element caps as the binary frame.

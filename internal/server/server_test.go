@@ -314,7 +314,8 @@ func TestServerOverload(t *testing.T) {
 
 // TestServerConcurrentSameShape hammers one shape through the shared
 // Multiplier from many goroutines; run under -race this pins the
-// concurrency contract of plan sharing and window coalescing.
+// concurrency contract of plan sharing: concurrent same-shape misses
+// compile one plan.
 func TestServerConcurrentSameShape(t *testing.T) {
 	s := newTestServer(t, Config{MaxInFlight: 4, MaxQueued: 64, QueueTimeout: 30 * time.Second})
 	ts := httptest.NewServer(s.Handler())
@@ -366,10 +367,14 @@ func TestServerConcurrentSameShape(t *testing.T) {
 	}
 	// Exactly one Multiplier and (by shape) one plan served them all.
 	s.musMu.RLock()
-	mus := len(s.mus)
-	s.musMu.RUnlock()
-	if mus != 1 {
-		t.Errorf("multiplier registry holds %d entries, want 1", mus)
+	defer s.musMu.RUnlock()
+	if len(s.mus) != 1 {
+		t.Fatalf("multiplier registry holds %d entries, want 1", len(s.mus))
+	}
+	for _, mu := range s.mus {
+		if st := mu.Stats(); st.Misses != 1 {
+			t.Errorf("plan cache compiled %d plans for one shape, want 1", st.Misses)
+		}
 	}
 }
 

@@ -87,7 +87,7 @@ func TestServerTraceparentRoundTrip(t *testing.T) {
 	// pipeline phases, bilinear always runs (pad/forward/inverse/crop
 	// depend on shape and basis, covered by internal/core's trace tests).
 	want := map[string]bool{
-		"decode": false, "admission": false, "coalesce": false,
+		"decode": false, "admission": false,
 		"plan-resolve": false, "exec": false, "encode": false,
 		"bilinear": false,
 	}

@@ -37,6 +37,7 @@ import (
 	"abmm/internal/algos"
 	"abmm/internal/core"
 	"abmm/internal/matrix"
+	"abmm/internal/obs"
 	"abmm/internal/stability"
 )
 
@@ -444,14 +445,14 @@ func sameAsDefault(c Candidate, def *algos.Algorithm, defLevels int, opt core.Op
 // scrape (an obs.MetricsWriter-compatible method; the server wires it
 // when a tuner is configured).
 func (t *Tuner) WriteMetrics(w io.Writer) {
-	fmt.Fprintf(w, "# HELP abmm_tune_profile_loaded Whether a tuning profile was installed (1) or the tuner runs profile-less (0).\n# TYPE abmm_tune_profile_loaded gauge\nabmm_tune_profile_loaded %d\n", t.profileLoaded.Load())
-	fmt.Fprintf(w, "# HELP abmm_tune_profile_entries Tuned cells currently held (profile-installed plus online-measured).\n# TYPE abmm_tune_profile_entries gauge\nabmm_tune_profile_entries %d\n", t.cells())
-	fmt.Fprintf(w, "# HELP abmm_tune_decisions_total Tuner decisions on plan-cache miss, by source.\n# TYPE abmm_tune_decisions_total counter\n")
-	fmt.Fprintf(w, "abmm_tune_decisions_total{source=\"profile\"} %d\n", t.fromProfile.Load())
-	fmt.Fprintf(w, "abmm_tune_decisions_total{source=\"measured\"} %d\n", t.fromMeasured.Load())
-	fmt.Fprintf(w, "abmm_tune_decisions_total{source=\"default\"} %d\n", t.fromDefault.Load())
-	fmt.Fprintf(w, "# HELP abmm_tune_candidates_pruned_total Candidates dropped by the padding or error-bound constraint before timing.\n# TYPE abmm_tune_candidates_pruned_total counter\nabmm_tune_candidates_pruned_total %d\n", t.pruned.Load())
-	fmt.Fprintf(w, "# HELP abmm_tune_runs_truncated_total Tuning runs cut short by the measurement budget.\n# TYPE abmm_tune_runs_truncated_total counter\nabmm_tune_runs_truncated_total %d\n", t.truncated.Load())
+	obs.WriteFamily(w, "abmm_tune_profile_loaded", "gauge", "Whether a tuning profile was installed (1) or the tuner runs profile-less (0).").Int(t.profileLoaded.Load())
+	obs.WriteFamily(w, "abmm_tune_profile_entries", "gauge", "Tuned cells currently held (profile-installed plus online-measured).").Int(int64(t.cells()))
+	decisions := obs.WriteFamily(w, "abmm_tune_decisions_total", "counter", "Tuner decisions on plan-cache miss, by source.")
+	decisions.Int(t.fromProfile.Load(), "source", "profile")
+	decisions.Int(t.fromMeasured.Load(), "source", "measured")
+	decisions.Int(t.fromDefault.Load(), "source", "default")
+	obs.WriteFamily(w, "abmm_tune_candidates_pruned_total", "counter", "Candidates dropped by the padding or error-bound constraint before timing.").Int(t.pruned.Load())
+	obs.WriteFamily(w, "abmm_tune_runs_truncated_total", "counter", "Tuning runs cut short by the measurement budget.").Int(t.truncated.Load())
 }
 
 func (t *Tuner) cells() int {

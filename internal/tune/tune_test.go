@@ -2,7 +2,9 @@ package tune
 
 import (
 	"bytes"
-	"strings"
+	"flag"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -10,6 +12,8 @@ import (
 	"abmm/internal/core"
 	"abmm/internal/matrix"
 )
+
+var update = flag.Bool("update", false, "rewrite golden files")
 
 func coreOptions() core.Options {
 	return core.Options{Levels: core.AutoLevels, Workers: 1}
@@ -117,18 +121,25 @@ func TestChooseFromProfile(t *testing.T) {
 	if _, ok := tn.Choose(algos.Ours(), coreOptions(), 97, 97, 97); ok {
 		t.Error("Choose invented an opinion for an untuned shape")
 	}
+	// The abmm_tune_* families after one profile and one default
+	// decision, byte for byte.
 	var buf bytes.Buffer
 	tn.WriteMetrics(&buf)
-	for _, want := range []string{
-		"abmm_tune_profile_loaded 1",
-		"abmm_tune_profile_entries 1",
-		`abmm_tune_decisions_total{source="profile"} 1`,
-		`abmm_tune_decisions_total{source="default"} 1`,
-		`abmm_tune_decisions_total{source="measured"} 0`,
-	} {
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("metrics missing %q:\n%s", want, buf.String())
+	golden := filepath.Join("testdata", "tune_metrics.golden.txt")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
 		}
+		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("missing golden (run with -update): %v", err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("tuner metrics drifted from %s (regenerate with -update):\n%s", golden, buf.String())
 	}
 }
 
