@@ -13,18 +13,15 @@ build:
 test:
 	$(GO) test ./...
 
-# Race-detector pass at small sizes: the shared-Multiplier concurrency
-# tests (including concurrent cancellation) plus the core/bilinear
-# engines that execute under it, the parallel package's primitives
-# (the top-step fan-out runs on ForChunks and Cancel), the parallel row
-# loops under every encode, decode and reference product (matrix, dd),
-# the observability collector's concurrent span aggregation, the
-# serving layer (admission gate, concurrent same-shape requests on one
-# plan cache), and the analyzer suite's own fixture tests (-short skips
-# its slow repo-wide pass, which `make lint` runs directly).
+# Race-detector pass over every package at small sizes (-short). It
+# covers the shared-Multiplier concurrency tests, the top-step fan-out,
+# the parallel row loops, the collector's concurrent aggregation and
+# the serving layer. -short skips the analyzer suite's slow repo-wide
+# pass, which `make lint` runs directly. Tests whose allocation or
+# arena-reuse checks the detector skews skip only those checks
+# (raceEnabled).
 race:
-	$(GO) test -race -short -run 'TestMultiplierConcurrent|TestMultiplyIntoPadded|TestMultiplierStats' .
-	$(GO) test -race -short ./internal/core/... ./internal/bilinear/... ./internal/basis/... ./internal/kernel/... ./internal/pool/... ./internal/parallel/... ./internal/matrix/... ./internal/dd/... ./internal/obs/... ./internal/reqtrace/... ./internal/lint/... ./internal/server/... ./internal/tune/...
+	$(GO) test -race -short ./...
 
 # The 386 pass type-checks code and tests for a 32-bit int.
 vet:

@@ -247,8 +247,7 @@ func MultiplyMixed(algs []*Algorithm, a, b *Matrix, opt Options) (*Matrix, error
 		}
 		specs[i] = alg.Spec
 	}
-	bopt := bilinear.Options{Workers: opt.Workers, Kernel: opt.Kernel}
-	return bilinear.MultiplyMixed(specs, a, b, bopt), nil
+	return bilinear.MultiplyMixed(specs, a, b, bilinear.Options{Workers: opt.Workers}), nil
 }
 
 // ScalingMethod selects a diagonal scaling strategy for

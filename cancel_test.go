@@ -63,7 +63,7 @@ func TestMultiplierConcurrentCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mu := abmm.NewMultiplier(alg, abmm.Options{Levels: 1, MinBase: 32})
+	mu := abmm.NewMultiplier(alg, abmm.Options{Levels: 1})
 	a, b := abmm.NewMatrix(n, n), abmm.NewMatrix(n, n)
 	abmm.FillPair(a, b, abmm.DistSymmetric, abmm.Rand(11))
 	want := abmm.MultiplyClassical(a, b, 0)
@@ -117,7 +117,7 @@ func TestMultiplyIntoCtxBackgroundMatchesMultiplyInto(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mu := abmm.NewMultiplier(alg, abmm.Options{Levels: 1, MinBase: 16})
+	mu := abmm.NewMultiplier(alg, abmm.Options{Levels: 1})
 	a, b := abmm.NewMatrix(n, n), abmm.NewMatrix(n, n)
 	abmm.FillPair(a, b, abmm.DistSymmetric, abmm.Rand(3))
 	c1, c2 := abmm.NewMatrix(n, n), abmm.NewMatrix(n, n)

@@ -93,7 +93,7 @@ func main() {
 	// server — it is logged and the process serves untuned (the tuner
 	// answers "no opinion" for every shape the file would have covered).
 	if *tuneProfile != "" || *tuneBudget > 0 {
-		tn := tune.New(tune.Config{Budget: *tuneBudget, Workers: []int{*workers}, Logger: logger})
+		tn := tune.New(tune.Config{Budget: *tuneBudget, Logger: logger})
 		if *tuneProfile != "" {
 			if err := tn.LoadFile(*tuneProfile); err != nil {
 				logger.Warn("tuning profile unusable; serving untuned", "path", *tuneProfile, "error", err)

@@ -24,9 +24,6 @@ type Options struct {
 	// Recorder, when non-nil, receives the base-case kernel's nested
 	// pack/kernel phase spans; nil disables recording at zero cost.
 	Recorder obs.Recorder
-	// Kernel carries the packed base-case kernel's cache-blocking
-	// parameters; the zero value selects kernel.DefaultBlocking.
-	Kernel kernel.Blocking
 }
 
 func (o Options) workers() int { return parallel.Resolve(o.Workers) }
@@ -64,8 +61,6 @@ type Engine struct {
 	mixed  []*Spec
 	levels int
 	rec    obs.Recorder
-	// kb is the base-case kernel blocking.
-	kb kernel.Blocking
 	// unfused runs the last recursion level as an ordinary scheduled
 	// step over kernel.Mul leaves. Only the test reference the fused
 	// step is checked against sets it (export_test.go).
@@ -92,7 +87,7 @@ func NewEngine(s *Spec, opt Options, levels int) *Engine {
 	if levels < 0 {
 		panic("bilinear: negative recursion depth")
 	}
-	e := &Engine{s: s, workers: opt.workers(), levels: levels, rec: opt.Recorder, kb: opt.Kernel}
+	e := &Engine{s: s, workers: opt.workers(), levels: levels, rec: opt.Recorder}
 	e.regionNames = make([]string, levels+1)
 	for l := 1; l <= levels; l++ {
 		e.regionNames[l] = fmt.Sprintf("bilinear.L%d", l)
@@ -171,7 +166,7 @@ func (e *Engine) recurse(c, a, b *matrix.Matrix, level int, al pool.Allocator, c
 		defer trace.StartRegion(context.Background(), e.regionNames[level]).End()
 	}
 	if level == 0 {
-		kernel.Mul(c, a, b, e.kb, e.workers, al, e.rec)
+		kernel.Mul(c, a, b, kernel.DefaultBlocking(), e.workers, al, e.rec)
 		return
 	}
 	// The last recursion level collapses into fused packed-kernel calls

@@ -118,7 +118,7 @@ func (e *Engine) fusedStep(c, a, b *matrix.Matrix, al pool.Allocator, cn *parall
 			no++
 			touched[k] = true
 		}
-		kernel.GEMM(outs[:no], at[:na], bt[:nb], e.kb, e.workers, al, e.rec)
+		kernel.GEMM(outs[:no], at[:na], bt[:nb], kernel.DefaultBlocking(), e.workers, al, e.rec)
 	}
 	for k, t := range touched {
 		if !t {

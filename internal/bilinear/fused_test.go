@@ -149,21 +149,25 @@ func TestFusedMatchesUnfusedWithinUlps(t *testing.T) {
 	}
 }
 
-// TestFusedMultiSliceStaysAccurate forces base blocks deeper than one
-// kc slice (tiny KC), where the fused write-out rounds the decode once
+// TestFusedMultiSliceStaysAccurate gives the leaf an inner dimension
+// deeper than one kc slice (Strassen at L=1 halves k = 1024 to 512, two
+// slices of KC = 256), where the fused write-out rounds the decode once
 // per slice instead of once overall. The results may differ from the
 // unfused schedule in low-order bits but must stay within the
 // classical error envelope.
 func TestFusedMultiSliceStaysAccurate(t *testing.T) {
-	opt := bilinear.Options{Workers: 2, Kernel: kernel.Blocking{MC: 16, KC: 8, NC: 16}}
-	fused, unfused := fusedPair(algos.Strassen(), 64, 64, 64, 1, opt)
+	const m, k, n = 64, 1024, 64
+	if kc := kernel.DefaultBlocking().KC; k/2 <= kc {
+		t.Fatalf("leaf inner dimension %d fits one kc slice (KC = %d)", k/2, kc)
+	}
+	fused, unfused := fusedPair(algos.Strassen(), m, k, n, 1, bilinear.Options{Workers: 2})
 	if d := matrix.MaxAbsDiff(fused, unfused); d > 1e-12 {
 		t.Errorf("multi-slice fused vs unfused diff %g, want ≤ 1e-12", d)
 	}
-	a := matrix.New(64, 64)
-	b := matrix.New(64, 64)
-	a.FillUniform(matrix.Rand(uint64(64*64+1)), -1, 1)
-	b.FillUniform(matrix.Rand(uint64(64*64+8)), -1, 1)
+	a := matrix.New(m, k)
+	b := matrix.New(k, n)
+	a.FillUniform(matrix.Rand(uint64(m*k+1)), -1, 1)
+	b.FillUniform(matrix.Rand(uint64(k*n+8)), -1, 1)
 	if d := matrix.MaxAbsDiff(fused, mulRef(a, b)); d > 1e-11 {
 		t.Errorf("multi-slice fused diff vs classical %g, want ≤ 1e-11", d)
 	}

@@ -49,7 +49,7 @@ func TestPlanRegistryAttribution(t *testing.T) {
 
 func TestPlanRegistryEvictionReleases(t *testing.T) {
 	reg := obs.NewPlanRegistry(0)
-	mu := core.New(algos.Ours(), core.Options{Levels: 1, Workers: 1, PlanCache: 1, Plans: reg})
+	mu := core.New(algos.Ours(), core.Options{Levels: 1, Workers: 1, Plans: reg})
 	run := func(n int) {
 		a, b := matrix.New(n, n), matrix.New(n, n)
 		a.FillUniform(matrix.Rand(uint64(n)), -1, 1)
@@ -57,7 +57,11 @@ func TestPlanRegistryEvictionReleases(t *testing.T) {
 		mu.MultiplyInto(matrix.New(n, n), a, b)
 	}
 	run(32)
-	run(48) // PlanCache:1 — evicts the 32³ plan, releasing its claim
+	// 32 more shapes, 33 in all, overflow the plan cache by one: the
+	// least recently used 32³ plan is evicted, releasing its claim.
+	for n := 33; n <= 32+core.DefaultPlanCache; n++ {
+		run(n)
+	}
 
 	live := map[string]bool{}
 	for _, ps := range reg.Page().Plans {

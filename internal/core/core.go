@@ -16,33 +16,23 @@ import (
 	"fmt"
 
 	"abmm/internal/algos"
-	"abmm/internal/kernel"
 	"abmm/internal/matrix"
 	"abmm/internal/obs"
 	"abmm/internal/parallel"
 )
 
-// Options configures a multiplication.
+// Options configures a multiplication. The base-case kernel blocking
+// (kernel.DefaultBlocking), the automatic-depth floor (512) and the
+// plan-cache size (DefaultPlanCache) are constants, not options.
 type Options struct {
 	// Levels is the number of recursion steps L before the classical
 	// base case. Negative selects automatically: recurse while the base
-	// blocks stay at least MinBase in every dimension.
+	// blocks stay at least 512 in every dimension (see resolveLevels).
 	Levels int
-	// MinBase bounds automatic level selection; ignored when Levels is
-	// explicit. Default 512, which empirically sits at the
-	// overhead-vs-arithmetic sweet spot for the pure-Go kernels.
-	MinBase int
 	// Workers is the degree of parallelism; 0 means GOMAXPROCS. With
 	// one worker a multiplication runs entirely on the calling
 	// goroutine; see bilinear.Options for how more are used.
 	Workers int
-	// Kernel overrides the packed base-case kernel's cache-blocking
-	// parameters (mc/kc/nc); the zero value selects
-	// kernel.DefaultBlocking. See DESIGN.md §2e for selection guidance.
-	Kernel kernel.Blocking
-	// PlanCache bounds the number of shape-keyed plans a Multiplier
-	// retains; 0 means DefaultPlanCache.
-	PlanCache int
 	// Recorder, when non-nil, receives per-phase spans, multiplication
 	// totals, and arena traffic from every execution (see
 	// internal/obs). nil keeps the warm MultiplyInto path
@@ -112,16 +102,13 @@ type TunedChoice struct {
 	Levels int
 	// Workers overrides the degree of parallelism; 0 keeps the default.
 	Workers int
-	// Kernel overrides the base-case blocking; the zero value keeps the
-	// default.
-	Kernel kernel.Blocking
 }
 
 func (o Options) workers() int { return parallel.Resolve(o.Workers) }
 
 // Multiplier executes a specific algorithm with fixed options. It is
 // safe for concurrent use; plans compiled for previously seen operand
-// shapes are cached (LRU, bounded by Options.PlanCache) together with
+// shapes are cached (LRU, bounded by DefaultPlanCache) together with
 // their pooled workspace arenas. Do not copy a Multiplier after first
 // use.
 type Multiplier struct {
@@ -133,9 +120,7 @@ type Multiplier struct {
 
 // New returns a Multiplier for the given algorithm.
 func New(alg *algos.Algorithm, opt Options) *Multiplier {
-	mu := &Multiplier{Alg: alg, Opt: opt}
-	mu.cache.cap = opt.PlanCache
-	return mu
+	return &Multiplier{Alg: alg, Opt: opt}
 }
 
 // Levels resolves the recursion depth for an m×k·k×n multiplication.
@@ -179,9 +164,6 @@ func compilePlan(alg *algos.Algorithm, opt Options, m, k, n int) *Plan {
 	}
 	if ch.Workers > 0 {
 		opt.Workers = ch.Workers
-	}
-	if ch.Kernel != (kernel.Blocking{}) {
-		opt.Kernel = ch.Kernel
 	}
 	opt.tuned = true
 	return NewPlan(alg, opt, m, k, n)

@@ -63,15 +63,27 @@ func TestRectangularThroughPipeline(t *testing.T) {
 	checkAlg(t, alg, 50, 30, 70, core.Options{Levels: 2, Workers: 2}, 1e-11)
 }
 
+// TestAutoLevels pins the automatic depth rule (recurse while every
+// base-block dimension stays ≥ 512) at the shapes the repository
+// benchmark and the autotuner table serve. Levels resolves the depth
+// without multiplying.
 func TestAutoLevels(t *testing.T) {
-	mu := core.New(algos.Strassen(), core.Options{Levels: core.AutoLevels, MinBase: 16})
-	if l := mu.Levels(256, 256, 256); l != 4 {
-		t.Fatalf("auto levels = %d, want 4 (256→16 in 4 halvings)", l)
+	mu := core.New(algos.Ours(), core.Options{Levels: core.AutoLevels})
+	for _, tc := range []struct{ m, k, n, want int }{
+		{2048, 2048, 2048, 2}, // square-2048
+		{1024, 1024, 1024, 1},
+		{1023, 1023, 1023, 0},
+		{4096, 1024, 4096, 1},
+		{1536, 512, 1536, 0}, // the inner dimension binds
+		{64, 64, 64, 0},      // serve-small
+		{128, 128, 128, 0},
+		{256, 256, 256, 0},
+		{128, 256, 64, 0},
+	} {
+		if l := mu.Levels(tc.m, tc.k, tc.n); l != tc.want {
+			t.Errorf("auto levels at %dx%dx%d = %d, want %d", tc.m, tc.k, tc.n, l, tc.want)
+		}
 	}
-	if l := mu.Levels(16, 16, 16); l != 0 {
-		t.Fatalf("auto levels at MinBase = %d, want 0", l)
-	}
-	checkAlg(t, algos.Strassen(), 130, 70, 90, core.Options{Levels: core.AutoLevels, MinBase: 16}, 1e-11)
 }
 
 func TestShapeMismatchPanics(t *testing.T) {

@@ -67,13 +67,6 @@ type Plan struct {
 	phi, psi, nuT      *basis.Transform
 	phiIP, psiIP, nuIP bool
 	eng                *bilinear.Engine
-	bopt               bilinear.Options
-
-	// kb is the packed base-case kernel's blocking; panelBytes the panel
-	// workspace one sequential base-case call draws from the arena at
-	// this plan's base-block shape (see kernel.Blocking.PanelBytes).
-	kb         kernel.Blocking
-	panelBytes int64
 
 	// rec receives execution events; info carries the shape, depth, and
 	// flop accountings every MulDone reports (see obs.MulInfo).
@@ -103,13 +96,16 @@ type Plan struct {
 	bytes  atomic.Int64
 }
 
+// minBase is the smallest base-block dimension automatic level
+// selection recurses down to: the overhead-vs-arithmetic crossover
+// measured for an earlier, pure-Go base-case kernel.
+const minBase = 512
+
+// resolveLevels returns opt.Levels when explicit; otherwise it recurses
+// while every base-block dimension stays at least minBase.
 func resolveLevels(alg *algos.Algorithm, opt Options, m, k, n int) int {
 	if opt.Levels >= 0 {
 		return opt.Levels
-	}
-	minBase := opt.MinBase
-	if minBase <= 0 {
-		minBase = 512
 	}
 	s := alg.Spec
 	l := 0
@@ -132,8 +128,6 @@ func NewPlan(alg *algos.Algorithm, opt Options, m, k, n int) *Plan {
 		levels:  levels,
 		workers: w,
 		tuned:   opt.tuned,
-		bopt:    bilinear.Options{Workers: w, Recorder: opt.Recorder, Kernel: opt.Kernel},
-		kb:      opt.Kernel,
 		rec:     opt.Recorder,
 	}
 	if opt.ErrorSampleEvery > 0 {
@@ -150,7 +144,6 @@ func NewPlan(alg *algos.Algorithm, opt Options, m, k, n int) *Plan {
 	p.arenas.New = func() any { return pool.NewArena() }
 	if levels == 0 {
 		p.pm, p.pk, p.pn = m, k, n
-		p.panelBytes = p.kb.PanelBytes(m, k, n)
 		p.compileInfo()
 		p.claimSlot(opt.Plans)
 		return p
@@ -190,11 +183,7 @@ func NewPlan(alg *algos.Algorithm, opt Options, m, k, n int) *Plan {
 			p.nuR = ipow(p.nuT.D2, levels) * ch
 		}
 	}
-	p.eng = bilinear.NewEngine(s, p.bopt, levels)
-	// Base-case shape of the compiled recursion: what one packed-kernel
-	// call sees, and therefore what sizes the panel workspace.
-	p.panelBytes = p.kb.PanelBytes(
-		p.pm/ipow(s.M0, levels), p.pk/ipow(s.K0, levels), p.pn/ipow(s.N0, levels))
+	p.eng = bilinear.NewEngine(s, bilinear.Options{Workers: w, Recorder: opt.Recorder}, levels)
 	p.compileInfo()
 	p.claimSlot(opt.Plans)
 	return p
@@ -209,7 +198,7 @@ func NewPlan(alg *algos.Algorithm, opt Options, m, k, n int) *Plan {
 func (p *Plan) claimSlot(reg *obs.PlanRegistry) {
 	id := obs.PlanID{
 		Alg: p.alg.Name, M: p.key.M, K: p.key.K, N: p.key.N,
-		Levels: p.levels, Schedule: "seq", Kernel: p.kb.Label(),
+		Levels: p.levels, Schedule: "seq", Kernel: kernel.DefaultBlocking().Label(),
 		Tuned: p.tuned,
 	}
 	p.desc = id.Desc()
@@ -260,12 +249,6 @@ func (p *Plan) Alg() *algos.Algorithm { return p.alg }
 // ArenaBytes returns the high-water mark of workspace bytes held by any
 // single arena of this plan.
 func (p *Plan) ArenaBytes() int64 { return p.bytes.Load() }
-
-// PanelWorkspaceBytes returns the packed-panel workspace one
-// sequential base-case kernel call of this plan draws from its arena
-// (before size-class rounding): the kernel's share of the plan's
-// resident footprint.
-func (p *Plan) PanelWorkspaceBytes() int64 { return p.panelBytes }
 
 // Desc returns the plan's identity string "alg/L<levels>/seq" —
 // the form the serving layer echoes as the X-Abmm-Plan response header
@@ -385,7 +368,7 @@ func (p *Plan) runRec(dst, a, b *matrix.Matrix, cn *parallel.Cancel, rec obs.Rec
 		// the panel workspace so repeated calls stay allocation-free.
 		ar := p.checkout()
 		ps := ms.StartPhase(obs.PhaseBilinear)
-		kernel.Mul(dst, a, b, p.kb, w, ar, rec)
+		kernel.Mul(dst, a, b, kernel.DefaultBlocking(), w, ar, rec)
 		ps.End()
 		p.release(ar)
 		ms.End()
@@ -574,15 +557,14 @@ func (s CacheStats) String() string {
 // planCache is a shape-keyed LRU of compiled plans.
 type planCache struct {
 	mu      sync.Mutex
-	cap     int
 	entries map[PlanKey]*list.Element
 	order   list.List // front = most recently used; values are *Plan
 
 	hits, misses, evictions atomic.Uint64
 }
 
-// DefaultPlanCache is the plan-cache capacity when Options.PlanCache
-// is zero.
+// DefaultPlanCache is the number of shape-keyed plans a Multiplier
+// retains.
 const DefaultPlanCache = 32
 
 // get is cache-lookup-or-compile: the hit path is two map/list touches
@@ -606,11 +588,7 @@ func (pc *planCache) get(key PlanKey, compile func() *Plan) *Plan {
 	//abmm:allow lock-discipline
 	p := compile()
 	pc.entries[key] = pc.order.PushFront(p)
-	cap := pc.cap
-	if cap <= 0 {
-		cap = DefaultPlanCache
-	}
-	for pc.order.Len() > cap {
+	for pc.order.Len() > DefaultPlanCache {
 		old := pc.order.Back()
 		pc.order.Remove(old)
 		op := old.Value.(*Plan)

@@ -112,13 +112,16 @@ func TestTunerNoOpinionFallsBack(t *testing.T) {
 func TestTunerPartialChoice(t *testing.T) {
 	ours := algos.Ours()
 	ft := &fakeTuner{choice: core.TunedChoice{Alg: nil, Levels: -1}, ok: true}
-	mu := core.New(ours, core.Options{Levels: core.AutoLevels, MinBase: 16, Workers: 1, Tuner: ft})
-	p := mu.Plan(64, 64, 64)
+	mu := core.New(ours, core.Options{Levels: core.AutoLevels, Workers: 1, Tuner: ft})
+	// Automatic depth at 1024³ is 1, so keeping it is distinguishable
+	// from forcing 0. Compiling the plan multiplies nothing.
+	const n = 1024
+	p := mu.Plan(n, n, n)
 	if p.Alg() != ours {
 		t.Errorf("nil Alg did not keep the default algorithm")
 	}
-	if want := core.New(ours, core.Options{Levels: core.AutoLevels, MinBase: 16, Workers: 1}).Levels(64, 64, 64); p.Levels() != want {
-		t.Errorf("negative Levels resolved to %d, want automatic %d", p.Levels(), want)
+	if want := mu.Levels(n, n, n); want < 1 || p.Levels() != want {
+		t.Errorf("negative Levels resolved to %d, want automatic %d (≥ 1)", p.Levels(), want)
 	}
 	if !p.Tuned() {
 		t.Error("partial choice lost the tuned marker")

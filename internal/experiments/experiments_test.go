@@ -134,10 +134,19 @@ func TestPhasesBreakdown(t *testing.T) {
 	if len(tab.Rows) != 4 { // one per ⟨2,2,2;7⟩ algorithm
 		t.Fatalf("want 4 rows, got %d", len(tab.Rows))
 	}
+	col := map[string]int{}
+	for i, h := range tab.Header {
+		col[h] = i
+	}
+	for _, h := range []string{"pad", "crop", "reuse"} {
+		if _, ok := col[h]; !ok {
+			t.Fatalf("phase table has no %q column: %v", h, tab.Header)
+		}
+	}
 	for _, row := range tab.Rows {
-		// Shares (columns 3..7) must sum to ~100% of wall time.
+		// The pipeline shares (pad..crop) must sum to ~100% of wall time.
 		var sum float64
-		for _, cell := range row[3:8] {
+		for _, cell := range row[col["pad"] : col["crop"]+1] {
 			var v float64
 			mustScanF(t, strings.TrimSuffix(cell, "%"), &v)
 			sum += v
@@ -147,9 +156,11 @@ func TestPhasesBreakdown(t *testing.T) {
 		}
 		// A warm plan reuses its scratch (exactly 1.000 unless a GC
 		// cycle reclaims the pooled arena mid-test, so allow slack).
+		// Under the race detector sync.Pool drops a random share of
+		// Puts, so the arena is rebuilt too often for the check to hold.
 		var reuse float64
-		mustScanF(t, row[10], &reuse)
-		if reuse < 0.5 {
+		mustScanF(t, row[col["reuse"]], &reuse)
+		if reuse < 0.5 && !raceEnabled {
 			t.Errorf("%s L=%s: warm arena reuse %.3f, want ~1", row[0], row[1], reuse)
 		}
 	}

@@ -81,23 +81,6 @@ func (b Blocking) Label() string {
 	return fmt.Sprintf("%dx%dx%d", b.MC, b.KC, b.NC)
 }
 
-// PanelBytes returns the packed-panel workspace in bytes that one
-// sequential GEMM of shape m×k×n draws from its allocator: one packed
-// B panel (kc×nc) plus one packed A block (mc×kc), before the
-// allocator's power-of-two size-class rounding. Parallel execution
-// draws one A block per worker chunk instead of one total. Plans
-// surface this so workspace accounting covers the kernel's share.
-func (b Blocking) PanelBytes(m, k, n int) int64 {
-	if m <= 0 || k <= 0 || n <= 0 {
-		return 0
-	}
-	b = b.normalized()
-	kc := min(b.KC, k)
-	nc := roundUp(min(b.NC, n), NR)
-	mc := roundUp(min(b.MC, m), MR)
-	return 8 * int64(kc) * int64(nc+mc)
-}
-
 // Out is one destination of a fused write-out: the product P receives
 // no storage of its own; instead each Out gets Coeff·P written into M —
 // overwriting it when Accum is false, accumulating (+=) when true.

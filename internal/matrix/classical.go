@@ -34,14 +34,6 @@ func Mul(c, a, b *Matrix, workers int) {
 	MulAdd(c, a, b, workers)
 }
 
-// MulInto computes c = a·b, fully overwriting c's prior contents; it is
-// Mul's behavior under the library's destination-passing "...Into"
-// naming and delegates to Mul directly. The two names exist so call
-// sites reading "...Into" for every stage of the zero-allocation
-// pipeline keep the convention for the base case; there is deliberately
-// no separate implementation behind this one. c must not alias a or b.
-func MulInto(c, a, b *Matrix, workers int) { Mul(c, a, b, workers) }
-
 // MulAdd computes c += a·b. c must not alias a or b.
 //
 //abmm:hotpath

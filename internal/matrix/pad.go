@@ -1,20 +1,5 @@
 package matrix
 
-// NextPow returns the smallest value of the form base^l * unit with
-// base^l*unit >= n, l >= 0. It is used to pad matrix dimensions so that
-// l recursion steps of a base-case algorithm divide evenly. unit must
-// be >= 1 and base >= 2.
-func NextPow(n, base, unit int) int {
-	if n <= 0 {
-		return unit
-	}
-	v := unit
-	for v < n {
-		v *= base
-	}
-	return v
-}
-
 // PadTo returns m zero-padded to r-by-c. If m already has that shape it
 // is returned unchanged (no copy).
 func (m *Matrix) PadTo(r, c int) *Matrix {

@@ -2,18 +2,6 @@ package matrix
 
 import "testing"
 
-func TestNextPow(t *testing.T) {
-	cases := []struct{ n, base, unit, want int }{
-		{0, 2, 1, 1}, {1, 2, 1, 1}, {3, 2, 1, 4}, {4, 2, 1, 4}, {5, 2, 1, 8},
-		{10, 3, 1, 27}, {9, 3, 1, 9}, {5, 2, 3, 6}, {13, 2, 3, 24},
-	}
-	for _, c := range cases {
-		if got := NextPow(c.n, c.base, c.unit); got != c.want {
-			t.Errorf("NextPow(%d,%d,%d) = %d, want %d", c.n, c.base, c.unit, got, c.want)
-		}
-	}
-}
-
 func TestPadCropRoundTrip(t *testing.T) {
 	m := randMat(5, 5, 7)
 	p := m.PadTo(8, 8)

@@ -50,14 +50,3 @@ func (t *tee) PprofLabels() bool {
 	lb, ok := t.b.(PprofLabeler)
 	return ok && lb.PprofLabels()
 }
-
-// ErrorSample implements ErrorSampler, forwarding to whichever sides
-// sample errors.
-func (t *tee) ErrorSample(measured, bound float64) {
-	if es, ok := t.a.(ErrorSampler); ok {
-		es.ErrorSample(measured, bound)
-	}
-	if es, ok := t.b.(ErrorSampler); ok {
-		es.ErrorSample(measured, bound)
-	}
-}

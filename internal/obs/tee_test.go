@@ -8,17 +8,14 @@ import (
 // teeRec counts events and optionally implements the refinement
 // interfaces.
 type teeRec struct {
-	phases, muls, arenas, errs int
-	labels                     bool
+	phases, muls, arenas int
+	labels               bool
 }
 
 func (r *teeRec) PhaseDone(Phase, time.Duration) { r.phases++ }
 func (r *teeRec) MulDone(MulInfo, time.Duration) { r.muls++ }
 func (r *teeRec) ArenaRelease(ArenaUsage)        { r.arenas++ }
 func (r *teeRec) PprofLabels() bool              { return r.labels }
-func (r *teeRec) ErrorSample(measured, bound float64) {
-	r.errs++
-}
 
 func TestTeeForwardsToBoth(t *testing.T) {
 	a, b := &teeRec{}, &teeRec{}
@@ -26,9 +23,8 @@ func TestTeeForwardsToBoth(t *testing.T) {
 	rec.PhaseDone(PhaseBilinear, time.Millisecond)
 	rec.MulDone(MulInfo{M: 2, K: 2, N: 2}, time.Millisecond)
 	rec.ArenaRelease(ArenaUsage{})
-	rec.(ErrorSampler).ErrorSample(1e-16, 1e-12)
 	for name, r := range map[string]*teeRec{"a": a, "b": b} {
-		if r.phases != 1 || r.muls != 1 || r.arenas != 1 || r.errs != 1 {
+		if r.phases != 1 || r.muls != 1 || r.arenas != 1 {
 			t.Errorf("side %s missed events: %+v", name, r)
 		}
 	}

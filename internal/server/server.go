@@ -62,10 +62,9 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// MaxElems bounds the element count of any operand or result; 0
 	// defaults to 16Mi elements (a 4096×4096 float64 matrix, 128 MiB).
+	// A request body may hold the bytes of two MaxElems operands plus
+	// 1 KiB of framing.
 	MaxElems int
-	// MaxBodyBytes bounds a request body; 0 defaults to the bytes of
-	// two MaxElems operands plus framing.
-	MaxBodyBytes int64
 	// Collector receives engine and server telemetry; nil creates one.
 	Collector *abmm.Collector
 	// ErrorSampleEvery enables sampled accuracy telemetry on the shared
@@ -122,9 +121,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxElems <= 0 {
 		c.MaxElems = 16 << 20
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 2*8*int64(c.MaxElems) + 1024
 	}
 	if c.Collector == nil {
 		c.Collector = abmm.NewCollector()
@@ -552,7 +548,7 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 	}
 
 	isJSON := mediaType(r.Header.Get("Content-Type")) == "application/json"
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	body := http.MaxBytesReader(w, r.Body, 2*8*int64(s.cfg.MaxElems)+1024)
 	var req *Request
 	var err error
 	dec := tr.StartSpan("decode")

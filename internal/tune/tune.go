@@ -1,7 +1,7 @@
 // Package tune implements shape-aware autotuned plan selection: given
-// an operand shape, it enumerates candidate (algorithm, levels,
-// workers) tuples from the catalog, prunes those whose padding waste
-// or Theorem III.8 error bound disqualify them before any timing,
+// an operand shape, it enumerates candidate (algorithm, levels) pairs
+// from the catalog, prunes those whose padding waste or Theorem III.8
+// error bound disqualify them before any timing,
 // measures the survivors with the same
 // warmup/best-of-repetitions discipline as the benchmark harness, and
 // pins the winner.
@@ -15,7 +15,7 @@
 // /debug/plans) and the tuner exports the abmm_tune_* metric family.
 //
 // Why shape-aware: the default configuration recurses only while base
-// blocks stay ≥ MinBase in *every* dimension, so rectangular shapes
+// blocks stay ≥ 512 in *every* dimension, so rectangular shapes
 // (1536×512×1536 — the inner dimension is the binding one) run the
 // classical kernel even though a level or two of a well-chosen
 // ⟨m₀,k₀,n₀;r⟩ algorithm is measurably faster. Benson–Ballard
@@ -44,7 +44,9 @@ import (
 // Config parameterizes a Tuner. The zero value is a sensible
 // profile-only serving configuration: answers come from an installed
 // profile, unseen shapes fall back to the untuned default (Budget 0
-// disables online measurement).
+// disables online measurement). Every candidate runs at the caller's
+// Options.Workers, and one whose padding exceeds 1.25× the operand
+// volume (maxPadRatio) is pruned before timing.
 type Config struct {
 	// Algorithms names the catalog candidates to enumerate
 	// (abmm.Lookup); nil selects DefaultAlgorithms. Unknown names are
@@ -58,9 +60,6 @@ type Config struct {
 	// the tuner may profitably accept smaller bases because it verifies
 	// the win by measurement instead of assuming it.
 	MinBase int
-	// MaxPadRatio prunes candidates whose padded volume exceeds this
-	// multiple of the operand volume; 0 selects 1.25.
-	MaxPadRatio float64
 	// MaxBoundRatio is the accuracy constraint: candidates whose
 	// Theorem III.8 factor f(K,L) exceeds MaxBoundRatio × K² (the
 	// classical factor at the same padded inner dimension) are pruned
@@ -78,9 +77,6 @@ type Config struct {
 	// Reps is the number of timed repetitions per candidate
 	// (best-of-reps, after one warmup); 0 selects 3.
 	Reps int
-	// Workers lists the worker counts to enumerate per algorithm and
-	// depth; nil selects just 0 (GOMAXPROCS).
-	Workers []int
 	// Logger receives tuning decisions and truncation warnings; nil
 	// discards them.
 	Logger *slog.Logger
@@ -103,14 +99,8 @@ func (c Config) withDefaults() Config {
 	if c.MinBase <= 0 {
 		c.MinBase = 96
 	}
-	if c.MaxPadRatio <= 0 {
-		c.MaxPadRatio = 1.25
-	}
 	if c.Reps <= 0 {
 		c.Reps = 3
-	}
-	if c.Workers == nil {
-		c.Workers = []int{0}
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -118,12 +108,15 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Candidate is one enumerated (algorithm, levels, workers) tuple,
-// annotated with the pruning inputs that let it survive.
+// maxPadRatio prunes candidates whose padded volume exceeds this
+// multiple of the operand volume.
+const maxPadRatio = 1.25
+
+// Candidate is one enumerated (algorithm, levels) pair, annotated with
+// the pruning inputs that let it survive.
 type Candidate struct {
-	Alg     *algos.Algorithm
-	Levels  int
-	Workers int
+	Alg    *algos.Algorithm
+	Levels int
 
 	// PadRatio is padded volume over operand volume; BoundFactor the
 	// Theorem III.8 factor f(K,L) at the padded inner dimension.
@@ -278,12 +271,10 @@ func (t *Tuner) Candidates(def *algos.Algorithm, m, k, n int) []Candidate {
 	// kernel), so it is emitted once, under the default algorithm's
 	// name, and exempt from the accuracy constraint: it defines the
 	// classical reference the constraint compares against.
-	for _, w := range t.cfg.Workers {
-		out = append(out, Candidate{
-			Alg: def, Levels: 0, Workers: w,
-			PadRatio: 1, BoundFactor: float64(k) * float64(k),
-		})
-	}
+	out = append(out, Candidate{
+		Alg: def, Levels: 0,
+		PadRatio: 1, BoundFactor: float64(k) * float64(k),
+	})
 	vol := float64(m) * float64(k) * float64(n)
 	for _, name := range t.cfg.Algorithms {
 		alg, err := abmm.Lookup(name)
@@ -299,7 +290,7 @@ func (t *Tuner) Candidates(def *algos.Algorithm, m, k, n int) []Candidate {
 				break // deeper levels only shrink the base further
 			}
 			padRatio := float64(pm) * float64(pk) * float64(pn) / vol
-			if padRatio > t.cfg.MaxPadRatio {
+			if padRatio > maxPadRatio {
 				t.pruned.Add(1)
 				continue // deeper levels pad differently; keep looking
 			}
@@ -308,12 +299,10 @@ func (t *Tuner) Candidates(def *algos.Algorithm, m, k, n int) []Candidate {
 				t.pruned.Add(1)
 				continue
 			}
-			for _, w := range t.cfg.Workers {
-				out = append(out, Candidate{
-					Alg: alg, Levels: l, Workers: w,
-					PadRatio: padRatio, BoundFactor: bound,
-				})
-			}
+			out = append(out, Candidate{
+				Alg: alg, Levels: l,
+				PadRatio: padRatio, BoundFactor: bound,
+			})
 		}
 	}
 	return out
@@ -348,7 +337,7 @@ func (t *Tuner) Tune(def *algos.Algorithm, opt core.Options, m, k, n int, budget
 	// Strip telemetry from the measurement options: tuning runs must
 	// not pollute the serving process's recorder, per-plan registry, or
 	// accuracy samples (and must not re-enter the tuner).
-	base := core.Options{MinBase: opt.MinBase, Workers: opt.Workers, Kernel: opt.Kernel}
+	base := core.Options{Workers: opt.Workers}
 
 	// Baseline: the configuration compilePlan would use with no tuner.
 	dopt := base
@@ -369,7 +358,7 @@ func (t *Tuner) Tune(def *algos.Algorithm, opt core.Options, m, k, n int, budget
 		BoundFactor: stability.ErrorBoundKL(def, float64(k), defPlan.Levels()),
 	}
 	for _, c := range t.Candidates(def, m, k, n) {
-		if sameAsDefault(c, def, defPlan.Levels(), opt) {
+		if c.Alg == def && c.Levels == defPlan.Levels() {
 			continue // already measured as the baseline
 		}
 		if !deadline.IsZero() && !time.Now().Before(deadline) {
@@ -380,9 +369,6 @@ func (t *Tuner) Tune(def *algos.Algorithm, opt core.Options, m, k, n int, budget
 		}
 		copt := base
 		copt.Levels = c.Levels
-		if c.Workers > 0 {
-			copt.Workers = c.Workers
-		}
 		ns, ok := t.measure(core.New(c.Alg, copt), dst, a, b, deadline)
 		if !ok {
 			t.truncated.Add(1)
@@ -392,7 +378,6 @@ func (t *Tuner) Tune(def *algos.Algorithm, opt core.Options, m, k, n int, budget
 		}
 		if ns < best.NsPerOp {
 			best.Alg, best.Levels = c.Alg.Name, c.Levels
-			best.Workers = c.Workers
 			best.NsPerOp = ns
 			best.BoundFactor = c.BoundFactor
 		}
@@ -433,12 +418,6 @@ func (t *Tuner) measure(mu *core.Multiplier, dst, a, b *matrix.Matrix, deadline 
 		}
 	}
 	return best, true
-}
-
-// sameAsDefault reports whether a candidate is exactly the baseline
-// configuration (already measured).
-func sameAsDefault(c Candidate, def *algos.Algorithm, defLevels int, opt core.Options) bool {
-	return c.Alg == def && c.Levels == defLevels && c.Workers == opt.Workers
 }
 
 // WriteMetrics appends the abmm_tune_* metric family to a /metrics

@@ -59,16 +59,22 @@ func TestCandidatesEnumeration(t *testing.T) {
 func TestCandidatesPruning(t *testing.T) {
 	ours := algos.Ours()
 
-	// 251 pads to 252 at L1 and L2 under ⟨2,2,2⟩: ratio (252/251)³ ≈
-	// 1.012. A cap below that prunes every recursive candidate.
-	tight := New(Config{Algorithms: []string{"ours"}, MaxLevels: 2, MinBase: 16, MaxPadRatio: 1.01})
-	for _, c := range tight.Candidates(ours, 251, 251, 251) {
-		if c.Levels > 0 {
+	// 33 pads to 34 at L1 and to 36 at L2 under ⟨2,2,2⟩: ratios
+	// (34/33)³ ≈ 1.09 and (36/33)³ ≈ 1.30. The 1.25 cap keeps L1 and
+	// prunes L2.
+	padded := New(Config{Algorithms: []string{"ours"}, MaxLevels: 2, MinBase: 8})
+	var levels []int
+	for _, c := range padded.Candidates(ours, 33, 33, 33) {
+		if c.PadRatio > maxPadRatio {
 			t.Errorf("pad-ratio cap leaked candidate %s (ratio %.3f)", c, c.PadRatio)
 		}
+		levels = append(levels, c.Levels)
 	}
-	if tight.pruned.Load() == 0 {
-		t.Error("pad-ratio pruning not counted")
+	if len(levels) != 2 || levels[0] != 0 || levels[1] != 1 {
+		t.Errorf("candidate levels = %v, want [0 1] (L2 pads past the cap)", levels)
+	}
+	if padded.pruned.Load() != 1 {
+		t.Errorf("pad-ratio pruning counted %d, want 1", padded.pruned.Load())
 	}
 
 	// A bound cap of exactly 1.0×k² rejects every recursive level (any

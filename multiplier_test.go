@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"abmm"
+	"abmm/internal/core"
 	"abmm/internal/matrix"
 	"abmm/internal/obs"
 	"abmm/internal/tune"
@@ -97,7 +98,7 @@ func TestMultiplyIntoPadded(t *testing.T) {
 // hit, new shapes miss, and the LRU bound evicts.
 func TestMultiplierStats(t *testing.T) {
 	alg, _ := abmm.Lookup("ours")
-	mu := abmm.NewMultiplier(alg, abmm.Options{Levels: 1, Workers: 1, PlanCache: 2})
+	mu := abmm.NewMultiplier(alg, abmm.Options{Levels: 1, Workers: 1})
 	a, b := abmm.NewMatrix(16, 16), abmm.NewMatrix(16, 16)
 	dst := abmm.NewMatrix(16, 16)
 	for i := 0; i < 3; i++ {
@@ -110,12 +111,13 @@ func TestMultiplierStats(t *testing.T) {
 	if st.ArenaBytes <= 0 {
 		t.Fatalf("expected retained workspace bytes, got %+v", st)
 	}
-	for _, n := range []int{18, 20, 22} { // overflow the 2-plan cache
+	// 32 more shapes, 33 in all, overflow the 32-plan cache by one.
+	for n := 17; n <= 16+core.DefaultPlanCache; n++ {
 		x, y := abmm.NewMatrix(n, n), abmm.NewMatrix(n, n)
 		mu.MultiplyInto(abmm.NewMatrix(n, n), x, y)
 	}
 	st = mu.Stats()
-	if st.Plans != 2 || st.Evictions != 2 {
+	if st.Plans != core.DefaultPlanCache || st.Evictions != 1 {
 		t.Fatalf("after overflowing cache: %+v", st)
 	}
 }
