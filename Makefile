@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt test race vet lint bench kernel-bench bench-json bench-compare perfbench perfbench-selftest serve-smoke slo-smoke tune-smoke tune-experiments trace-demo clean
+.PHONY: all build fmt test race vet lint bench bench-smoke kernel-bench bench-json bench-compare perfbench perfbench-selftest serve-smoke slo-smoke tune-smoke tune-experiments trace-demo clean
 
 all: build fmt vet test lint
 
@@ -47,6 +47,12 @@ lint:
 # observability overhead guard (0 allocs/op with a recorder attached).
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkMultiplyInto' -benchmem .
+
+# Every benchmark in the module, run once each (-benchtime 1x): CI
+# executes the benchmark code instead of only type-checking it. About
+# 15 s on a 2-core host. CI runs this step after Test.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Base-case kernel benchmarks: packed register-tiled kernel vs the
 # blocked reference loop (ns/op, GFLOPS via -benchmem MB/s, allocs),
@@ -195,10 +201,10 @@ tune-smoke:
 
 # Tuned-vs-default acceptance run behind the EXPERIMENTS.md table:
 # tune the odd/non-square shape set and require at least two of the
-# shapes to gain >= 10% over the shape-blind default plan (the two
-# odd non-square shapes and the odd square clear it; the even
-# rectangle is the honest control that mostly doesn't). Takes a few
-# minutes of real measurement — not part of the tier-1 gate; run it
+# shapes to gain >= 10% over the shape-blind default plan. Against the
+# FMA kernel on the 2-core host no candidate beats the L0 default, so
+# this fails there (EXPERIMENTS.md lists the runs). Takes about a
+# minute of real measurement — not part of the tier-1 gate; run it
 # uncontended when touching the tuner, the kernel, or the engine
 # schedules.
 tune-experiments:

@@ -40,7 +40,6 @@ package abmm
 
 import (
 	"fmt"
-	"io"
 	"math/rand/v2"
 	"net/http"
 	"runtime"
@@ -132,15 +131,11 @@ type TunedChoice = core.TunedChoice
 type SLOConfig = obs.SLOConfig
 
 // Recorder receives execution events (per-phase spans, multiplication
-// totals, arena traffic) from every multiplication run
-// with it in Options.Recorder. A nil Recorder disables recording and
-// keeps the warm MultiplyInto path at 0 allocs/op.
+// totals, arena traffic, and the sampled accuracy measurements of
+// Options.ErrorSampleEvery) from every multiplication run with it in
+// Options.Recorder. A nil Recorder disables recording and keeps the
+// warm MultiplyInto path at 0 allocs/op.
 type Recorder = obs.Recorder
-
-// ErrorSampler is the optional Recorder refinement that receives
-// sampled accuracy measurements when Options.ErrorSampleEvery is set;
-// Collector implements it.
-type ErrorSampler = obs.ErrorSampler
 
 // Collector is the standard Recorder: race-safe atomic aggregation
 // with JSON (Snapshot), human-readable (Snapshot().Report()), and
@@ -180,11 +175,6 @@ type StatsServer = obs.Server
 // /debug/pprof. Serving continues in the background until Close.
 func ServeStats(addr string, c *Collector) (*StatsServer, error) { return obs.Serve(addr, c) }
 
-// StatsHandler returns the standalone observability HTTP handler (the
-// ServeStats routes plus a plain-text index at /); prefer MountStats to
-// share a mux with your own routes.
-func StatsHandler(c *Collector) http.Handler { return obs.Handler(c) }
-
 // MetricsWriter appends extra Prometheus-text metric families to a
 // /metrics scrape; see MountStats.
 type MetricsWriter = obs.MetricsWriter
@@ -195,14 +185,10 @@ type MetricsWriter = obs.MetricsWriter
 // observability. Each extra writer is invoked after the collector's
 // families on every /metrics scrape; the serving layer uses this to
 // publish its request, queue, and admission metrics alongside the
-// engine's. ServeStats and StatsHandler are conveniences built on it.
+// engine's. ServeStats is a convenience built on it.
 func MountStats(mux *http.ServeMux, c *Collector, extra ...MetricsWriter) {
 	obs.Mount(mux, c, extra...)
 }
-
-// WriteStatsMetrics renders the collector's current state in
-// Prometheus text exposition format.
-func WriteStatsMetrics(w io.Writer, c *Collector) { obs.WriteMetrics(w, c) }
 
 // NewMultiplier returns a reusable Multiplier for the algorithm. Prefer
 // it over repeated Multiply calls when multiplying many times: the
@@ -226,7 +212,7 @@ func MultiplyClassical(a, b *Matrix, workers int) *Matrix {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	c := matrix.New(a.Rows, b.Cols)
-	kernel.Mul(c, a, b, kernel.Blocking{}, workers, pool.Global, nil)
+	kernel.Mul(c, a, b, kernel.Blocking{}, workers, pool.NewArena(), nil)
 	return c
 }
 

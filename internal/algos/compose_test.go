@@ -91,7 +91,7 @@ func TestRect323EndToEnd(t *testing.T) {
 	b.FillUniform(matrix.Rand(2), -1, 1)
 	got := bilinear.Multiply(alg.Spec, a, b, 2, bilinear.Options{Workers: 2})
 	want := matrix.New(45, 63)
-	matrix.Mul(want, a, b, 2)
+	matrix.MulNaive(want, a, b)
 	if d := matrix.MaxAbsDiff(got, want); d > 1e-11 {
 		t.Fatalf("rect323 multiply off by %g", d)
 	}

@@ -114,7 +114,7 @@ func (t *Transform) Apply(in *matrix.Matrix, level, workers int) *matrix.Matrix 
 	}
 	h := in.Rows / d1l
 	out := matrix.New(ipow(t.D2, level)*h, in.Cols)
-	t.ApplyInto(out, in, level, workers, pool.Global)
+	t.ApplyInto(out, in, level, workers, pool.NewArena())
 	return out
 }
 
@@ -125,7 +125,7 @@ func (t *Transform) Apply(in *matrix.Matrix, level, workers int) *matrix.Matrix 
 // element is written.
 //
 //abmm:hotpath
-func (t *Transform) ApplyInto(dst, src *matrix.Matrix, level, workers int, al pool.Allocator) {
+func (t *Transform) ApplyInto(dst, src *matrix.Matrix, level, workers int, al *pool.Arena) {
 	t.ApplyIntoCancel(dst, src, level, workers, al, nil)
 }
 
@@ -135,7 +135,7 @@ func (t *Transform) ApplyInto(dst, src *matrix.Matrix, level, workers int, al po
 // Scratch accounting stays balanced. A nil cn makes this ApplyInto.
 //
 //abmm:hotpath
-func (t *Transform) ApplyIntoCancel(dst, src *matrix.Matrix, level, workers int, al pool.Allocator, cn *parallel.Cancel) {
+func (t *Transform) ApplyIntoCancel(dst, src *matrix.Matrix, level, workers int, al *pool.Arena, cn *parallel.Cancel) {
 	d1l := ipow(t.D1, level)
 	if src.Rows%d1l != 0 {
 		panic(fmt.Sprintf("basis: %d rows not divisible by %d^%d", src.Rows, t.D1, level))
@@ -146,7 +146,7 @@ func (t *Transform) ApplyIntoCancel(dst, src *matrix.Matrix, level, workers int,
 	t.apply(dst, src, level, workers, al, cn)
 }
 
-func (t *Transform) apply(dst, src *matrix.Matrix, level, workers int, al pool.Allocator, cn *parallel.Cancel) {
+func (t *Transform) apply(dst, src *matrix.Matrix, level, workers int, al *pool.Arena, cn *parallel.Cancel) {
 	if cn.Canceled() {
 		return
 	}

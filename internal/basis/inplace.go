@@ -58,14 +58,14 @@ func (t *Transform) CanApplyInPlace() bool {
 // the operand is untouched and the caller must use Apply. The operand
 // layout is the same stacked form Apply expects.
 func (t *Transform) ApplyInPlace(v *matrix.Matrix, level, workers int) bool {
-	return t.ApplyInPlaceFrom(v, level, workers, pool.Global)
+	return t.ApplyInPlaceFrom(v, level, workers, pool.NewArena())
 }
 
 // ApplyInPlaceFrom is ApplyInPlace with the recursion's view headers
 // drawn from al, so warm-arena executions allocate nothing.
 //
 //abmm:hotpath
-func (t *Transform) ApplyInPlaceFrom(v *matrix.Matrix, level, workers int, al pool.Allocator) bool {
+func (t *Transform) ApplyInPlaceFrom(v *matrix.Matrix, level, workers int, al *pool.Arena) bool {
 	return t.ApplyInPlaceFromCancel(v, level, workers, al, nil)
 }
 
@@ -75,7 +75,7 @@ func (t *Transform) ApplyInPlaceFrom(v *matrix.Matrix, level, workers int, al po
 // partially transformed. A nil cn makes this ApplyInPlaceFrom.
 //
 //abmm:hotpath
-func (t *Transform) ApplyInPlaceFromCancel(v *matrix.Matrix, level, workers int, al pool.Allocator, cn *parallel.Cancel) bool {
+func (t *Transform) ApplyInPlaceFromCancel(v *matrix.Matrix, level, workers int, al *pool.Arena, cn *parallel.Cancel) bool {
 	if t.D1 != t.D2 {
 		return false
 	}
@@ -90,7 +90,7 @@ func (t *Transform) ApplyInPlaceFromCancel(v *matrix.Matrix, level, workers int,
 	return true
 }
 
-func (t *Transform) applyInPlace(ops []elemOp, v *matrix.Matrix, level, workers int, al pool.Allocator, cn *parallel.Cancel) {
+func (t *Transform) applyInPlace(ops []elemOp, v *matrix.Matrix, level, workers int, al *pool.Arena, cn *parallel.Cancel) {
 	if cn.Canceled() || level == 0 {
 		return
 	}

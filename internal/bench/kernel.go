@@ -42,8 +42,9 @@ func runKernelCells(sizes []int, reps int) []Cell {
 			continue
 		}
 		bl := kernel.DefaultBlocking()
+		ar := pool.NewArena()
 		cells = append(cells, runKernelCell("kernel-packed", n, reps, func(c, a, b *matrix.Matrix) {
-			kernel.Mul(c, a, b, bl, 1, pool.Global, nil)
+			kernel.Mul(c, a, b, bl, 1, ar, nil)
 		}))
 		if n <= blockedKernelCap {
 			cells = append(cells, runKernelCell("kernel-blocked", n, reps, func(c, a, b *matrix.Matrix) {
@@ -55,7 +56,7 @@ func runKernelCells(sizes []int, reps int) []Cell {
 }
 
 // runKernelCell times one n×n×n base-case multiply: two warmups (the
-// first draws the packed-panel buffers from the global pool, so the
+// first draws the packed-panel buffers into the cell's arena, so the
 // timed repetitions measure the steady state), then best-of-reps with
 // allocations averaged over the timed window.
 func runKernelCell(name string, n, reps int, mul func(c, a, b *matrix.Matrix)) Cell {

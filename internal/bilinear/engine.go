@@ -41,7 +41,7 @@ func Exec(s *Spec, a, b *matrix.Matrix, levels int, opt Options) *matrix.Matrix 
 func (e *Engine) exec(a, b *matrix.Matrix) *matrix.Matrix {
 	du, dw := ipow(e.s.DU(), e.levels), ipow(e.s.DW(), e.levels)
 	c := matrix.New(dw*(a.Rows/du), b.Cols)
-	e.ExecInto(c, a, b, pool.Global)
+	e.ExecInto(c, a, b, pool.NewArena())
 	return c
 }
 
@@ -117,7 +117,7 @@ func (e *Engine) WithRecorder(rec obs.Recorder) *Engine {
 // writable scratch or output — its prior contents are ignored.
 //
 //abmm:hotpath
-func (e *Engine) ExecInto(c, a, b *matrix.Matrix, al pool.Allocator) {
+func (e *Engine) ExecInto(c, a, b *matrix.Matrix, al *pool.Arena) {
 	e.ExecIntoCancel(c, a, b, al, nil)
 }
 
@@ -129,7 +129,7 @@ func (e *Engine) ExecInto(c, a, b *matrix.Matrix, al pool.Allocator) {
 // cn is valid and makes this identical to ExecInto.
 //
 //abmm:hotpath
-func (e *Engine) ExecIntoCancel(c, a, b *matrix.Matrix, al pool.Allocator, cn *parallel.Cancel) {
+func (e *Engine) ExecIntoCancel(c, a, b *matrix.Matrix, al *pool.Arena, cn *parallel.Cancel) {
 	s, levels := e.s, e.levels
 	du, dv, dw := ipow(s.DU(), levels), ipow(s.DV(), levels), ipow(s.DW(), levels)
 	if a.Rows%du != 0 || b.Rows%dv != 0 {
@@ -145,7 +145,7 @@ func (e *Engine) ExecIntoCancel(c, a, b *matrix.Matrix, al pool.Allocator, cn *p
 	e.recurse(c, a, b, levels, al, cn)
 }
 
-func (e *Engine) recurse(c, a, b *matrix.Matrix, level int, al pool.Allocator, cn *parallel.Cancel) {
+func (e *Engine) recurse(c, a, b *matrix.Matrix, level int, al *pool.Arena, cn *parallel.Cancel) {
 	// Cooperative cancellation: one nil-check-plus-atomic-load per
 	// recursion node (base cases included — a leaf is still a whole
 	// classical block multiply, not an element). Bailing here, before
@@ -183,7 +183,7 @@ func (e *Engine) recurse(c, a, b *matrix.Matrix, level int, al pool.Allocator, c
 // the R products recurse (concurrently at the top node when there is
 // more than one worker), and the decode program writes the output
 // groups in place.
-func (e *Engine) scheduled(c, a, b *matrix.Matrix, level int, al pool.Allocator, cn *parallel.Cancel) {
+func (e *Engine) scheduled(c, a, b *matrix.Matrix, level int, al *pool.Arena, cn *parallel.Cancel) {
 	s := e.specAt(level)
 	encA, encB, dec := s.Programs()
 	ah, bh, ch := a.Rows/s.DU(), b.Rows/s.DV(), c.Rows/s.DW()
@@ -231,7 +231,7 @@ func (e *Engine) scheduled(c, a, b *matrix.Matrix, level int, al pool.Allocator,
 // allocate, and this runs only with more than one worker.
 //
 //abmm:coldpath
-func (e *Engine) recurseFanOut(prods, souts, touts []*matrix.Matrix, level int, al pool.Allocator, cn *parallel.Cancel) {
+func (e *Engine) recurseFanOut(prods, souts, touts []*matrix.Matrix, level int, al *pool.Arena, cn *parallel.Cancel) {
 	sub := *e
 	sub.workers = max(1, e.workers/len(prods))
 	parallel.ForChunks(len(prods), e.workers, 1, func(lo, hi int) {
@@ -243,7 +243,7 @@ func (e *Engine) recurseFanOut(prods, souts, touts []*matrix.Matrix, level int, 
 
 // groupsIn splits a stacked operand into its d top-level contiguous row
 // groups, drawing the headers and the slice from al.
-func groupsIn(al pool.Allocator, m *matrix.Matrix, d int) []*matrix.Matrix {
+func groupsIn(al *pool.Arena, m *matrix.Matrix, d int) []*matrix.Matrix {
 	h := m.Rows / d
 	out := al.Mats(d)
 	for i := range out {
@@ -255,7 +255,7 @@ func groupsIn(al pool.Allocator, m *matrix.Matrix, d int) []*matrix.Matrix {
 }
 
 // putGroups returns a groupsIn result to al.
-func putGroups(al pool.Allocator, gs []*matrix.Matrix) {
+func putGroups(al *pool.Arena, gs []*matrix.Matrix) {
 	for _, g := range gs {
 		al.PutHdr(g)
 	}

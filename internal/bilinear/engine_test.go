@@ -11,7 +11,7 @@ import (
 
 func mulRef(a, b *matrix.Matrix) *matrix.Matrix {
 	c := matrix.New(a.Rows, b.Cols)
-	matrix.Mul(c, a, b, 2)
+	matrix.MulNaive(c, a, b)
 	return c
 }
 

@@ -60,8 +60,8 @@ func TestFusedEncodePackBitwiseEqualsMaterialized(t *testing.T) {
 		mo := []kernel.Out{{Coeff: 2, M: matrix.New(m, n)}, {Coeff: -0.5, M: matrix.New(m, n), Accum: true}}
 		fo[1].M.FillUniform(matrix.Rand(9), -1, 1)
 		mo[1].M.FillUniform(matrix.Rand(9), -1, 1)
-		kernel.GEMM(fo, aTerms, bTerms, bl, 1, pool.Global, nil)
-		kernel.GEMM(mo, sTerm, tTerm, bl, 1, pool.Global, nil)
+		kernel.GEMM(fo, aTerms, bTerms, bl, 1, pool.NewArena(), nil)
+		kernel.GEMM(mo, sTerm, tTerm, bl, 1, pool.NewArena(), nil)
 		for i := range fo {
 			if !matrix.Equal(fo[i].M, mo[i].M) {
 				t.Errorf("blocking %+v out %d: fused pack differs from materialized pack (max diff %g)",
@@ -76,8 +76,8 @@ func TestFusedEncodePackBitwiseEqualsMaterialized(t *testing.T) {
 				fc.FillUniform(matrix.Rand(11), -1, 1)
 				mc.FillUniform(matrix.Rand(11), -1, 1)
 			}
-			kernel.GEMM([]kernel.Out{{Coeff: 1, M: fc, Accum: accum}}, aTerms, bTerms, bl, 1, pool.Global, nil)
-			kernel.GEMM([]kernel.Out{{Coeff: 1, M: mc, Accum: accum}}, sTerm, tTerm, bl, 1, pool.Global, nil)
+			kernel.GEMM([]kernel.Out{{Coeff: 1, M: fc, Accum: accum}}, aTerms, bTerms, bl, 1, pool.NewArena(), nil)
+			kernel.GEMM([]kernel.Out{{Coeff: 1, M: mc, Accum: accum}}, sTerm, tTerm, bl, 1, pool.NewArena(), nil)
 			if !matrix.Equal(fc, mc) {
 				t.Errorf("blocking %+v accum=%v: direct fused pack differs from materialized (max diff %g)",
 					bl, accum, matrix.MaxAbsDiff(fc, mc))

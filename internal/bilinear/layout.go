@@ -22,7 +22,7 @@ func ToRecursive(m *matrix.Matrix, m0, k0, l, workers int) *matrix.Matrix {
 	checkDivisible(m, m0, k0, l)
 	h, w := m.Rows/ipow(m0, l), m.Cols/ipow(k0, l)
 	out := matrix.New(ipow(m0*k0, l)*h, w)
-	ToRecursiveInto(out, m, m0, k0, l, workers, pool.Global)
+	ToRecursiveInto(out, m, m0, k0, l, workers, pool.NewArena())
 	return out
 }
 
@@ -33,7 +33,7 @@ func ToRecursive(m *matrix.Matrix, m0, k0, l, workers int) *matrix.Matrix {
 // headers for the recursion are drawn from al.
 //
 //abmm:hotpath
-func ToRecursiveInto(dst, m *matrix.Matrix, m0, k0, l, workers int, al pool.Allocator) {
+func ToRecursiveInto(dst, m *matrix.Matrix, m0, k0, l, workers int, al *pool.Arena) {
 	checkDivisible(m, m0, k0, l)
 	if dst.Rows*dst.Cols != m.Rows*m.Cols || dst.Rows != ipow(m0*k0, l)*(m.Rows/ipow(m0, l)) {
 		panic(matrix.ErrShape)
@@ -61,7 +61,7 @@ func ToRecursiveInto(dst, m *matrix.Matrix, m0, k0, l, workers int, al pool.Allo
 
 // toRecRec is ToRecursiveInto's recursion, a plain function so the
 // sequential path allocates no closures.
-func toRecRec(dst, src *matrix.Matrix, m0, k0, level int, al pool.Allocator) {
+func toRecRec(dst, src *matrix.Matrix, m0, k0, level int, al *pool.Arena) {
 	if level == 0 {
 		matrix.CopyInto(dst, src)
 		return
@@ -84,14 +84,14 @@ func toRecRec(dst, src *matrix.Matrix, m0, k0, level int, al pool.Allocator) {
 // of an m0×n0 partition) into dst, which must have dimensions divisible
 // by m0^L and n0^L and the same element count as s.
 func FromRecursive(s *matrix.Matrix, dst *matrix.Matrix, m0, n0, l, workers int) {
-	FromRecursiveInto(dst, s, m0, n0, l, workers, pool.Global)
+	FromRecursiveInto(dst, s, m0, n0, l, workers, pool.NewArena())
 }
 
 // FromRecursiveInto is FromRecursive with its destination first (the
 // library's ...Into convention) and recursion headers drawn from al.
 //
 //abmm:hotpath
-func FromRecursiveInto(dst, s *matrix.Matrix, m0, n0, l, workers int, al pool.Allocator) {
+func FromRecursiveInto(dst, s *matrix.Matrix, m0, n0, l, workers int, al *pool.Arena) {
 	checkDivisible(dst, m0, n0, l)
 	if s.Rows*s.Cols != dst.Rows*dst.Cols {
 		panic(matrix.ErrShape)
@@ -117,7 +117,7 @@ func FromRecursiveInto(dst, s *matrix.Matrix, m0, n0, l, workers int, al pool.Al
 }
 
 // fromRecRec is FromRecursiveInto's recursion as a plain function.
-func fromRecRec(d, src *matrix.Matrix, m0, n0, level int, al pool.Allocator) {
+func fromRecRec(d, src *matrix.Matrix, m0, n0, level int, al *pool.Arena) {
 	if level == 0 {
 		matrix.CopyInto(d, src)
 		return

@@ -20,7 +20,7 @@ type progRun struct {
 	owned []*matrix.Matrix
 }
 
-func (pr *progRun) release(al pool.Allocator) {
+func (pr *progRun) release(al *pool.Arena) {
 	for r, m := range pr.owned {
 		if m != nil {
 			al.PutMat(m)
@@ -32,10 +32,10 @@ func (pr *progRun) release(al pool.Allocator) {
 	al.PutMats(pr.outs)
 }
 
-// recycleReg returns register r's block to the allocator once op opIdx
+// recycleReg returns register r's block to the arena once op opIdx
 // was its last use. A plain function (not a closure over the register
 // file) so the warm execution path allocates nothing.
-func recycleReg(p *schedule.Program, regs, owned []*matrix.Matrix, al pool.Allocator, r, opIdx int) {
+func recycleReg(p *schedule.Program, regs, owned []*matrix.Matrix, al *pool.Arena, r, opIdx int) {
 	if r < p.NumInputs || p.IsTarget[r] || p.LastUse[r] != opIdx {
 		return
 	}
@@ -54,7 +54,7 @@ func recycleReg(p *schedule.Program, regs, owned []*matrix.Matrix, al pool.Alloc
 // register-shared targets are copied). The caller must call release on
 // the result once it is done reading outs.
 func runProgram(p *schedule.Program, inputs []*matrix.Matrix, rows, cols int,
-	outBind []*matrix.Matrix, workers int, al pool.Allocator) progRun {
+	outBind []*matrix.Matrix, workers int, al *pool.Arena) progRun {
 
 	regs := al.Mats(p.NumRegs)
 	for i := range regs {

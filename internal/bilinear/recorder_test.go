@@ -26,6 +26,7 @@ type countRec struct {
 func (r *countRec) PhaseDone(obs.Phase, time.Duration) { r.phases.Add(1) }
 func (r *countRec) MulDone(obs.MulInfo, time.Duration) { r.muls.Add(1) }
 func (r *countRec) ArenaRelease(obs.ArenaUsage)        { r.arenas.Add(1) }
+func (r *countRec) ErrorSample(float64, float64)       {}
 
 func TestEngineWithRecorder(t *testing.T) {
 	alg := algos.Strassen()
@@ -59,7 +60,7 @@ func TestEngineWithRecorder(t *testing.T) {
 		}
 		run := func(eng *bilinear.Engine) *matrix.Matrix {
 			cs := matrix.New(dw*(as.Rows/du), bs.Cols)
-			eng.ExecInto(cs, as, bs, pool.Global)
+			eng.ExecInto(cs, as, bs, pool.NewArena())
 			return cs
 		}
 		want := run(e)

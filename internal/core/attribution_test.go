@@ -3,11 +3,13 @@ package core_test
 // Tests for per-plan attribution (Options.Plans): plan compilation
 // claims a registry slot, executions record into it atomically,
 // LRU eviction releases the claim while keeping the slot's history,
-// error samples land on the slot even without a sampler-capable
-// recorder, and traced executions attach exemplar trace IDs.
+// error samples land on the slot even without a caller recorder, the
+// slot and a Collector see the same executions at every depth, and
+// traced executions attach exemplar trace IDs.
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"abmm/internal/algos"
@@ -81,6 +83,38 @@ func TestPlanRegistryEvictionReleases(t *testing.T) {
 			if !ps.Live || ps.Execs != 2 {
 				t.Errorf("resumed 32^3 slot: live=%t execs=%d, want live with 2 execs", ps.Live, ps.Execs)
 			}
+		}
+	}
+}
+
+// TestPlanTelemetryParity pins the plan's one telemetry path: at every
+// depth the registry slot and the caller's Collector receive the same
+// events, so a level-0 plan reports its arena releases and both sinks
+// sum the same MulSpan durations.
+func TestPlanTelemetryParity(t *testing.T) {
+	const n = 32
+	a, b, dst := matrix.New(n, n), matrix.New(n, n), matrix.New(n, n)
+	a.FillUniform(matrix.Rand(1), -1, 1)
+	b.FillUniform(matrix.Rand(2), -1, 1)
+	for _, levels := range []int{0, 1} {
+		rec, reg := obs.NewCollector(), obs.NewPlanRegistry(0)
+		mu := core.New(algos.Ours(), core.Options{Levels: levels, Workers: 1, Recorder: rec, Plans: reg})
+		for i := 0; i < 3; i++ {
+			mu.MultiplyInto(dst, a, b)
+		}
+		snap, page := rec.Snapshot(), reg.Page()
+		if len(page.Plans) != 1 {
+			t.Fatalf("L=%d: registry holds %d plans, want 1", levels, len(page.Plans))
+		}
+		ps := page.Plans[0]
+		if snap.Arena.Releases != 3 {
+			t.Errorf("L=%d: collector saw %d arena releases, want 3", levels, snap.Arena.Releases)
+		}
+		if ps.Execs != snap.MulDuration.Count {
+			t.Errorf("L=%d: slot execs %d, collector multiplications %d", levels, ps.Execs, snap.MulDuration.Count)
+		}
+		if math.Float64bits(ps.Seconds) != math.Float64bits(snap.Seconds) {
+			t.Errorf("L=%d: slot seconds %g, collector seconds %g", levels, ps.Seconds, snap.Seconds)
 		}
 	}
 }

@@ -58,16 +58,15 @@ type Options struct {
 	// MultiplyInto guarantee holds with a Tuner attached.
 	Tuner Tuner
 	// ErrorSampleEvery enables sampled numerical-accuracy telemetry:
-	// when positive and Recorder implements obs.ErrorSampler (or Plans
-	// is set, whose slots always accept samples), every Nth
-	// execution of each plan (the 1st, N+1st, ...) is re-run through the
-	// quad-precision classical reference (internal/dd) and the measured
-	// relative error ‖Ĉ−C_ref‖/(‖A‖‖B‖), together with the plan's
-	// predicted Theorem III.8 bound f(K,L)·ε, is reported via
-	// ErrorSample. Sampled executions cost one extra quad-precision
-	// classical product (and allocate); the other N−1 executions pay one
-	// atomic increment and keep the warm-path guarantees. 0 disables
-	// sampling.
+	// when positive and the plan has a recorder (Recorder, Plans, or
+	// both), every Nth execution of each plan (the 1st, N+1st, ...) is
+	// re-run through the quad-precision classical reference
+	// (internal/dd) and the measured relative error ‖Ĉ−C_ref‖/(‖A‖‖B‖),
+	// together with the plan's predicted Theorem III.8 bound f(K,L)·ε,
+	// is reported via Recorder.ErrorSample to every sink. Sampled
+	// executions cost one extra quad-precision classical product (and
+	// allocate); the other N−1 executions pay one atomic increment and
+	// keep the warm-path guarantees. 0 disables sampling.
 	ErrorSampleEvery int
 
 	// tuned marks an Options value rewritten by a Tuner decision. Set

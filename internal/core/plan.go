@@ -68,17 +68,17 @@ type Plan struct {
 	phiIP, psiIP, nuIP bool
 	eng                *bilinear.Engine
 
-	// rec receives execution events; info carries the shape, depth, and
-	// flop accountings every MulDone reports (see obs.MulInfo).
+	// rec is the plan's one telemetry path, Options.Recorder teed with
+	// the registry slot; info carries the shape, depth, and flop
+	// accountings every MulDone reports (see obs.MulInfo).
 	rec  obs.Recorder
 	info obs.MulInfo
 
 	// Per-plan attribution (Options.Plans): slot is this plan's claimed
-	// registry slot (nil when no registry is attached — every recording
-	// method no-ops on nil), plans the registry to release it to when the
-	// plan-cache evicts this plan, and desc the precomputed
-	// "alg/L<levels>/seq" identity string the serving layer echoes
-	// as X-Abmm-Plan.
+	// registry slot (nil when no registry is attached), plans the
+	// registry to release it to when the plan-cache evicts this plan,
+	// and desc the precomputed "alg/L<levels>/seq" identity string the
+	// serving layer echoes as X-Abmm-Plan.
 	slot  *obs.PlanSlot
 	plans *obs.PlanRegistry
 	desc  string
@@ -87,7 +87,6 @@ type Plan struct {
 	// sampleEvery-th execution re-multiplies through the quad-precision
 	// reference and reports the measured relative error against
 	// errBound, the plan's precompiled Theorem III.8 bound f(K,L)·ε.
-	sampler     obs.ErrorSampler
 	sampleEvery int64
 	sampleTick  atomic.Int64
 	errBound    float64
@@ -128,24 +127,12 @@ func NewPlan(alg *algos.Algorithm, opt Options, m, k, n int) *Plan {
 		levels:  levels,
 		workers: w,
 		tuned:   opt.tuned,
-		rec:     opt.Recorder,
-	}
-	if opt.ErrorSampleEvery > 0 {
-		if es, ok := opt.Recorder.(obs.ErrorSampler); ok {
-			p.sampler = es
-		}
-		// Sampling runs whenever any sink exists: a sampler-capable
-		// recorder, or a per-plan registry (whose slots always accept
-		// samples).
-		if p.sampler != nil || opt.Plans != nil {
-			p.sampleEvery = int64(opt.ErrorSampleEvery)
-		}
 	}
 	p.arenas.New = func() any { return pool.NewArena() }
 	if levels == 0 {
 		p.pm, p.pk, p.pn = m, k, n
 		p.compileInfo()
-		p.claimSlot(opt.Plans)
+		p.wire(opt)
 		return p
 	}
 	s := alg.Spec
@@ -185,26 +172,31 @@ func NewPlan(alg *algos.Algorithm, opt Options, m, k, n int) *Plan {
 	}
 	p.eng = bilinear.NewEngine(s, bilinear.Options{Workers: w, Recorder: opt.Recorder}, levels)
 	p.compileInfo()
-	p.claimSlot(opt.Plans)
+	p.wire(opt)
 	return p
 }
 
-// claimSlot fixes the plan's identity string and, when a per-plan
-// registry is attached, claims its telemetry slot. Runs once at compile
-// time, after compileInfo (the slot stores the flop accountings). The
-// schedule segment is always "seq", the engine's one recursion
-// schedule; identities keep it so X-Abmm-Plan values, abmm_plan_*
-// labels and tuning profiles stay stable.
-func (p *Plan) claimSlot(reg *obs.PlanRegistry) {
+// wire fixes the plan's identity string and its one recorder: with a
+// per-plan registry attached, the claimed slot teed with opt.Recorder.
+// Runs once at compile time, after compileInfo (the slot stores the
+// flop accountings). The schedule segment is always "seq", the engine's
+// one recursion schedule; identities keep it so X-Abmm-Plan values,
+// abmm_plan_* labels and tuning profiles stay stable.
+func (p *Plan) wire(opt Options) {
 	id := obs.PlanID{
 		Alg: p.alg.Name, M: p.key.M, K: p.key.K, N: p.key.N,
 		Levels: p.levels, Schedule: "seq", Kernel: kernel.DefaultBlocking().Label(),
 		Tuned: p.tuned,
 	}
 	p.desc = id.Desc()
-	if reg != nil {
-		p.plans = reg
-		p.slot = reg.Claim(id, p.info.ClassicalFlops, p.info.AlgFlops)
+	p.rec = opt.Recorder
+	if opt.Plans != nil {
+		p.plans = opt.Plans
+		p.slot = opt.Plans.Claim(id, p.info.ClassicalFlops, p.info.AlgFlops)
+		p.rec = obs.Tee(opt.Recorder, p.slot)
+	}
+	if opt.ErrorSampleEvery > 0 && p.rec != nil {
+		p.sampleEvery = int64(opt.ErrorSampleEvery)
 	}
 }
 
@@ -272,7 +264,6 @@ func (p *Plan) release(ar *pool.Arena) {
 			break
 		}
 	}
-	p.slot.ArenaHighWater(b)
 	p.arenas.Put(ar)
 }
 
@@ -354,39 +345,47 @@ func (p *Plan) runRec(dst, a, b *matrix.Matrix, cn *parallel.Cancel, rec obs.Rec
 	if dst.Rows != p.key.M || dst.Cols != p.key.N {
 		panic(matrix.ErrShape)
 	}
-	w := p.workers
-	// Per-plan attribution times the execution independently of the
-	// recorder's MulSpan (the slot outlives any one recorder). Guarded so
-	// registry-less plans pay only the nil check.
-	var t0 time.Time
-	if p.slot != nil {
-		t0 = time.Now()
-	}
 	ms := obs.StartMul(rec, p.info)
-	if p.levels == 0 {
-		// A level-0 plan is one packed-kernel call; the arena supplies
-		// the panel workspace so repeated calls stay allocation-free.
-		ar := p.checkout()
-		ps := ms.StartPhase(obs.PhaseBilinear)
-		kernel.Mul(dst, a, b, kernel.DefaultBlocking(), w, ar, rec)
-		ps.End()
-		p.release(ar)
-		ms.End()
-		if p.slot != nil {
-			p.slot.Record(time.Since(t0))
-		}
-		if !cn.Canceled() {
-			p.maybeSampleError(dst, a, b)
-		}
-		return
-	}
-	s := p.alg.Spec
 	ar := p.checkout()
-	defer p.release(ar)
 	var c0 pool.Counters
 	if rec != nil {
 		c0 = ar.Counters()
 	}
+	if p.levels == 0 {
+		// A level-0 plan is one packed-kernel call; the arena supplies
+		// the panel workspace so repeated calls stay allocation-free.
+		ps := ms.StartPhase(obs.PhaseBilinear)
+		kernel.Mul(dst, a, b, kernel.DefaultBlocking(), p.workers, ar, rec)
+		ps.End()
+	} else {
+		p.stages(dst, a, b, cn, ms, eng, ar)
+	}
+	// One epilogue at every depth, reaching every sink of rec.
+	if rec != nil {
+		c1 := ar.Counters()
+		rec.ArenaRelease(obs.ArenaUsage{
+			AllocBytes:     c1.AllocBytes,
+			HighWaterBytes: c1.HighWaterBytes,
+			RequestedBytes: c1.RequestedBytes - c0.RequestedBytes,
+			ReusedBytes:    c1.ReusedBytes - c0.ReusedBytes,
+		})
+	}
+	p.release(ar)
+	ms.End()
+	// Never sample a canceled execution: dst holds garbage, and a
+	// garbage "measured error" would poison the accuracy histograms.
+	if !cn.Canceled() {
+		p.maybeSampleError(dst, a, b, rec)
+	}
+}
+
+// stages runs Algorithm 1's pipeline of a recursive plan (levels ≥ 1),
+// each stage under its phase span of ms, with all scratch from ar.
+//
+//abmm:hotpath
+func (p *Plan) stages(dst, a, b *matrix.Matrix, cn *parallel.Cancel, ms obs.MulSpan, eng *bilinear.Engine, ar *pool.Arena) {
+	w := p.workers
+	s := p.alg.Spec
 
 	// Stage operands into stacked layout (padding first if needed).
 	ps := ms.StartPhase(obs.PhasePad)
@@ -471,25 +470,6 @@ func (p *Plan) runRec(dst, a, b *matrix.Matrix, cn *parallel.Cancel, rec obs.Rec
 	}
 	ar.PutMat(cs)
 	ps.End()
-
-	if rec != nil {
-		c1 := ar.Counters()
-		rec.ArenaRelease(obs.ArenaUsage{
-			AllocBytes:     c1.AllocBytes,
-			HighWaterBytes: c1.HighWaterBytes,
-			RequestedBytes: c1.RequestedBytes - c0.RequestedBytes,
-			ReusedBytes:    c1.ReusedBytes - c0.ReusedBytes,
-		})
-	}
-	ms.End()
-	if p.slot != nil {
-		p.slot.Record(time.Since(t0))
-	}
-	// Never sample a canceled execution: dst holds garbage, and a
-	// garbage "measured error" would poison the accuracy histograms.
-	if !cn.Canceled() {
-		p.maybeSampleError(dst, a, b)
-	}
 }
 
 // maybeSampleError implements the Options.ErrorSampleEvery policy:
@@ -502,7 +482,7 @@ func (p *Plan) runRec(dst, a, b *matrix.Matrix, cn *parallel.Cancel, rec obs.Rec
 // zero-alloc warm guarantee holds only for unsampled executions).
 //
 //abmm:coldpath
-func (p *Plan) maybeSampleError(dst, a, b *matrix.Matrix) {
+func (p *Plan) maybeSampleError(dst, a, b *matrix.Matrix, rec obs.Recorder) {
 	if p.sampleEvery <= 0 {
 		return
 	}
@@ -514,10 +494,7 @@ func (p *Plan) maybeSampleError(dst, a, b *matrix.Matrix) {
 	if denom := a.MaxNorm() * b.MaxNorm(); denom > 0 {
 		measured /= denom
 	}
-	if p.sampler != nil {
-		p.sampler.ErrorSample(measured, p.errBound)
-	}
-	p.slot.ErrorSample(measured, p.errBound)
+	rec.ErrorSample(measured, p.errBound)
 }
 
 // Multiply is the allocating convenience form of MultiplyInto.

@@ -31,7 +31,7 @@ func TestAllCatalogAlgorithmsAgreeProperty(t *testing.T) {
 		opt := core.Options{Levels: levels, Workers: int(seed%2) + 1}
 		got := core.Multiply(alg, a, b, opt)
 		want := matrix.New(m, n)
-		matrix.Mul(want, a, b, 2)
+		matrix.MulNaive(want, a, b)
 		return matrix.MaxAbsDiff(got, want) < 1e-10
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -48,7 +48,7 @@ func TestOrbitMembersExecuteCorrectly(t *testing.T) {
 		b.FillUniform(matrix.Rand(2), -1, 1)
 		got := core.Multiply(member, a, b, core.Options{Levels: 2, Workers: 2})
 		want := matrix.New(27, 27)
-		matrix.Mul(want, a, b, 2)
+		matrix.MulNaive(want, a, b)
 		// Orbit members can have large stability factors; scale the
 		// tolerance by E².
 		e := stability.FactorFloat(member)
@@ -66,7 +66,7 @@ func TestMeasuredErrorRespectsTheoreticalBound(t *testing.T) {
 	a, b := matrix.New(n, n), matrix.New(n, n)
 	matrix.FillPair(a, b, matrix.DistSymmetric, matrix.Rand(5))
 	want := matrix.New(n, n)
-	matrix.Mul(want, a, b, 2)
+	matrix.MulNaive(want, a, b)
 	for _, alg := range []*algos.Algorithm{algos.Strassen(), algos.Winograd(), algos.Ours(), algos.AltWinograd()} {
 		got := core.Multiply(alg, a, b, core.Options{Levels: levels, Workers: 2})
 		bound := stability.ErrorBound(alg, n) * a.MaxNorm() * b.MaxNorm() * 0x1p-53
@@ -89,7 +89,7 @@ func TestHigherDimPipelineAgreement(t *testing.T) {
 		b.FillUniform(matrix.Rand(uint64(dims)+1), -1, 1)
 		got := core.Multiply(hd, a, b, core.Options{Levels: 2, Workers: 2})
 		want := matrix.New(40, 40)
-		matrix.Mul(want, a, b, 2)
+		matrix.MulNaive(want, a, b)
 		if d := matrix.MaxAbsDiff(got, want); d > 1e-11 {
 			t.Errorf("maxDims=%d: diff %g", dims, d)
 		}

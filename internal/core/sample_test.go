@@ -64,8 +64,8 @@ func TestErrorSamplingLevelsZero(t *testing.T) {
 }
 
 func TestErrorSamplingDisabled(t *testing.T) {
-	// Off by default; also off when the recorder is no ErrorSampler or
-	// when there is no recorder at all — never a panic.
+	// Off by default; also off when the plan has no recorder at all,
+	// and a typed-nil collector takes samples as no-ops — never a panic.
 	const n = 16
 	a, b, dst := matrix.New(n, n), matrix.New(n, n), matrix.New(n, n)
 	a.FillUniform(matrix.Rand(5), -1, 1)

@@ -62,7 +62,7 @@ func TestTunerAppliedOnCacheMiss(t *testing.T) {
 	dst := matrix.New(n, n)
 	p.MultiplyInto(dst, a, b)
 	want := matrix.New(n, n)
-	matrix.Mul(want, a, b, 1)
+	matrix.MulNaive(want, a, b)
 	if d := matrix.MaxAbsDiff(dst, want); d > 1e-10 {
 		t.Errorf("tuned plan wrong by %g", d)
 	}

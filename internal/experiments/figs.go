@@ -67,7 +67,8 @@ func Fig2A(p Params) *Table {
 		a, b := matrix.New(n, n), matrix.New(n, n)
 		matrix.FillPair(a, b, matrix.DistSymmetric, matrix.Rand(p.Seed))
 		c := matrix.New(n, n)
-		classical := timeMedian(p.Reps, func() { kernel.Mul(c, a, b, kernel.Blocking{}, w, pool.Global, nil) })
+		ar := pool.NewArena()
+		classical := timeMedian(p.Reps, func() { kernel.Mul(c, a, b, kernel.Blocking{}, w, ar, nil) })
 		t.Rows = append(t.Rows, []string{fmt.Sprintf("%d", n), "classical", classical.String(), "1.000"})
 		for _, alg := range fig2Algorithms() {
 			// Reuse one plan across reps so the timing reflects the warm
@@ -129,7 +130,7 @@ func figError(p Params, dist matrix.Dist, label string) *Table {
 		matrix.FillPair(a, b, dist, matrix.Rand(p.Seed+uint64(run)*7919))
 		ref := refProduct(a, b, w)
 		got := matrix.New(p.ErrorSize, p.ErrorSize)
-		kernel.Mul(got, a, b, kernel.Blocking{}, w, pool.Global, nil)
+		kernel.Mul(got, a, b, kernel.Blocking{}, w, pool.NewArena(), nil)
 		if d := matrix.MaxAbsDiff(got, ref); d > maxErr[0] {
 			maxErr[0] = d
 		}

@@ -93,10 +93,9 @@ type Out struct {
 // Mul computes c = a·b through the packed kernel. c must not alias a or
 // b. Every element is the chain c = fma(a_ik, b_kj, c) over ascending
 // k from zero, so the result is bitwise identical to matrix.MulNaive.
-// al supplies the panel workspace (pool.Global when no arena is in
-// play); rec, when non-nil, receives nested PhasePack/PhaseKernel
-// spans.
-func Mul(c, a, b *matrix.Matrix, bl Blocking, workers int, al pool.Allocator, rec obs.Recorder) {
+// al supplies the panel workspace; rec, when non-nil, receives nested
+// PhasePack/PhaseKernel spans.
+func Mul(c, a, b *matrix.Matrix, bl Blocking, workers int, al *pool.Arena, rec obs.Recorder) {
 	outs := [1]Out{{Coeff: 1, M: c}}
 	at := [1]Term{{Coeff: 1, M: a}}
 	bt := [1]Term{{Coeff: 1, M: b}}
@@ -107,7 +106,7 @@ func Mul(c, a, b *matrix.Matrix, bl Blocking, workers int, al pool.Allocator, re
 // chain starts from c's prior value and applies one fused multiply-add
 // per k in ascending order, c = fma(a_ik, b_kj, c), so it too is
 // bitwise reproducible. c must not alias a or b.
-func MulAdd(c, a, b *matrix.Matrix, bl Blocking, workers int, al pool.Allocator, rec obs.Recorder) {
+func MulAdd(c, a, b *matrix.Matrix, bl Blocking, workers int, al *pool.Arena, rec obs.Recorder) {
 	outs := [1]Out{{Coeff: 1, M: c, Accum: true}}
 	at := [1]Term{{Coeff: 1, M: a}}
 	bt := [1]Term{{Coeff: 1, M: b}}
@@ -138,7 +137,7 @@ func MulAdd(c, a, b *matrix.Matrix, bl Blocking, workers int, al pool.Allocator,
 // compute, so that time counts as kernel time).
 //
 //abmm:hotpath
-func GEMM(outs []Out, aTerms, bTerms []Term, bl Blocking, workers int, al pool.Allocator, rec obs.Recorder) {
+func GEMM(outs []Out, aTerms, bTerms []Term, bl Blocking, workers int, al *pool.Arena, rec obs.Recorder) {
 	m, kk, n := gemmShape(outs, aTerms, bTerms)
 	if m == 0 || n == 0 {
 		return

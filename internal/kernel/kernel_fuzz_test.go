@@ -35,7 +35,7 @@ func FuzzMulBitwiseEqualsNaive(f *testing.F) {
 		a.FillUniform(matrix.Rand(seed), -1, 1)
 		b.FillUniform(matrix.Rand(seed+1), -1, 1)
 		got := matrix.New(M, N)
-		Mul(got, a, b, bl, 1, pool.Global, nil)
+		Mul(got, a, b, bl, 1, pool.NewArena(), nil)
 		want := matrix.New(M, N)
 		matrix.MulNaive(want, a, b)
 		if !matrix.Equal(got, want) {

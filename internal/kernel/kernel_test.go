@@ -69,7 +69,7 @@ func TestMulBitwiseEqualsNaive(t *testing.T) {
 				for _, i := range hostISAs() {
 					forceISA(t, i)
 					got := matrix.New(s.m, s.n)
-					Mul(got, a, b, Blocking{}, workers, pool.Global, nil)
+					Mul(got, a, b, Blocking{}, workers, pool.NewArena(), nil)
 					if !matrix.Equal(got, want) {
 						t.Fatalf("%s: packed Mul differs bitwise from MulNaive", isaNames[i])
 					}
@@ -100,7 +100,7 @@ func TestMulAddBitwiseEqualsNaiveChain(t *testing.T) {
 				want.Set(i, j, v)
 			}
 		}
-		MulAdd(got, a, b, Blocking{}, 1, pool.Global, nil)
+		MulAdd(got, a, b, Blocking{}, 1, pool.NewArena(), nil)
 		if !matrix.Equal(got, want) {
 			t.Fatalf("%dx%dx%d: packed MulAdd differs bitwise from naive accumulation", s.m, s.k, s.n)
 		}
@@ -117,7 +117,7 @@ func TestGEMMSpansSumToWallTime(t *testing.T) {
 	fill(b, 2)
 	rec := obs.NewCollector()
 	start := time.Now()
-	Mul(c, a, b, Blocking{}, 2, pool.Global, rec)
+	Mul(c, a, b, Blocking{}, 2, pool.NewArena(), rec)
 	wall := time.Since(start).Seconds()
 	phases := rec.Snapshot().Phases
 	pack, kern := phases[obs.PhasePack], phases[obs.PhaseKernel]
@@ -153,9 +153,10 @@ func BenchmarkBaseCase(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("packed/n=%d", n), func(b *testing.B) {
+			ar := pool.NewArena()
 			b.SetBytes(flops)
 			for i := 0; i < b.N; i++ {
-				Mul(c, a, x, Blocking{}, 1, pool.Global, nil)
+				Mul(c, a, x, Blocking{}, 1, ar, nil)
 			}
 		})
 	}

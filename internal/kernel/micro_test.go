@@ -83,8 +83,8 @@ func TestFusedChainWitness(t *testing.T) {
 	for _, i := range hostISAs() {
 		forceISA(t, i)
 		mul, mulAdd := matrix.New(1, 1), matrix.New(1, 1)
-		Mul(mul, a, b, Blocking{}, 1, pool.Global, nil)
-		MulAdd(mulAdd, a, b, Blocking{}, 1, pool.Global, nil)
+		Mul(mul, a, b, Blocking{}, 1, pool.NewArena(), nil)
+		MulAdd(mulAdd, a, b, Blocking{}, 1, pool.NewArena(), nil)
 		for name, c := range map[string]*matrix.Matrix{"Mul": mul, "MulAdd": mulAdd} {
 			if got := c.At(0, 0); math.Float64bits(got) != math.Float64bits(want) {
 				t.Errorf("%s under %s = %v, want the fused chain's %v", name, isaNames[i], got, want)
@@ -130,9 +130,10 @@ func BenchmarkMicroISA(b *testing.B) {
 	for _, i := range hostISAs() {
 		b.Run(fmt.Sprintf("%s/n=%d", isaNames[i], n), func(b *testing.B) {
 			forceISA(b, i)
+			ar := pool.NewArena()
 			b.SetBytes(2 * n * n * n)
 			for r := 0; r < b.N; r++ {
-				Mul(c, a, x, Blocking{}, 1, pool.Global, nil)
+				Mul(c, a, x, Blocking{}, 1, ar, nil)
 			}
 		})
 	}

@@ -14,7 +14,7 @@ func DefaultConfig(dir string) Config {
 		// The serving layer's acquire/release obligations, enforced by
 		// resource-pairing: traces reach Finish, spans reach End, gate
 		// slots call their release closures, plan claims return to the
-		// registry, arena draws go back to their allocator. Deferred
+		// registry, arena draws go back to their arena. Deferred
 		// releases satisfy panic paths too.
 		Pairs: []Pair{
 			{Acquire: "abmm/internal/reqtrace.New", Err: -1,
@@ -29,18 +29,14 @@ func DefaultConfig(dir string) Config {
 				Releases: []string{"call"}, What: "gate slot"},
 			{Acquire: "(*abmm/internal/obs.PlanRegistry).Claim", Err: -1,
 				Releases: []string{"pass:(*abmm/internal/obs.PlanRegistry).Release"}, What: "plan slot"},
-			{Acquire: "(abmm/internal/pool.Allocator).Floats", Err: -1,
-				Releases: []string{"pass:(abmm/internal/pool.Allocator).PutFloats", "pass:(*abmm/internal/pool.Arena).PutFloats"}, What: "arena floats"},
-			{Acquire: "(abmm/internal/pool.Allocator).Mat", Err: -1,
-				Releases: []string{"pass:(abmm/internal/pool.Allocator).PutMat", "pass:(*abmm/internal/pool.Arena).PutMat"}, What: "arena matrix"},
-			{Acquire: "(abmm/internal/pool.Allocator).Hdr", Err: -1,
-				Releases: []string{"pass:(abmm/internal/pool.Allocator).PutHdr", "pass:(*abmm/internal/pool.Arena).PutHdr"}, What: "arena header"},
-			{Acquire: "(abmm/internal/pool.Allocator).Mats", Err: -1,
-				Releases: []string{"pass:(abmm/internal/pool.Allocator).PutMats", "pass:(*abmm/internal/pool.Arena).PutMats"}, What: "arena matrix slice"},
 			{Acquire: "(*abmm/internal/pool.Arena).Floats", Err: -1,
 				Releases: []string{"pass:(*abmm/internal/pool.Arena).PutFloats"}, What: "arena floats"},
 			{Acquire: "(*abmm/internal/pool.Arena).Mat", Err: -1,
 				Releases: []string{"pass:(*abmm/internal/pool.Arena).PutMat"}, What: "arena matrix"},
+			{Acquire: "(*abmm/internal/pool.Arena).Hdr", Err: -1,
+				Releases: []string{"pass:(*abmm/internal/pool.Arena).PutHdr"}, What: "arena header"},
+			{Acquire: "(*abmm/internal/pool.Arena).Mats", Err: -1,
+				Releases: []string{"pass:(*abmm/internal/pool.Arena).PutMats"}, What: "arena matrix slice"},
 		},
 		DDPkgs: map[string]bool{
 			"abmm/internal/dd": true,

@@ -108,10 +108,10 @@ func (c *Collector) MulDone(info MulInfo, total time.Duration) {
 	c.mulDur.Observe(int64(total))
 }
 
-// ErrorSample implements ErrorSampler: one sampled accuracy
-// measurement, as the measured relative error against the
-// quad-precision reference and the predicted Theorem III.8 bound the
-// execution was compiled with.
+// ErrorSample implements Recorder: one sampled accuracy measurement,
+// as the measured relative error against the quad-precision reference
+// and the predicted Theorem III.8 bound the execution was compiled
+// with.
 //
 //abmm:hotpath
 func (c *Collector) ErrorSample(measured, bound float64) {

@@ -133,7 +133,9 @@ type ArenaUsage struct {
 // reports kernel spans from the goroutines running the top node's
 // products. A nil Recorder disables recording;
 // implementations should also tolerate nil receivers so a typed-nil
-// *Collector stays a no-op.
+// *Collector stays a no-op. A sink that has no use for an event
+// implements its method as a no-op: Collector, PlanSlot, SLO and
+// reqtrace.Trace all sit on one Recorder, joined by Tee.
 type Recorder interface {
 	// PhaseDone reports one completed pipeline phase.
 	PhaseDone(p Phase, d time.Duration)
@@ -142,6 +144,12 @@ type Recorder interface {
 	// ArenaRelease reports workspace traffic when an execution returns
 	// its arena.
 	ArenaRelease(u ArenaUsage)
+	// ErrorSample reports one sampled accuracy measurement (see
+	// core.Options.ErrorSampleEvery): the measured relative error
+	// ‖Ĉ−C_ref‖/(‖A‖‖B‖) in max norms against the quad-precision
+	// reference, together with the Theorem III.8 bound factor f(K,L)·ε
+	// the plan was compiled with.
+	ErrorSample(measured, bound float64)
 }
 
 // PprofLabeler is an optional Recorder refinement: when PprofLabels
@@ -150,19 +158,6 @@ type Recorder interface {
 // while recording can be grouped by pipeline phase.
 type PprofLabeler interface {
 	PprofLabels() bool
-}
-
-// ErrorSampler is an optional Recorder refinement for sampled
-// numerical-accuracy telemetry. When the execution layer re-runs a
-// multiplication through the quad-precision classical reference (see
-// core.Options.ErrorSampleEvery), it reports the measured relative
-// error ‖Ĉ−C_ref‖/(‖A‖‖B‖) in max norms together with the predicted
-// Theorem III.8 bound factor f(K,L)·ε the plan was compiled with, so a
-// collector can track the measured-vs-bound ratio continuously.
-// Implementations must be safe for concurrent use and tolerate nil
-// receivers, like Recorder.
-type ErrorSampler interface {
-	ErrorSample(measured, bound float64)
 }
 
 // MulSpan tracks one multiplication. It is a value type: copying is

@@ -85,9 +85,11 @@ func (e PlanExemplar) TraceID() string {
 	return string(b[:])
 }
 
-// PlanSlot accumulates one plan's telemetry. All recording methods are
-// lock-free atomics safe for concurrent use and tolerate a nil
-// receiver, so execution code records unconditionally.
+// PlanSlot accumulates one plan's telemetry. It is a Recorder: a plan
+// tees it with the caller's recorder at compile time, so the slot and
+// the Collector see the same MulSpan duration, arena release and error
+// sample for every execution. All recording methods are lock-free
+// atomics safe for concurrent use and tolerate a nil receiver.
 type PlanSlot struct {
 	// Identity and per-execution flop constants; written only under the
 	// registry mutex (claim/reclaim), read under it (snapshots).
@@ -113,31 +115,36 @@ type PlanSlot struct {
 	last    atomic.Pointer[PlanExemplar]
 }
 
-// Record reports one completed execution of the plan.
+// PhaseDone implements Recorder as a no-op: the slot keeps whole
+// executions, not phases.
+func (s *PlanSlot) PhaseDone(Phase, time.Duration) {}
+
+// MulDone implements Recorder: one completed execution of the plan.
 //
 //abmm:hotpath
-func (s *PlanSlot) Record(d time.Duration) {
+func (s *PlanSlot) MulDone(_ MulInfo, total time.Duration) {
 	if s == nil {
 		return
 	}
 	s.execs.Add(1)
-	s.nanos.Add(int64(d))
-	s.latency.Observe(int64(d))
+	s.nanos.Add(int64(total))
+	s.latency.Observe(int64(total))
 }
 
-// ArenaHighWater raises the plan's workspace high-water mark.
+// ArenaRelease implements Recorder: it raises the plan's workspace
+// high-water mark to the arena's lifetime allocation.
 //
 //abmm:hotpath
-func (s *PlanSlot) ArenaHighWater(bytes int64) {
+func (s *PlanSlot) ArenaRelease(u ArenaUsage) {
 	if s == nil {
 		return
 	}
-	atomicMax(&s.arenaHW, bytes)
+	atomicMax(&s.arenaHW, u.AllocBytes)
 }
 
-// ErrorSample reports one sampled accuracy measurement for the plan
-// (see core.Options.ErrorSampleEvery): the measured relative error and
-// the plan's compiled Theorem III.8 bound, recorded as their ratio.
+// ErrorSample implements Recorder: one sampled accuracy measurement for
+// the plan, recorded as the ratio of the measured relative error to
+// the plan's compiled Theorem III.8 bound.
 //
 //abmm:coldpath
 func (s *PlanSlot) ErrorSample(measured, bound float64) {

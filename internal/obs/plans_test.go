@@ -24,10 +24,10 @@ func TestPlanRegistryClaimRecord(t *testing.T) {
 	if again := r.Claim(id, 0, 0); again != s {
 		t.Error("same identity did not share the slot")
 	}
-	s.Record(10 * time.Millisecond)
-	s.Record(20 * time.Millisecond)
-	s.ArenaHighWater(1 << 20)
-	s.ArenaHighWater(1 << 19) // lower: must not regress the mark
+	s.MulDone(MulInfo{}, 10*time.Millisecond)
+	s.MulDone(MulInfo{}, 20*time.Millisecond)
+	s.ArenaRelease(ArenaUsage{AllocBytes: 1 << 20})
+	s.ArenaRelease(ArenaUsage{AllocBytes: 1 << 19}) // lower: must not regress the mark
 	s.ErrorSample(1e-15, 1e-13)
 
 	page := r.Page()
@@ -61,11 +61,11 @@ func TestPlanRegistryEvictReclaimOverflow(t *testing.T) {
 	r := NewPlanRegistry(2)
 	a := r.Claim(testPlanID("ours", 64), 1, 1)
 	r.Claim(testPlanID("ours", 128), 1, 1)
-	a.Record(time.Millisecond)
+	a.MulDone(MulInfo{}, time.Millisecond)
 
 	// Full registry, every slot claimed: a new identity overflows.
 	o := r.Claim(testPlanID("strassen", 64), 1, 1)
-	o.Record(time.Millisecond)
+	o.MulDone(MulInfo{}, time.Millisecond)
 	if r.Overflowed() != 1 {
 		t.Fatalf("Overflowed = %d, want 1", r.Overflowed())
 	}
@@ -115,8 +115,8 @@ func TestPlanRegistryEvictReclaimOverflow(t *testing.T) {
 		t.Error("nil registry page not empty")
 	}
 	var nilSlot *PlanSlot
-	nilSlot.Record(time.Second)
-	nilSlot.ArenaHighWater(1)
+	nilSlot.MulDone(MulInfo{}, time.Second)
+	nilSlot.ArenaRelease(ArenaUsage{AllocBytes: 1})
 	nilSlot.ErrorSample(1, 1)
 	nilSlot.ExemplarTrace(1, 2, time.Second)
 }
@@ -150,9 +150,9 @@ func goldenRegistry() *PlanRegistry {
 	r := NewPlanRegistry(2)
 	a := r.Claim(PlanID{Alg: "ours", M: 256, K: 256, N: 256, Levels: 2, Schedule: "seq", Kernel: "128x256x512"},
 		2*256*256*256, 110_000_000)
-	a.Record(8 * time.Millisecond)
-	a.Record(12 * time.Millisecond)
-	a.ArenaHighWater(3 << 20)
+	a.MulDone(MulInfo{}, 8*time.Millisecond)
+	a.MulDone(MulInfo{}, 12*time.Millisecond)
+	a.ArenaRelease(ArenaUsage{AllocBytes: 3 << 20})
 	a.ErrorSample(2e-16, 1e-13)
 	a.ExemplarTrace(0x0123456789abcdef, 0xfedcba9876543210, 12*time.Millisecond)
 
@@ -160,10 +160,10 @@ func goldenRegistry() *PlanRegistry {
 	// HTML, and metric-label surfaces.
 	b := r.Claim(PlanID{Alg: "strassen", M: 128, K: 128, N: 128, Levels: 1, Schedule: "task", Kernel: "128x256x512", Tuned: true},
 		2*128*128*128, 4_000_000)
-	b.Record(2 * time.Millisecond)
+	b.MulDone(MulInfo{}, 2*time.Millisecond)
 
 	o := r.Claim(PlanID{Alg: "winograd", M: 64, K: 64, N: 64, Levels: 0, Schedule: "seq", Kernel: "128x256x512"}, 1, 1)
-	o.Record(time.Millisecond)
+	o.MulDone(MulInfo{}, time.Millisecond)
 	return r
 }
 

@@ -167,16 +167,22 @@ func (s *SLO) RecordLatency(d time.Duration) {
 	s.latency.record(s.epoch(), d > s.cfg.LatencyP99)
 }
 
-// ErrorSample reports one sampled accuracy measurement; it counts
-// against the error objective when the measured error exceeds
-// ErrorRatioMax times the predicted bound. Implements ErrorSampler so
-// an SLO can sit directly on a Recorder tee.
+// ErrorSample implements Recorder: one sampled accuracy measurement,
+// counted against the error objective when the measured error exceeds
+// ErrorRatioMax times the predicted bound. The serving layer tees the
+// SLO with its Collector, so samples from every plan reach it; the
+// latency objective is fed by RecordLatency, not by MulDone.
 func (s *SLO) ErrorSample(measured, bound float64) {
 	if s == nil || s.cfg.ErrorRatioMax <= 0 {
 		return
 	}
 	s.errs.record(s.epoch(), bound <= 0 || measured > bound*s.cfg.ErrorRatioMax)
 }
+
+// PhaseDone, MulDone and ArenaRelease implement Recorder as no-ops.
+func (s *SLO) PhaseDone(Phase, time.Duration) {}
+func (s *SLO) MulDone(MulInfo, time.Duration) {}
+func (s *SLO) ArenaRelease(ArenaUsage)        {}
 
 // SLOWindowStats is one objective's burn state over one window.
 type SLOWindowStats struct {

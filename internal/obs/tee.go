@@ -3,14 +3,15 @@ package obs
 import "time"
 
 // Tee combines two Recorders into one that forwards every event to
-// both. The serving layer uses it to attach a per-request trace
-// (reqtrace.Trace) alongside the process-wide Collector for one
-// execution without rebuilding the plan: the global aggregates keep
-// counting and the request gets its span tree from the same events.
+// both. A compiled plan tees the caller's recorder with its PlanSlot,
+// the serving layer tees its Collector with the SLO engine, and a
+// traced execution tees the plan's recorder with the request's
+// reqtrace.Trace, so one set of events feeds every sink.
 //
 // A nil side is elided — Tee(a, nil) returns a — so callers can tee
-// unconditionally. Tee allocates (one small struct); call it on cold
-// paths only, not inside the warm multiply loop.
+// unconditionally; a typed-nil pointer is not a nil side. Tee allocates
+// (one small struct); call it on cold paths only, not inside the warm
+// multiply loop.
 func Tee(a, b Recorder) Recorder {
 	if a == nil {
 		return b
@@ -38,6 +39,11 @@ func (t *tee) MulDone(info MulInfo, total time.Duration) {
 func (t *tee) ArenaRelease(u ArenaUsage) {
 	t.a.ArenaRelease(u)
 	t.b.ArenaRelease(u)
+}
+
+func (t *tee) ErrorSample(measured, bound float64) {
+	t.a.ErrorSample(measured, bound)
+	t.b.ErrorSample(measured, bound)
 }
 
 // PprofLabels implements PprofLabeler: labeling is on when either side

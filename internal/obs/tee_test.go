@@ -5,16 +5,16 @@ import (
 	"time"
 )
 
-// teeRec counts events and optionally implements the refinement
-// interfaces.
+// teeRec counts events and optionally implements PprofLabeler.
 type teeRec struct {
-	phases, muls, arenas int
-	labels               bool
+	phases, muls, arenas, samples int
+	labels                        bool
 }
 
 func (r *teeRec) PhaseDone(Phase, time.Duration) { r.phases++ }
 func (r *teeRec) MulDone(MulInfo, time.Duration) { r.muls++ }
 func (r *teeRec) ArenaRelease(ArenaUsage)        { r.arenas++ }
+func (r *teeRec) ErrorSample(float64, float64)   { r.samples++ }
 func (r *teeRec) PprofLabels() bool              { return r.labels }
 
 func TestTeeForwardsToBoth(t *testing.T) {
@@ -23,8 +23,9 @@ func TestTeeForwardsToBoth(t *testing.T) {
 	rec.PhaseDone(PhaseBilinear, time.Millisecond)
 	rec.MulDone(MulInfo{M: 2, K: 2, N: 2}, time.Millisecond)
 	rec.ArenaRelease(ArenaUsage{})
+	rec.ErrorSample(1e-16, 1e-15)
 	for name, r := range map[string]*teeRec{"a": a, "b": b} {
-		if r.phases != 1 || r.muls != 1 || r.arenas != 1 {
+		if r.phases != 1 || r.muls != 1 || r.arenas != 1 || r.samples != 1 {
 			t.Errorf("side %s missed events: %+v", name, r)
 		}
 	}

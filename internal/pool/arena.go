@@ -7,72 +7,21 @@ import (
 	"abmm/internal/matrix"
 )
 
-// Allocator is the scratch-memory interface threaded through the
-// execution layers (bilinear engine, basis transforms, core pipeline).
-// It hands out float64 buffers, matrix headers, and small pointer
-// slices, all of which the caller must return when done. Contents of
-// anything obtained from an Allocator are unspecified; callers must
-// fully overwrite what they read.
+// Arena is the scratch memory of the execution layers (kernel, basis
+// transforms, bilinear engine, core pipeline). Floats, Mat, Hdr and
+// Mats hand out float64 buffers, matrices with arena storage, blank
+// headers for views and pointer slices; the caller returns each through
+// its Put twin (PutHdr and PutMats never release what they point to).
+// Contents are unspecified; callers must fully overwrite what they read.
 //
-// Two implementations exist: Global, which draws float buffers from the
-// process-wide size-class pools and lets the GC reclaim headers, and
-// Arena, a workspace that retains everything it ever allocated so a
-// warm execution performs no heap allocation at all.
-type Allocator interface {
-	// Floats returns a float64 slice of length n.
-	Floats(n int) []float64
-	// PutFloats returns a buffer obtained from Floats.
-	PutFloats(buf []float64)
-	// Mat returns an r-by-c matrix with contiguous pooled storage.
-	Mat(r, c int) *matrix.Matrix
-	// PutMat returns a matrix obtained from Mat (header and storage).
-	PutMat(m *matrix.Matrix)
-	// Hdr returns a blank matrix header (for views over existing
-	// storage); the caller fills in its fields.
-	Hdr() *matrix.Matrix
-	// PutHdr returns a header obtained from Hdr. It never touches the
-	// header's Data.
-	PutHdr(m *matrix.Matrix)
-	// Mats returns a pointer slice of length n. Elements are
-	// unspecified; the caller must assign every element it reads.
-	Mats(n int) []*matrix.Matrix
-	// PutMats returns a slice obtained from Mats. Elements are not
-	// released; the caller releases them individually first.
-	PutMats(s []*matrix.Matrix)
-}
-
-// globalAlloc adapts the process-wide size-class pools to Allocator.
-// Headers and pointer slices are ordinary garbage-collected
-// allocations; only float buffers are recycled.
-type globalAlloc struct{}
-
-// Global is the default Allocator used by entry points that do not
-// carry an arena (one-shot multiplies, the distributed runtime, tests).
-var Global Allocator = globalAlloc{}
-
-func (globalAlloc) Floats(n int) []float64  { return Get(n) }
-func (globalAlloc) PutFloats(buf []float64) { Put(buf) }
-func (globalAlloc) Hdr() *matrix.Matrix     { return &matrix.Matrix{} }
-func (globalAlloc) PutHdr(m *matrix.Matrix) {}
-func (globalAlloc) Mats(n int) []*matrix.Matrix {
-	return make([]*matrix.Matrix, n)
-}
-func (globalAlloc) PutMats(s []*matrix.Matrix) {}
-
-func (globalAlloc) Mat(r, c int) *matrix.Matrix {
-	return matrix.FromSlice(r, c, Get(r*c))
-}
-
-func (globalAlloc) PutMat(m *matrix.Matrix) { Put(m.Data) }
-
-// Arena is a reusable workspace for one multiplication execution. It
-// keeps free lists of every buffer, header, and pointer slice it has
-// handed out, so after the first (warming) execution of a fixed-shape
-// plan, repeated executions allocate nothing. An Arena is safe for
-// concurrent use (the engine's top-step fan-out draws every product
-// subtree's scratch from the execution's one arena), but it is
-// designed to be owned by one execution at a time and pooled across
-// executions by core.Plan.
+// An Arena keeps free lists of everything it has handed out, so after
+// the first (warming) execution of a fixed-shape plan, repeated
+// executions allocate nothing. It is safe for concurrent use (the
+// engine's top-step fan-out draws every product subtree's scratch from
+// the execution's one arena), but it is designed to be owned by one
+// execution at a time and pooled across executions by core.Plan.
+// One-shot entry points (basis.Apply, bilinear.Exec, the classical
+// multiply) draw from a fresh NewArena per call.
 type Arena struct {
 	mu sync.Mutex
 	// floats[c] holds free buffers with capacity exactly 1<<c.

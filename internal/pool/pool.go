@@ -1,9 +1,11 @@
-// Package pool provides size-class recycled float64 scratch buffers for
-// the recursive engines. Buffers are bucketed by the power-of-two size
-// class of their capacity, so deep recursions reuse a handful of
-// allocations instead of producing garbage proportional to the number
-// of recursion nodes. Buffer contents are unspecified on reuse; callers
-// must fully overwrite what they read.
+// Package pool provides recycled float64 scratch memory. Arena is the
+// one scratch type of the execution layers: every kernel, transform and
+// recursion call draws from the execution's arena, whose free lists make
+// a warm execution allocation-free. Get and Put are process-wide
+// size-class pools for buffers that outlive any one execution (the
+// serving layer's operands and products). Buffers are bucketed by the
+// power-of-two size class of their capacity; contents are unspecified
+// on reuse, so callers must fully overwrite what they read.
 package pool
 
 import (

@@ -548,6 +548,10 @@ func (t *Trace) ArenaRelease(u obs.ArenaUsage) {
 	t.arenaReused.Add(u.ReusedBytes)
 }
 
+// ErrorSample implements obs.Recorder as a no-op: sampled accuracy is
+// aggregated per plan and process, not per request.
+func (t *Trace) ErrorSample(measured, bound float64) {}
+
 type ctxKey struct{}
 
 // NewContext returns a context carrying t; a nil t returns ctx

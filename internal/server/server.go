@@ -399,26 +399,13 @@ func (s *Server) multiplier(alg string, levels int) (*abmm.Multiplier, error) {
 }
 
 // engineRecorder is what the shared multipliers record through: the
-// collector alone, or — when an error objective is configured — the
-// collector with sampled error measurements teed to the SLO engine.
+// collector alone, or — when an SLO is configured — the collector teed
+// with the SLO engine, which takes the sampled error measurements.
 func (s *Server) engineRecorder() abmm.Recorder {
 	if s.slo == nil {
 		return s.rec
 	}
-	return sloRecorder{Collector: s.rec, slo: s.slo}
-}
-
-// sloRecorder forwards sampled accuracy measurements to the SLO engine
-// on top of the collector's own recording. The embedded Collector
-// supplies every other Recorder (and PprofLabeler) method.
-type sloRecorder struct {
-	*abmm.Collector
-	slo *obs.SLO
-}
-
-func (r sloRecorder) ErrorSample(measured, bound float64) {
-	r.Collector.ErrorSample(measured, bound)
-	r.slo.ErrorSample(measured, bound)
+	return obs.Tee(s.rec, s.slo)
 }
 
 // jsonRequest is the JSON echo mode of /v1/multiply, for small

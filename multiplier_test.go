@@ -180,6 +180,7 @@ func (r *goroutineRec) PhaseDone(obs.Phase, time.Duration) {
 }
 func (r *goroutineRec) MulDone(obs.MulInfo, time.Duration) {}
 func (r *goroutineRec) ArenaRelease(obs.ArenaUsage)        {}
+func (r *goroutineRec) ErrorSample(float64, float64)       {}
 
 // TestWorkersOneStaysOnCallerGoroutine pins the Workers contract at 1:
 // the whole multiplication — pad, transforms, every recursion node and
