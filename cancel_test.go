@@ -109,8 +109,8 @@ func TestMultiplierConcurrentCancel(t *testing.T) {
 }
 
 // TestMultiplyIntoCtxBackgroundMatchesMultiplyInto checks that a ctx
-// without a deadline takes the nil-token path and produces identical
-// results to MultiplyInto.
+// without a deadline (a nil Done channel) produces identical results to
+// MultiplyInto.
 func TestMultiplyIntoCtxBackgroundMatchesMultiplyInto(t *testing.T) {
 	const n = 96
 	alg, err := abmm.Lookup("strassen")

@@ -126,16 +126,6 @@ func (t *Transform) Apply(in *matrix.Matrix, level, workers int) *matrix.Matrix 
 //
 //abmm:hotpath
 func (t *Transform) ApplyInto(dst, src *matrix.Matrix, level, workers int, al *pool.Arena) {
-	t.ApplyIntoCancel(dst, src, level, workers, al, nil)
-}
-
-// ApplyIntoCancel is ApplyInto with a cooperative cancellation token:
-// the recursion polls cn at every node boundary and abandons the
-// remaining subtree once cn is set, leaving dst partially written.
-// Scratch accounting stays balanced. A nil cn makes this ApplyInto.
-//
-//abmm:hotpath
-func (t *Transform) ApplyIntoCancel(dst, src *matrix.Matrix, level, workers int, al *pool.Arena, cn *parallel.Cancel) {
 	d1l := ipow(t.D1, level)
 	if src.Rows%d1l != 0 {
 		panic(fmt.Sprintf("basis: %d rows not divisible by %d^%d", src.Rows, t.D1, level))
@@ -143,13 +133,10 @@ func (t *Transform) ApplyIntoCancel(dst, src *matrix.Matrix, level, workers int,
 	if dst.Rows != ipow(t.D2, level)*(src.Rows/d1l) || dst.Cols != src.Cols {
 		panic(matrix.ErrShape)
 	}
-	t.apply(dst, src, level, workers, al, cn)
+	t.apply(dst, src, level, workers, al)
 }
 
-func (t *Transform) apply(dst, src *matrix.Matrix, level, workers int, al *pool.Arena, cn *parallel.Cancel) {
-	if cn.Canceled() {
-		return
-	}
+func (t *Transform) apply(dst, src *matrix.Matrix, level, workers int, al *pool.Arena) {
 	if level == 0 {
 		matrix.CopyInto(dst, src)
 		return
@@ -206,7 +193,7 @@ func (t *Transform) apply(dst, src *matrix.Matrix, level, workers int, al *pool.
 		sv := al.Hdr()
 		for i := 0; i < t.D1; i++ {
 			src.ViewInto(sv, i*sh, 0, sh, src.Cols)
-			t.apply(tmp[i], sv, level-1, 1, al, cn)
+			t.apply(tmp[i], sv, level-1, 1, al)
 		}
 		dv := al.Hdr()
 		for j := 0; j < t.D2; j++ {
@@ -219,7 +206,7 @@ func (t *Transform) apply(dst, src *matrix.Matrix, level, workers int, al *pool.
 		parallel.For(t.D1, workers, 1, func(i int) {
 			sv := al.Hdr()
 			src.ViewInto(sv, i*sh, 0, sh, src.Cols)
-			t.apply(tmp[i], sv, level-1, 1, al, cn)
+			t.apply(tmp[i], sv, level-1, 1, al)
 			al.PutHdr(sv)
 		})
 		parallel.For(t.D2, workers, 1, func(j int) {

@@ -64,11 +64,11 @@ func TestTransformLinearity(t *testing.T) {
 	x := stacked(5, 64, 4)
 	y := stacked(6, 64, 4)
 	sum := matrix.New(64, 4)
-	matrix.Add(sum, x, y, 1)
+	matrix.LinearCombine(sum, []float64{1, 1}, []*matrix.Matrix{x, y}, 1)
 	left := phi.Apply(sum, 2, 1)
 	fx, fy := phi.Apply(x, 2, 1), phi.Apply(y, 2, 1)
 	right := matrix.New(fx.Rows, fx.Cols)
-	matrix.Add(right, fx, fy, 1)
+	matrix.LinearCombine(right, []float64{1, 1}, []*matrix.Matrix{fx, fy}, 1)
 	if d := matrix.MaxAbsDiff(left, right); d > 1e-12 {
 		t.Fatalf("φ(x+y) != φ(x)+φ(y): %g", d)
 	}

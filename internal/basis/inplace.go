@@ -66,16 +66,6 @@ func (t *Transform) ApplyInPlace(v *matrix.Matrix, level, workers int) bool {
 //
 //abmm:hotpath
 func (t *Transform) ApplyInPlaceFrom(v *matrix.Matrix, level, workers int, al *pool.Arena) bool {
-	return t.ApplyInPlaceFromCancel(v, level, workers, al, nil)
-}
-
-// ApplyInPlaceFromCancel is ApplyInPlaceFrom with a cooperative
-// cancellation token polled at recursion-node boundaries; once cn is
-// set the remaining subtree is abandoned and the operand is left
-// partially transformed. A nil cn makes this ApplyInPlaceFrom.
-//
-//abmm:hotpath
-func (t *Transform) ApplyInPlaceFromCancel(v *matrix.Matrix, level, workers int, al *pool.Arena, cn *parallel.Cancel) bool {
 	if t.D1 != t.D2 {
 		return false
 	}
@@ -86,12 +76,12 @@ func (t *Transform) ApplyInPlaceFromCancel(v *matrix.Matrix, level, workers int,
 	if v.Rows%ipow(t.D1, level) != 0 {
 		panic("basis: operand rows not divisible for in-place transform")
 	}
-	t.applyInPlace(ops, v, level, workers, al, cn)
+	t.applyInPlace(ops, v, level, workers, al)
 	return true
 }
 
-func (t *Transform) applyInPlace(ops []elemOp, v *matrix.Matrix, level, workers int, al *pool.Arena, cn *parallel.Cancel) {
-	if cn.Canceled() || level == 0 {
+func (t *Transform) applyInPlace(ops []elemOp, v *matrix.Matrix, level, workers int, al *pool.Arena) {
+	if level == 0 {
 		return
 	}
 	d := t.D1
@@ -104,11 +94,11 @@ func (t *Transform) applyInPlace(ops []elemOp, v *matrix.Matrix, level, workers 
 	}
 	if workers == 1 {
 		for i := 0; i < d; i++ {
-			t.applyInPlace(ops, groups[i], level-1, 1, al, cn)
+			t.applyInPlace(ops, groups[i], level-1, 1, al)
 		}
 	} else {
 		parallel.For(d, workers, 1, func(i int) {
-			t.applyInPlace(ops, groups[i], level-1, 1, al, cn)
+			t.applyInPlace(ops, groups[i], level-1, 1, al)
 		})
 	}
 	for _, op := range ops {

@@ -121,15 +121,16 @@ func (e *Engine) ExecInto(c, a, b *matrix.Matrix, al *pool.Arena) {
 	e.ExecIntoCancel(c, a, b, al, nil)
 }
 
-// ExecIntoCancel is ExecInto with a cooperative cancellation token: the
-// recursion polls cn at every node boundary (one atomic load; no
-// per-element or per-leaf cost) and abandons the remaining subtree once
-// cn is set, leaving c in an unspecified state. Scratch accounting stays
-// balanced on the abandoned path, so the arena remains reusable. A nil
-// cn is valid and makes this identical to ExecInto.
+// ExecIntoCancel is ExecInto that stops once done is closed: the
+// recursion polls done at every node boundary, leaves included (one
+// non-blocking receive per node, nothing per element), and abandons the
+// remaining subtree, leaving c in an unspecified state. Scratch
+// accounting stays balanced on the abandoned path, so the arena remains
+// reusable. A nil done never fires and makes this identical to
+// ExecInto.
 //
 //abmm:hotpath
-func (e *Engine) ExecIntoCancel(c, a, b *matrix.Matrix, al *pool.Arena, cn *parallel.Cancel) {
+func (e *Engine) ExecIntoCancel(c, a, b *matrix.Matrix, al *pool.Arena, done <-chan struct{}) {
 	s, levels := e.s, e.levels
 	du, dv, dw := ipow(s.DU(), levels), ipow(s.DV(), levels), ipow(s.DW(), levels)
 	if a.Rows%du != 0 || b.Rows%dv != 0 {
@@ -142,26 +143,26 @@ func (e *Engine) ExecIntoCancel(c, a, b *matrix.Matrix, al *pool.Arena, cn *para
 	if c.Rows != dw*(a.Rows/du) || c.Cols != b.Cols {
 		panic(fmt.Sprintf("bilinear: output %dx%d, want %dx%d", c.Rows, c.Cols, dw*(a.Rows/du), b.Cols))
 	}
-	e.recurse(c, a, b, levels, al, cn)
+	e.recurse(c, a, b, levels, al, done)
 }
 
-func (e *Engine) recurse(c, a, b *matrix.Matrix, level int, al *pool.Arena, cn *parallel.Cancel) {
-	// Cooperative cancellation: one nil-check-plus-atomic-load per
-	// recursion node (base cases included — a leaf is still a whole
-	// classical block multiply, not an element). Bailing here, before
-	// any scratch is drawn for this node, keeps pool accounting
-	// balanced; the skipped subtree leaves its output block garbage,
-	// which is fine because a canceled multiplication's result is
-	// discarded by contract.
-	if cn.Canceled() {
+func (e *Engine) recurse(c, a, b *matrix.Matrix, level int, al *pool.Arena, done <-chan struct{}) {
+	// Cooperative cancellation: one non-blocking receive per recursion
+	// node (base cases included — a leaf is still a whole classical
+	// block multiply, not an element). Bailing here, before any scratch
+	// is drawn for this node, keeps pool accounting balanced; the
+	// skipped subtree leaves its output block garbage, which is fine
+	// because a canceled multiplication's result is discarded by
+	// contract.
+	if parallel.Canceled(done) {
 		return
 	}
 	// With the execution tracer on, every recursion node above the base
 	// case emits a named region, so `go tool trace` shows the recursion
 	// tree under the per-multiplication task (see internal/obs).
 	if level > 0 && trace.IsEnabled() {
-		// Trace regions are process-scoped; cancellation travels in cn,
-		// not a context, so there is no caller ctx to sever.
+		// Trace regions are process-scoped; cancellation travels in
+		// done, not a context, so there is no caller ctx to sever.
 		//abmm:allow ctx-discipline
 		defer trace.StartRegion(context.Background(), e.regionNames[level]).End()
 	}
@@ -172,10 +173,10 @@ func (e *Engine) recurse(c, a, b *matrix.Matrix, level int, al *pool.Arena, cn *
 	// The last recursion level collapses into fused packed-kernel calls
 	// (encode during packing, decode during write-out; see fused.go).
 	if level == 1 && !e.unfused {
-		e.fusedStep(c, a, b, al, cn)
+		e.fusedStep(c, a, b, al, done)
 		return
 	}
-	e.scheduled(c, a, b, level, al, cn)
+	e.scheduled(c, a, b, level, al, done)
 }
 
 // scheduled runs one recursion step using the CSE-compiled linear-phase
@@ -183,7 +184,7 @@ func (e *Engine) recurse(c, a, b *matrix.Matrix, level int, al *pool.Arena, cn *
 // the R products recurse (concurrently at the top node when there is
 // more than one worker), and the decode program writes the output
 // groups in place.
-func (e *Engine) scheduled(c, a, b *matrix.Matrix, level int, al *pool.Arena, cn *parallel.Cancel) {
+func (e *Engine) scheduled(c, a, b *matrix.Matrix, level int, al *pool.Arena, done <-chan struct{}) {
 	s := e.specAt(level)
 	encA, encB, dec := s.Programs()
 	ah, bh, ch := a.Rows/s.DU(), b.Rows/s.DV(), c.Rows/s.DW()
@@ -198,10 +199,10 @@ func (e *Engine) scheduled(c, a, b *matrix.Matrix, level int, al *pool.Arena, cn
 	if level == e.levels && e.workers > 1 {
 		// Done in a separate method so its closure doesn't force sRun
 		// and tRun to the heap on the single-worker path.
-		e.recurseFanOut(prods, sRun.outs, tRun.outs, level, al, cn)
+		e.recurseFanOut(prods, sRun.outs, tRun.outs, level, al, done)
 	} else {
 		for r := 0; r < s.R; r++ {
-			e.recurse(prods[r], sRun.outs[r], tRun.outs[r], level-1, al, cn)
+			e.recurse(prods[r], sRun.outs[r], tRun.outs[r], level-1, al, done)
 		}
 	}
 	sRun.release(al)
@@ -231,12 +232,12 @@ func (e *Engine) scheduled(c, a, b *matrix.Matrix, level int, al *pool.Arena, cn
 // allocate, and this runs only with more than one worker.
 //
 //abmm:coldpath
-func (e *Engine) recurseFanOut(prods, souts, touts []*matrix.Matrix, level int, al *pool.Arena, cn *parallel.Cancel) {
+func (e *Engine) recurseFanOut(prods, souts, touts []*matrix.Matrix, level int, al *pool.Arena, done <-chan struct{}) {
 	sub := *e
 	sub.workers = max(1, e.workers/len(prods))
 	parallel.ForChunks(len(prods), e.workers, 1, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
-			sub.recurse(prods[r], souts[r], touts[r], level-1, al, cn)
+			sub.recurse(prods[r], souts[r], touts[r], level-1, al, done)
 		}
 	})
 }

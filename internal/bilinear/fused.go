@@ -56,7 +56,7 @@ const maxFusedDim = 32
 // still receives the same number of rounded partial sums.
 //
 //abmm:hotpath
-func (e *Engine) fusedStep(c, a, b *matrix.Matrix, al *pool.Arena, cn *parallel.Cancel) {
+func (e *Engine) fusedStep(c, a, b *matrix.Matrix, al *pool.Arena, done <-chan struct{}) {
 	s := e.specAt(1)
 	aGroups := groupsIn(al, a, s.DU())
 	bGroups := groupsIn(al, b, s.DV())
@@ -91,7 +91,7 @@ func (e *Engine) fusedStep(c, a, b *matrix.Matrix, al *pool.Arena, cn *parallel.
 	}
 
 	for r := 0; r < s.R; r++ {
-		if cn.Canceled() {
+		if parallel.Canceled(done) {
 			break
 		}
 		na := 0

@@ -97,21 +97,3 @@ func (m Model) IOCost(n, M float64) float64 {
 	}
 	return io
 }
-
-// ClassicalIOCost returns the cache-blocked classical algorithm's data
-// movement 2n³/√M + 3n² (the standard lower-bound-matching form), for
-// crossover comparisons.
-func ClassicalIOCost(n, M float64) float64 {
-	return 2*n*n*n/math.Sqrt(M) + 3*n*n
-}
-
-// TableIIIModels returns the models of the paper's Table III rows that
-// this library implements, in presentation order.
-func TableIIIModels() []Model {
-	return []Model{
-		NewModel(algos.Strassen()),
-		NewModel(algos.Winograd()),
-		NewModel(algos.AltWinograd()),
-		NewModel(algos.Ours()),
-	}
-}

@@ -4,13 +4,16 @@ package core_test
 // claims a registry slot, executions record into it atomically,
 // LRU eviction releases the claim while keeping the slot's history,
 // error samples land on the slot even without a caller recorder, the
-// slot and a Collector see the same executions at every depth, and
-// traced executions attach exemplar trace IDs.
+// slot and a Collector see the same executions at every depth, a
+// canceled execution is reported as no multiplication, and traced
+// executions attach exemplar trace IDs.
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
+	"time"
 
 	"abmm/internal/algos"
 	"abmm/internal/core"
@@ -115,6 +118,65 @@ func TestPlanTelemetryParity(t *testing.T) {
 		}
 		if math.Float64bits(ps.Seconds) != math.Float64bits(snap.Seconds) {
 			t.Errorf("L=%d: slot seconds %g, collector seconds %g", levels, ps.Seconds, snap.Seconds)
+		}
+	}
+}
+
+// cancelAtPad cancels its context when the pad phase ends, so the
+// rest of the execution sees a closed ctx.Done() from its first poll.
+type cancelAtPad struct{ cancel context.CancelFunc }
+
+func (r cancelAtPad) PhaseDone(p obs.Phase, _ time.Duration) {
+	if p == obs.PhasePad {
+		r.cancel()
+	}
+}
+func (cancelAtPad) MulDone(obs.MulInfo, time.Duration) {}
+func (cancelAtPad) ArenaRelease(obs.ArenaUsage)        {}
+func (cancelAtPad) ErrorSample(float64, float64)       {}
+
+// TestCanceledExecutionReportsNoMulDone pins that a canceled execution
+// is not counted as a completed multiplication: the Collector and the
+// plan slot see no MulDone (so no multiplication, rate or latency
+// sample), the arena release is still reported, nothing past the pad
+// phase reaches the kernel, and the plan's next execution is exact.
+func TestCanceledExecutionReportsNoMulDone(t *testing.T) {
+	const n = 64
+	a, b := matrix.New(n, n), matrix.New(n, n)
+	a.FillUniform(matrix.Rand(1), -1, 1)
+	b.FillUniform(matrix.Rand(2), -1, 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	col, reg := obs.NewCollector(), obs.NewPlanRegistry(0)
+	opt := core.Options{Levels: 2, Workers: 1, Plans: reg, ErrorSampleEvery: 1}
+	opt.Recorder = obs.Tee(col, cancelAtPad{cancel})
+	mu := core.New(algos.Ours(), opt)
+
+	dst := matrix.New(n, n)
+	if err := mu.MultiplyIntoCtx(ctx, dst, a, b); !errors.Is(err, context.Canceled) {
+		t.Fatalf("MultiplyIntoCtx = %v, want context.Canceled", err)
+	}
+	snap, ps := col.Snapshot(), reg.Page().Plans[0]
+	if snap.Mults != 0 || ps.Execs != 0 {
+		t.Errorf("canceled execution counted: mults=%d execs=%d, want 0 and 0", snap.Mults, ps.Execs)
+	}
+	if snap.Arena.Releases != 1 {
+		t.Errorf("arena releases = %d, want 1", snap.Arena.Releases)
+	}
+	if snap.Errors.Samples != 0 {
+		t.Errorf("canceled execution error-sampled %d times", snap.Errors.Samples)
+	}
+	for _, p := range []obs.Phase{obs.PhasePack, obs.PhaseKernel} {
+		if c := snap.Phases[p].Count; c != 0 {
+			t.Errorf("%s spans after cancellation at pad: %d, want 0", p, c)
+		}
+	}
+
+	mu.MultiplyInto(dst, a, b)
+	want := core.New(algos.Ours(), core.Options{Levels: 2, Workers: 1}).Multiply(a, b)
+	for i := range want.Data {
+		if math.Float64bits(dst.Data[i]) != math.Float64bits(want.Data[i]) {
+			t.Fatalf("element %d after a canceled run: %v, fresh multiplier %v", i, dst.Data[i], want.Data[i])
 		}
 	}
 }

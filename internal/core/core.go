@@ -186,12 +186,13 @@ func (mu *Multiplier) MultiplyInto(dst, a, b *matrix.Matrix) {
 	mu.Plan(a.Rows, a.Cols, b.Cols).MultiplyInto(dst, a, b)
 }
 
-// MultiplyIntoCtx is MultiplyInto under a context: the recursive phases
-// poll ctx cooperatively at recursion-node boundaries and abandon the
-// remaining work as soon as ctx is done, returning ctx's error. On a
-// non-nil return dst holds garbage and must be discarded. A background
-// (non-cancelable) ctx follows the plain warm path exactly; see
-// Plan.MultiplyIntoCtx for granularity and allocation notes.
+// MultiplyIntoCtx is MultiplyInto under a context: the bilinear
+// recursion polls ctx.Done() at every node boundary and abandons the
+// remaining work as soon as it is closed, returning ctx's error. On a
+// non-nil return dst holds garbage and must be discarded, and no
+// MulDone is recorded. A background ctx (nil Done channel) follows the
+// plain warm path exactly; see Plan.MultiplyIntoCtx for granularity
+// and allocation notes.
 func (mu *Multiplier) MultiplyIntoCtx(ctx context.Context, dst, a, b *matrix.Matrix) error {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("core: cannot multiply %dx%d by %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))

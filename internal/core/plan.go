@@ -273,24 +273,24 @@ func (p *Plan) release(ar *pool.Arena) {
 //
 //abmm:hotpath
 func (p *Plan) MultiplyInto(dst, a, b *matrix.Matrix) {
-	p.run(dst, a, b, nil)
+	p.runRec(dst, a, b, nil, p.rec, p.eng)
 }
 
-// MultiplyIntoCtx is MultiplyInto under a context: when ctx carries a
-// deadline or is cancelable, the recursive phases poll a cooperative
-// cancellation token at node boundaries (see parallel.Cancel) and the
-// remaining recursion subtree is abandoned as soon as ctx is done. On a
-// non-nil return, dst holds garbage and must be discarded; on a nil
-// return it holds the full product. Cancellation granularity is one
-// recursion node — a level-0 plan (no recursion) runs to completion.
+// MultiplyIntoCtx is MultiplyInto under a context: the bilinear
+// recursion polls ctx.Done() at every node boundary and abandons the
+// remaining subtree as soon as it is closed, a basis transform not yet
+// started is skipped, and ctx's error is returned. On a non-nil return,
+// dst holds garbage and must be discarded, and the plan's recorder sees
+// no MulDone (the execution did not complete); on a nil return dst
+// holds the full product. Cancellation granularity is one recursion
+// node — a level-0 plan (no recursion) runs to completion.
 //
 // When ctx carries a reqtrace.Trace, the execution's phase events are
 // teed to it alongside the plan's own recorder, so the request's span
-// tree shows the Algorithm 1 pipeline without rebuilding the plan. The
-// warm zero-alloc guarantee covers only the untraced background-context
-// path: watching a cancelable ctx allocates the watcher, and attaching
-// a trace allocates the tee and the engine copy (pinned by
-// TestMultiplyIntoCtxZeroAllocUntraced).
+// tree shows the Algorithm 1 pipeline without rebuilding the plan. A
+// warm untraced call allocates nothing, with a background or a
+// cancelable ctx alike; attaching a trace allocates the tee and the
+// engine copy (pinned by TestMultiplyIntoCtxZeroAllocUntraced).
 //
 //abmm:coldpath
 func (p *Plan) MultiplyIntoCtx(ctx context.Context, dst, a, b *matrix.Matrix) error {
@@ -307,15 +307,8 @@ func (p *Plan) MultiplyIntoCtx(ctx context.Context, dst, a, b *matrix.Matrix) er
 	if tr != nil && p.slot != nil {
 		t0 = time.Now()
 	}
-	var err error
-	if ctx.Done() == nil {
-		p.runRec(dst, a, b, nil, rec, eng)
-	} else {
-		cn, stop := parallel.WatchContext(ctx)
-		defer stop()
-		p.runRec(dst, a, b, cn, rec, eng)
-		err = ctx.Err()
-	}
+	p.runRec(dst, a, b, ctx.Done(), rec, eng)
+	err := ctx.Err()
 	// A completed traced execution becomes a plan exemplar: /debug/plans
 	// links the slot's slowest and most recent trace IDs into the
 	// /debug/requests span viewer. Canceled executions are skipped — a
@@ -327,17 +320,13 @@ func (p *Plan) MultiplyIntoCtx(ctx context.Context, dst, a, b *matrix.Matrix) er
 	return err
 }
 
-//abmm:hotpath
-func (p *Plan) run(dst, a, b *matrix.Matrix, cn *parallel.Cancel) {
-	p.runRec(dst, a, b, cn, p.rec, p.eng)
-}
-
-// runRec is the execution body with the recorder and engine as
-// parameters: the warm paths pass the plan's own (run, MultiplyInto),
-// the traced path passes a per-request tee (MultiplyIntoCtx).
+// runRec is the execution body with the done channel, recorder and
+// engine as parameters: MultiplyInto passes nil and the plan's own,
+// MultiplyIntoCtx the context's Done channel and, when traced, a
+// per-request tee.
 //
 //abmm:hotpath
-func (p *Plan) runRec(dst, a, b *matrix.Matrix, cn *parallel.Cancel, rec obs.Recorder, eng *bilinear.Engine) {
+func (p *Plan) runRec(dst, a, b *matrix.Matrix, done <-chan struct{}, rec obs.Recorder, eng *bilinear.Engine) {
 	if a.Rows != p.key.M || a.Cols != p.key.K || b.Rows != p.key.K || b.Cols != p.key.N {
 		panic(fmt.Sprintf("core: plan compiled for %dx%d·%dx%d got %dx%d·%dx%d",
 			p.key.M, p.key.K, p.key.K, p.key.N, a.Rows, a.Cols, b.Rows, b.Cols))
@@ -358,7 +347,7 @@ func (p *Plan) runRec(dst, a, b *matrix.Matrix, cn *parallel.Cancel, rec obs.Rec
 		kernel.Mul(dst, a, b, kernel.DefaultBlocking(), p.workers, ar, rec)
 		ps.End()
 	} else {
-		p.stages(dst, a, b, cn, ms, eng, ar)
+		p.stages(dst, a, b, done, ms, eng, ar)
 	}
 	// One epilogue at every depth, reaching every sink of rec.
 	if rec != nil {
@@ -371,19 +360,24 @@ func (p *Plan) runRec(dst, a, b *matrix.Matrix, cn *parallel.Cancel, rec obs.Rec
 		})
 	}
 	p.release(ar)
-	ms.End()
-	// Never sample a canceled execution: dst holds garbage, and a
-	// garbage "measured error" would poison the accuracy histograms.
-	if !cn.Canceled() {
-		p.maybeSampleError(dst, a, b, rec)
+	// A canceled execution is not a completed multiplication: dst holds
+	// garbage, so it reports no MulDone (rates and latency histograms
+	// count finished work only) and is never error-sampled.
+	if parallel.Canceled(done) {
+		ms.Abandon()
+		return
 	}
+	ms.End()
+	p.maybeSampleError(dst, a, b, rec)
 }
 
 // stages runs Algorithm 1's pipeline of a recursive plan (levels ≥ 1),
 // each stage under its phase span of ms, with all scratch from ar.
+// Once done is closed the engine abandons its recursion and the basis
+// transforms not yet started are skipped.
 //
 //abmm:hotpath
-func (p *Plan) stages(dst, a, b *matrix.Matrix, cn *parallel.Cancel, ms obs.MulSpan, eng *bilinear.Engine, ar *pool.Arena) {
+func (p *Plan) stages(dst, a, b *matrix.Matrix, done <-chan struct{}, ms obs.MulSpan, eng *bilinear.Engine, ar *pool.Arena) {
 	w := p.workers
 	s := p.alg.Spec
 
@@ -406,31 +400,14 @@ func (p *Plan) stages(dst, a, b *matrix.Matrix, cn *parallel.Cancel, ms obs.MulS
 	}
 	ps.End()
 
-	// Ã = φ(A), B̃ = ψ(B). The stacked buffers are plan-owned scratch,
-	// so square transforms run in place (the paper's (2⅔+o(1))n² memory
-	// footprint relies on this); dimension-changing decompositions go
-	// out of place into a second arena buffer.
+	// Ã = φ(A), B̃ = ψ(B).
 	if p.phi != nil || p.psi != nil {
 		ps = ms.StartPhase(obs.PhaseForward)
 		if p.phi != nil {
-			if p.phiIP {
-				p.phi.ApplyInPlaceFromCancel(as, p.levels, w, ar, cn)
-			} else {
-				t := ar.Mat(p.phiR, p.asC)
-				p.phi.ApplyIntoCancel(t, as, p.levels, w, ar, cn)
-				ar.PutMat(as)
-				as = t
-			}
+			as = p.transform(p.phi, p.phiIP, p.phiR, as, done, ar)
 		}
 		if p.psi != nil {
-			if p.psiIP {
-				p.psi.ApplyInPlaceFromCancel(bs, p.levels, w, ar, cn)
-			} else {
-				t := ar.Mat(p.psiR, p.bsC)
-				p.psi.ApplyIntoCancel(t, bs, p.levels, w, ar, cn)
-				ar.PutMat(bs)
-				bs = t
-			}
+			bs = p.transform(p.psi, p.psiIP, p.psiR, bs, done, ar)
 		}
 		ps.End()
 	}
@@ -438,7 +415,7 @@ func (p *Plan) stages(dst, a, b *matrix.Matrix, cn *parallel.Cancel, ms obs.MulS
 	// Recursive-bilinear phase.
 	ps = ms.StartPhase(obs.PhaseBilinear)
 	cs := ar.Mat(p.csR, p.csC)
-	eng.ExecIntoCancel(cs, as, bs, ar, cn)
+	eng.ExecIntoCancel(cs, as, bs, ar, done)
 	ar.PutMat(as)
 	ar.PutMat(bs)
 	ps.End()
@@ -446,14 +423,7 @@ func (p *Plan) stages(dst, a, b *matrix.Matrix, cn *parallel.Cancel, ms obs.MulS
 	// C = νᵀ(C̃).
 	if p.nuT != nil {
 		ps = ms.StartPhase(obs.PhaseInverse)
-		if p.nuIP {
-			p.nuT.ApplyInPlaceFromCancel(cs, p.levels, w, ar, cn)
-		} else {
-			t := ar.Mat(p.nuR, p.csC)
-			p.nuT.ApplyIntoCancel(t, cs, p.levels, w, ar, cn)
-			ar.PutMat(cs)
-			cs = t
-		}
+		cs = p.transform(p.nuT, p.nuIP, p.nuR, cs, done, ar)
 		ps.End()
 	}
 
@@ -470,6 +440,30 @@ func (p *Plan) stages(dst, a, b *matrix.Matrix, cn *parallel.Cancel, ms obs.MulS
 	}
 	ar.PutMat(cs)
 	ps.End()
+}
+
+// transform applies t at the plan's depth to the stacked operand m and
+// returns the result. The stacked buffers are plan-owned scratch, so a
+// square transform runs in place (the paper's (2⅔+o(1))n² memory
+// footprint relies on this); a dimension-changing one writes a fresh
+// arena buffer of rows×m.Cols and returns m to ar. Once done is closed
+// the arithmetic is skipped but the buffers are still swapped, so the
+// later stages see the shapes they expect and the arena stays balanced.
+//
+//abmm:hotpath
+func (p *Plan) transform(t *basis.Transform, inPlace bool, rows int, m *matrix.Matrix, done <-chan struct{}, ar *pool.Arena) *matrix.Matrix {
+	if inPlace {
+		if !parallel.Canceled(done) {
+			t.ApplyInPlaceFrom(m, p.levels, p.workers, ar)
+		}
+		return m
+	}
+	out := ar.Mat(rows, m.Cols)
+	if !parallel.Canceled(done) {
+		t.ApplyInto(out, m, p.levels, p.workers, ar)
+	}
+	ar.PutMat(m)
+	return out
 }
 
 // maybeSampleError implements the Options.ErrorSampleEvery policy:

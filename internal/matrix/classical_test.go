@@ -33,7 +33,7 @@ func TestMulAddAccumulates(t *testing.T) {
 	prod := New(16, 16)
 	Mul(prod, a, b, 1)
 	want := New(16, 16)
-	Add(want, orig, prod, 1)
+	LinearCombine(want, []float64{1, 1}, []*Matrix{orig, prod}, 1)
 	if d := MaxAbsDiff(c, want); d > 1e-12 {
 		t.Fatalf("MulAdd accumulation off by %g", d)
 	}

@@ -16,52 +16,6 @@ func seqRows(m *Matrix, workers int) bool {
 	return workers == 1 || m.Rows <= rowsGrain(m)
 }
 
-// Add computes dst = a + b element-wise. dst may alias a or b.
-func Add(dst, a, b *Matrix, workers int) {
-	if !SameShape(dst, a) || !SameShape(dst, b) {
-		panic(ErrShape)
-	}
-	if seqRows(dst, workers) {
-		addRows(dst, a, b, 0, dst.Rows)
-		return
-	}
-	parallel.ForChunks(dst.Rows, workers, rowsGrain(dst), func(lo, hi int) {
-		addRows(dst, a, b, lo, hi)
-	})
-}
-
-func addRows(dst, a, b *Matrix, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		d, x, y := dst.Row(i), a.Row(i), b.Row(i)
-		for j := range d {
-			d[j] = x[j] + y[j]
-		}
-	}
-}
-
-// Sub computes dst = a - b element-wise. dst may alias a or b.
-func Sub(dst, a, b *Matrix, workers int) {
-	if !SameShape(dst, a) || !SameShape(dst, b) {
-		panic(ErrShape)
-	}
-	if seqRows(dst, workers) {
-		subRows(dst, a, b, 0, dst.Rows)
-		return
-	}
-	parallel.ForChunks(dst.Rows, workers, rowsGrain(dst), func(lo, hi int) {
-		subRows(dst, a, b, lo, hi)
-	})
-}
-
-func subRows(dst, a, b *Matrix, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		d, x, y := dst.Row(i), a.Row(i), b.Row(i)
-		for j := range d {
-			d[j] = x[j] - y[j]
-		}
-	}
-}
-
 // Scale computes dst = c*a element-wise. dst may alias a.
 func Scale(dst, a *Matrix, c float64, workers int) {
 	if !SameShape(dst, a) {

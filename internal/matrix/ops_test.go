@@ -16,15 +16,15 @@ func TestAddSubScale(t *testing.T) {
 		a := randMat(1, 33, 17)
 		b := randMat(2, 33, 17)
 		sum := New(33, 17)
-		Add(sum, a, b, workers)
+		LinearCombine(sum, []float64{1, 1}, []*Matrix{a, b}, workers)
 		diff := New(33, 17)
-		Sub(diff, sum, b, workers)
+		LinearCombine(diff, []float64{1, -1}, []*Matrix{sum, b}, workers)
 		if MaxAbsDiff(diff, a) != 0 {
 			t.Fatal("(a+b)-b != a exactly")
 		}
 		tw := New(33, 17)
 		Scale(tw, a, 2, workers)
-		Sub(tw, tw, a, workers) // in-place aliasing
+		LinearCombine(tw, []float64{1, -1}, []*Matrix{tw, a}, workers) // in-place aliasing
 		if MaxAbsDiff(tw, a) != 0 {
 			t.Fatal("2a-a != a")
 		}
@@ -40,13 +40,14 @@ func TestOpsOnViews(t *testing.T) {
 	a := base.View(1, 1, 4, 4)
 	b := randMat(4, 4, 4)
 	out := New(4, 4)
-	Add(out, a, b, 2)
+	LinearCombine(out, []float64{1, 1}, []*Matrix{a, b}, 2)
 	for i := 0; i < 4; i++ {
 		for j := 0; j < 4; j++ {
-			// Add performs the same single fl(a+b) per element.
+			// Unit coefficients perform the same single fl(a+b) per
+			// element.
 			//abmm:allow float-discipline
 			if out.At(i, j) != a.At(i, j)+b.At(i, j) {
-				t.Fatal("Add wrong on strided view")
+				t.Fatal("LinearCombine wrong on strided view")
 			}
 		}
 	}
@@ -55,8 +56,6 @@ func TestOpsOnViews(t *testing.T) {
 func TestOpsShapePanics(t *testing.T) {
 	a, b := New(2, 2), New(2, 3)
 	for name, fn := range map[string]func(){
-		"Add":        func() { Add(New(2, 2), a, b, 1) },
-		"Sub":        func() { Sub(New(2, 2), a, b, 1) },
 		"Scale":      func() { Scale(New(2, 3), a, 2, 1) },
 		"AddScaled":  func() { AddScaled(New(2, 3), a, 2, 1) },
 		"ScaleRows":  func() { ScaleRows(a, a, []float64{1}, 1) },
@@ -142,8 +141,8 @@ func TestAddCommutesProperty(t *testing.T) {
 		r, c := int(seed%13)+1, int(seed%11)+1
 		a, b := randMat(seed, r, c), randMat(seed+1, r, c)
 		x, y := New(r, c), New(r, c)
-		Add(x, a, b, 3)
-		Add(y, b, a, 3)
+		LinearCombine(x, []float64{1, 1}, []*Matrix{a, b}, 3)
+		LinearCombine(y, []float64{1, 1}, []*Matrix{b, a}, 3)
 		return Equal(x, y)
 	}
 	if err := quick.Check(f, nil); err != nil {

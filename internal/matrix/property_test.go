@@ -63,14 +63,14 @@ func TestMulDistributesOverAddition(t *testing.T) {
 		b.FillUniform(Rand(seed+1), -1, 1)
 		c.FillUniform(Rand(seed+2), -1, 1)
 		sum := New(k, n)
-		Add(sum, b, c, 1)
+		LinearCombine(sum, []float64{1, 1}, []*Matrix{b, c}, 1)
 		left := New(m, n)
 		Mul(left, a, sum, 2)
 		ab, ac := New(m, n), New(m, n)
 		Mul(ab, a, b, 2)
 		Mul(ac, a, c, 2)
 		right := New(m, n)
-		Add(right, ab, ac, 1)
+		LinearCombine(right, []float64{1, 1}, []*Matrix{ab, ac}, 1)
 		return MaxAbsDiff(left, right) < 1e-12*float64(k+1)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

@@ -117,7 +117,7 @@ type ArenaUsage struct {
 	// steady state, the plan's resident workspace footprint.
 	AllocBytes int64
 	// HighWaterBytes is the peak simultaneously-outstanding scratch the
-	// arena has ever served (per-size-class high-water marks summed).
+	// arena has ever served (pool.Counters.HighWaterBytes).
 	HighWaterBytes int64
 	// RequestedBytes is the float scratch requested during this
 	// execution; ReusedBytes is the portion served from warm free lists
@@ -139,7 +139,10 @@ type ArenaUsage struct {
 type Recorder interface {
 	// PhaseDone reports one completed pipeline phase.
 	PhaseDone(p Phase, d time.Duration)
-	// MulDone reports one completed multiplication.
+	// MulDone reports one completed multiplication. An execution
+	// abandoned on cancellation reports none (see MulSpan.Abandon), so
+	// counts, flop rates and latency histograms built from MulDone
+	// cover finished work only.
 	MulDone(info MulInfo, total time.Duration)
 	// ArenaRelease reports workspace traffic when an execution returns
 	// its arena.
@@ -230,11 +233,19 @@ func (ms MulSpan) StartPhase(p Phase) PhaseSpan {
 // End closes the multiplication span, reporting the total to the
 // recorder and ending the trace task.
 func (ms MulSpan) End() {
-	if ms.task != nil {
-		ms.task.End()
-	}
+	ms.Abandon()
 	if ms.rec != nil {
 		ms.rec.MulDone(ms.info, time.Since(ms.start))
+	}
+}
+
+// Abandon closes the span of a multiplication that did not complete
+// (its context was canceled): it ends the trace task but reports no
+// MulDone, so the recorder's totals count completed multiplications
+// only. Phase spans that already ended stay recorded.
+func (ms MulSpan) Abandon() {
+	if ms.task != nil {
+		ms.task.End()
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package parallel provides lightweight shared-memory parallelism
 // primitives used throughout the library: a grain-controlled parallel
-// for-loop for flat linear-algebra kernels and a cooperative
-// cancellation token for the recursions.
+// for-loop for flat linear-algebra kernels and the non-blocking poll
+// of a done channel that the recursions cancel on.
 //
 // The design mirrors the OpenMP usage in the paper's reference
 // implementation: linear combinations (matrix additions, basis
@@ -12,7 +12,6 @@
 package parallel
 
 import (
-	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -96,43 +95,18 @@ func ForChunks(n, workers, grain int, body func(lo, hi int)) {
 	wg.Wait()
 }
 
-// Cancel is a cooperative cancellation token for recursive kernels. The
-// execution layers poll Canceled at recursion-node boundaries and
-// abandon the remaining subtree when it reports true, so an abandoned
-// request stops consuming CPU within about one base-case multiplication
-// rather than running to completion. A nil *Cancel is valid and never
-// canceled: the uncancelable warm path pays one nil check per recursion
-// node and nothing else.
-//
-// Cancel deliberately does not wrap context.Context: a context's Err
-// takes a mutex in the cancellable implementations, while Canceled is a
-// single atomic load, cheap enough to poll from every recursion node.
-// Use WatchContext to bridge from a context.
-type Cancel struct {
-	flag atomic.Bool
-}
-
-// NewCancel returns a token in the not-canceled state.
-func NewCancel() *Cancel { return &Cancel{} }
-
-// Set moves the token to the canceled state. It is safe to call from
-// any goroutine, repeatedly, and on a nil receiver (a no-op).
-func (c *Cancel) Set() {
-	if c != nil {
-		c.flag.Store(true)
+// Canceled reports whether done is closed: a non-blocking receive, the
+// poll the bilinear recursion makes at every node boundary and the
+// plan makes between pipeline stages. A nil done never fires, so
+// uncancelable call sites pass nil and pay one select. Callers pass a
+// context's Done channel rather than the context itself: the library's
+// MultiplyInto has no caller context, and a nil channel is Go's
+// "never".
+func Canceled(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
 	}
-}
-
-// Canceled reports whether Set has been called. A nil receiver reports
-// false, so uncancelable call sites pass nil and pay only the check.
-func (c *Cancel) Canceled() bool { return c != nil && c.flag.Load() }
-
-// WatchContext couples a fresh Cancel to ctx: when ctx is done the
-// token is Set. The returned stop function releases the watcher (like
-// context.AfterFunc's stop) and must be called to avoid holding the
-// context's callback list; it does not un-cancel the token.
-func WatchContext(ctx context.Context) (*Cancel, func() bool) {
-	cn := NewCancel()
-	stop := context.AfterFunc(ctx, cn.Set)
-	return cn, stop
 }

@@ -82,3 +82,17 @@ func TestForZeroAndNegativeN(t *testing.T) {
 		t.Fatal("body ran for n <= 0")
 	}
 }
+
+func TestCanceled(t *testing.T) {
+	if Canceled(nil) {
+		t.Fatal("nil done reported canceled")
+	}
+	done := make(chan struct{})
+	if Canceled(done) {
+		t.Fatal("open done reported canceled")
+	}
+	close(done)
+	if !Canceled(done) || !Canceled(done) {
+		t.Fatal("closed done not reported canceled on every poll")
+	}
+}

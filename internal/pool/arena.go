@@ -37,12 +37,9 @@ type Arena struct {
 	reused    int64
 	requested int64
 	// live/liveHW track currently-outstanding float64 bytes and their
-	// high-water mark; outstanding/classHW the same per size class in
-	// buffer counts.
-	live        int64
-	liveHW      int64
-	outstanding [64]int32
-	classHW     [64]int32
+	// high-water mark.
+	live   int64
+	liveHW int64
 }
 
 // NewArena returns an empty workspace.
@@ -57,8 +54,7 @@ func (a *Arena) Bytes() int64 {
 	return a.bytes
 }
 
-// Counters is the scalar, allocation-free view of an arena's traffic;
-// see Stats for the per-size-class breakdown.
+// Counters is the scalar, allocation-free view of an arena's traffic.
 type Counters struct {
 	// AllocBytes is the lifetime float64 storage allocated (== Bytes).
 	AllocBytes int64
@@ -88,46 +84,6 @@ func (a *Arena) Counters() Counters {
 	}
 }
 
-// ClassStat is one size class's high-water mark.
-type ClassStat struct {
-	// Elems is the buffer capacity of the class in float64s (a power of
-	// two); Bytes the corresponding storage per buffer.
-	Elems int
-	Bytes int64
-	// HighWater is the peak number of simultaneously checked-out
-	// buffers of this class; Free the buffers currently on the free
-	// list.
-	HighWater int
-	Free      int
-}
-
-// Stats reports the scalar counters plus the per-size-class high-water
-// marks (classes that never served a buffer are omitted).
-func (a *Arena) Stats() (Counters, []ClassStat) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	c := Counters{
-		AllocBytes:     a.bytes,
-		RequestedBytes: a.requested,
-		ReusedBytes:    a.reused,
-		LiveBytes:      a.live,
-		HighWaterBytes: a.liveHW,
-	}
-	var classes []ClassStat
-	for cl, hw := range a.classHW {
-		if hw == 0 {
-			continue
-		}
-		classes = append(classes, ClassStat{
-			Elems:     1 << cl,
-			Bytes:     int64(8) << cl,
-			HighWater: int(hw),
-			Free:      len(a.floats[cl]),
-		})
-	}
-	return c, classes
-}
-
 //abmm:hotpath
 func (a *Arena) Floats(n int) []float64 {
 	if n == 0 {
@@ -140,10 +96,6 @@ func (a *Arena) Floats(n int) []float64 {
 	a.live += size
 	if a.live > a.liveHW {
 		a.liveHW = a.live
-	}
-	a.outstanding[class]++
-	if a.outstanding[class] > a.classHW[class] {
-		a.classHW[class] = a.outstanding[class]
 	}
 	if l := len(a.floats[class]); l > 0 {
 		buf := a.floats[class][l-1]
@@ -175,7 +127,6 @@ func (a *Arena) PutFloats(buf []float64) {
 	//abmm:allow hotpath-alloc
 	a.floats[class] = append(a.floats[class], buf[:c])
 	a.live -= int64(8) << class
-	a.outstanding[class]--
 	a.mu.Unlock()
 }
 

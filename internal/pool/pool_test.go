@@ -80,36 +80,3 @@ func TestArenaCounters(t *testing.T) {
 	}
 	a.PutFloats(b3)
 }
-
-func TestArenaClassHighWater(t *testing.T) {
-	a := NewArena()
-	small := a.Floats(8)   // class 8
-	big1 := a.Floats(1000) // class 1024
-	big2 := a.Floats(1000)
-	a.PutFloats(big1)
-	a.PutFloats(big2)
-	a.PutFloats(small)
-	_, classes := a.Stats()
-	if len(classes) != 2 {
-		t.Fatalf("want 2 active classes, got %+v", classes)
-	}
-	byElems := map[int]ClassStat{}
-	for _, cs := range classes {
-		byElems[cs.Elems] = cs
-	}
-	if cs := byElems[8]; cs.HighWater != 1 || cs.Free != 1 || cs.Bytes != 64 {
-		t.Fatalf("class 8: %+v", cs)
-	}
-	if cs := byElems[1024]; cs.HighWater != 2 || cs.Free != 2 {
-		t.Fatalf("class 1024: %+v", cs)
-	}
-	// A fully warm pass keeps the class high-water at its peak.
-	x := a.Floats(1000)
-	a.PutFloats(x)
-	_, classes = a.Stats()
-	for _, cs := range classes {
-		if cs.Elems == 1024 && cs.HighWater != 2 {
-			t.Fatalf("warm pass moved high-water: %+v", cs)
-		}
-	}
-}

@@ -122,14 +122,13 @@ func TestMultiplierStats(t *testing.T) {
 	}
 }
 
-// TestMultiplyIntoZeroAllocWarm pins the tentpole guarantee: once a
-// plan and its arenas are warm, sequential MultiplyInto allocates
-// nothing.
 // TestMultiplyIntoCtxZeroAllocUntraced pins the tracing-disabled cost
-// of the context path: with a background context (no cancelation
-// watcher) and no reqtrace.Trace attached, warm MultiplyIntoCtx is as
-// allocation-free as MultiplyInto — the trace lookup is one context
-// value read and every recorder hook is a nil no-op.
+// of the context path: with no reqtrace.Trace attached, warm
+// MultiplyIntoCtx is as allocation-free as MultiplyInto at L=0 and L=2,
+// under a background context (nil Done channel) and under a live
+// cancelable one alike — cancellation is a poll of ctx.Done(), the
+// trace lookup one context value read, and every recorder hook a nil
+// no-op.
 func TestMultiplyIntoCtxZeroAllocUntraced(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -139,19 +138,28 @@ func TestMultiplyIntoCtxZeroAllocUntraced(t *testing.T) {
 	a, b, dst := abmm.NewMatrix(n, n), abmm.NewMatrix(n, n), abmm.NewMatrix(n, n)
 	a.FillUniform(abmm.Rand(1), -1, 1)
 	b.FillUniform(abmm.Rand(2), -1, 1)
-	mu := abmm.NewMultiplier(alg, abmm.Options{Levels: 2, Workers: 1})
-	ctx := context.Background()
-	if err := mu.MultiplyIntoCtx(ctx, dst, a, b); err != nil {
-		t.Fatal(err)
-	}
-	if err := mu.MultiplyIntoCtx(ctx, dst, a, b); err != nil {
-		t.Fatal(err)
-	}
-	if av := testing.AllocsPerRun(10, func() { mu.MultiplyIntoCtx(ctx, dst, a, b) }); av != 0 {
-		t.Fatalf("warm untraced MultiplyIntoCtx allocated %.1f objects/op, want 0", av)
+	cancelable, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, levels := range []int{0, 2} {
+		mu := abmm.NewMultiplier(alg, abmm.Options{Levels: levels, Workers: 1})
+		for _, ctx := range []context.Context{context.Background(), cancelable} {
+			if err := mu.MultiplyIntoCtx(ctx, dst, a, b); err != nil {
+				t.Fatal(err)
+			}
+			if err := mu.MultiplyIntoCtx(ctx, dst, a, b); err != nil {
+				t.Fatal(err)
+			}
+			if av := testing.AllocsPerRun(10, func() { mu.MultiplyIntoCtx(ctx, dst, a, b) }); av != 0 {
+				t.Errorf("L=%d, cancelable=%t: warm untraced MultiplyIntoCtx allocated %.1f objects/op, want 0",
+					levels, ctx.Done() != nil, av)
+			}
+		}
 	}
 }
 
+// TestMultiplyIntoZeroAllocWarm pins the tentpole guarantee: once a
+// plan and its arenas are warm, sequential MultiplyInto allocates
+// nothing.
 func TestMultiplyIntoZeroAllocWarm(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
