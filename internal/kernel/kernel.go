@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"time"
 
+	"abmm/internal/cpu"
 	"abmm/internal/matrix"
 	"abmm/internal/obs"
 	"abmm/internal/parallel"
@@ -249,13 +250,26 @@ type blockArgs struct {
 	first, direct          bool
 }
 
+// maxTileOuts bounds the stack table of in-place tile outputs; no
+// catalog algorithm scatters one product to more output groups, and a
+// GEMM with more outputs writes every tile through the accumulator
+// array.
+const maxTileOuts = 32
+
 // computeBlock runs the register-tile sweep of one packed A block
 // against the current packed B panel, writing tiles to the outputs.
+// With a vector routine, every full tile is computed in place: the
+// routine seeds its accumulators from the destination (or zeroes them)
+// and writes them to each output itself. Edge tiles, and every tile
+// under microGo, go through the accumulator array and the Go
+// write-out, which round the same way.
 //
 //abmm:hotpath
 func computeBlock(outs []Out, pa, pb []float64, g blockArgs) {
 	mPanels := (g.mc + MR - 1) / MR
 	nPanels := (g.nc + NR - 1) / NR
+	var tiles [maxTileOuts]tileOut
+	inPlace := useISA != cpu.Generic && len(outs) <= len(tiles)
 	var acc [MR * NR]float64
 	for jp := 0; jp < nPanels; jp++ {
 		bp := pb[jp*NR*g.kc : (jp+1)*NR*g.kc]
@@ -265,6 +279,22 @@ func computeBlock(outs []Out, pa, pb []float64, g blockArgs) {
 			ap := pa[ip*MR*g.kc : (ip+1)*MR*g.kc]
 			i := g.i0 + ip*MR
 			mr := min(MR, g.i0+g.mc-i)
+			if inPlace && mr == MR && nr == NR {
+				if g.direct {
+					tiles[0] = tileAt(outs[0].M, i, j, 1, tileStore)
+					microTile(ap, bp, !g.first || outs[0].Accum, tiles[:1])
+					continue
+				}
+				for k, out := range outs {
+					mode := tileAdd
+					if g.first && !out.Accum {
+						mode = tileSet
+					}
+					tiles[k] = tileAt(out.M, i, j, out.Coeff, mode)
+				}
+				microTile(ap, bp, false, tiles[:len(outs)])
+				continue
+			}
 			if g.direct {
 				if g.first && !outs[0].Accum {
 					acc = [MR * NR]float64{}

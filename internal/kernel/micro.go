@@ -1,6 +1,11 @@
 package kernel
 
-import "math"
+import (
+	"math"
+
+	"abmm/internal/cpu"
+	"abmm/internal/matrix"
+)
 
 // The register micro-kernel. MR×NR is the register-tile shape: one call
 // accumulates an MR×NR tile of the product over a kc-deep slice of the
@@ -29,33 +34,70 @@ const (
 	NR = 8
 )
 
-// isa names one routine that computes the packed MR×NR tile. All of
-// them apply each product to its accumulator as one fused multiply-add
-// (c = fma(a, b, c), a single rounding), one k at a time in ascending
-// order, so they agree to the bit and differ only in speed.
-type isa uint8
+// useISA is the routine the micro-kernel runs. It starts as cpu.Host,
+// the widest level the CPU and OS support (probed once at init); tests
+// lower it to check the narrower routines against each other on the
+// same host. Library code never writes it. Every routine applies each
+// product to its accumulator as one fused multiply-add (c = fma(a, b,
+// c), a single rounding), one k at a time in ascending order, so they
+// agree to the bit and differ only in speed:
+//   - cpu.AVX512 holds the whole tile in sixteen ZMM accumulators;
+//   - cpu.AVX2 computes it as four 4×8 sub-tiles in YMM registers;
+//   - cpu.Generic runs microGo. On amd64 that happens only on hosts
+//     without FMA, where math.FMA is emulated in software: correct to
+//     the bit but slow.
+var useISA = cpu.Host
 
+// tileOut is one destination of a full tile's in-place write-out: the
+// MR×NR tile at c, whose rows lie ldc bytes apart, receives the
+// accumulators by mode. micro_amd64.s reads this layout.
+type tileOut struct {
+	c     *float64
+	ldc   int
+	coeff float64
+	mode  int
+}
+
+// Write-out modes of a tileOut. Each rounds exactly like the Go
+// write-out of the same name: the vector routines multiply and then
+// add, never fuse.
 const (
-	// isaGo is the portable Go loop (microGo). On amd64 it runs only on
-	// hosts without FMA, where math.FMA is emulated in software: correct
-	// to the bit but slow.
-	isaGo isa = iota
-	// isaAVX2 computes the tile as four 4×8 sub-tiles in YMM registers.
-	isaAVX2
-	// isaAVX512 holds the whole tile in sixteen ZMM accumulators.
-	isaAVX512
+	tileSet   = iota // c = coeff·acc (setScaledTile)
+	tileAdd          // c += coeff·acc (addScaledTile)
+	tileStore        // c = acc (storeTile)
 )
 
-// useISA is the routine microKernel runs. It starts as hostISA, the
-// widest routine the CPU and OS support (probed once at init); tests
-// lower it to check the narrower routines against each other on the
-// same host. Library code never writes it.
-var useISA = hostISA
+// tileAt describes the full tile of m at (i, j). It touches the tile's
+// last element first, so a view too small for the tile panics here
+// instead of the vector routine writing out of range.
+func tileAt(m *matrix.Matrix, i, j int, coeff float64, mode int) tileOut {
+	off := i*m.Stride + j
+	_ = m.Data[off+(MR-1)*m.Stride+NR-1]
+	return tileOut{c: &m.Data[off], ldc: 8 * m.Stride, coeff: coeff, mode: mode}
+}
+
+// microTile runs the vector routine on one full tile: the accumulators
+// start from outs[0]'s tile when seed is set and from zero otherwise,
+// take acc += Ap·Bp over the packed micro-panels (kc ≥ 1 steps), and
+// are written to every out in order. useISA must not be cpu.Generic.
+//
+//abmm:hotpath
+func microTile(ap, bp []float64, seed bool, outs []tileOut) {
+	kc := min(len(ap)/MR, len(bp)/NR)
+	_, _ = ap[kc*MR-1], bp[kc*NR-1]
+	if useISA == cpu.AVX512 {
+		micro16x8AVX512(&ap[0], &bp[0], kc, seed, &outs[0], len(outs))
+	} else {
+		micro16x8AVX2(&ap[0], &bp[0], kc, seed, &outs[0], len(outs))
+	}
+}
 
 // microKernel accumulates acc += Ap·Bp over one packed micro-panel
 // pair: ap is an MR-row micro-panel stored k-major (the MR row elements
 // of one k adjacent), bp an NR-column micro-panel stored k-major, both
-// holding kc steps. acc is the row-major MR×NR register tile.
+// holding kc steps. acc is the row-major MR×NR register tile. Edge
+// tiles take this path, and the vector routines treat acc as one more
+// output tile, seeded and stored unscaled.
 //
 // Each routine gives every output element the same rounding chain as
 // the textbook triple loop, which is what lets the packed path pin
@@ -66,15 +108,12 @@ var useISA = hostISA
 //
 //abmm:hotpath
 func microKernel(ap, bp []float64, acc *[MR * NR]float64) {
-	kc := min(len(ap)/MR, len(bp)/NR)
 	switch {
-	case kc == 0:
-	case useISA == isaAVX512:
-		micro16x8AVX512(&ap[0], &bp[0], kc, acc)
-	case useISA == isaAVX2:
-		micro16x8AVX2(&ap[0], &bp[0], kc, acc)
-	default:
-		microGo(ap[:kc*MR], bp[:kc*NR], acc)
+	case useISA == cpu.Generic:
+		microGo(ap, bp, acc)
+	case len(ap) >= MR && len(bp) >= NR:
+		out := [1]tileOut{{c: &acc[0], ldc: 8 * NR, coeff: 1, mode: tileStore}}
+		microTile(ap, bp, true, out[:])
 	}
 }
 

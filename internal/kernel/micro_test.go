@@ -3,54 +3,65 @@ package kernel
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"testing"
 
+	"abmm/internal/cpu"
 	"abmm/internal/matrix"
 	"abmm/internal/pool"
 )
 
-var isaNames = [...]string{isaGo: "go", isaAVX2: "avx2", isaAVX512: "avx512"}
+var isaNames = [...]string{cpu.Generic: "go", cpu.AVX2: "avx2", cpu.AVX512: "avx512"}
 
 // hostISAs lists the micro-kernel routines this host runs, narrowest
 // first. Each routine's CPU requirement includes the previous one's.
-func hostISAs() []isa {
-	var out []isa
-	for i := isaGo; i <= hostISA; i++ {
+func hostISAs() []cpu.ISA {
+	var out []cpu.ISA
+	for i := cpu.Generic; i <= cpu.Host; i++ {
 		out = append(out, i)
 	}
 	return out
 }
 
-// forceISA makes microKernel run routine i until the test ends.
-func forceISA(tb testing.TB, i isa) {
+// forceISA makes the micro-kernel run routine i until the test ends.
+func forceISA(tb testing.TB, i cpu.ISA) {
 	prev := useISA
 	useISA = i
 	tb.Cleanup(func() { useISA = prev })
 }
 
+// randFill fills s with uniform values in [-1, 1).
+func randFill(rng *rand.Rand, s []float64) {
+	for i := range s {
+		s[i] = rng.Float64()*2 - 1
+	}
+}
+
 // TestMicroKernelsAgreeBitwise runs every routine the host supports on
-// the same packed panels and seeded accumulators and requires tiles
-// equal to the bit. Without it, a host with AVX-512 never executes the
-// AVX2 routine.
+// the same packed panels and requires results equal to the bit, both
+// through the accumulator array (edge tiles) and in place (full tiles).
+// Without it, a host with AVX-512 never executes the AVX2 routine. The
+// in-place cases write 16×8 tiles inside larger destinations, rows 17
+// to 20 elements apart, and compare the whole destination, so a
+// routine that writes outside its tile changes the canary values
+// around it. The reference is microGo plus the Go write-out.
 func TestMicroKernelsAgreeBitwise(t *testing.T) {
 	isas := hostISAs()
-	t.Logf("host routines: %d of %d (widest %s)", len(isas), len(isaNames), isaNames[hostISA])
+	t.Logf("host routines: %d of %d (widest %s)", len(isas), len(isaNames), isaNames[cpu.Host])
 	rng := matrix.Rand(42)
 	for _, kc := range []int{1, 2, 3, 8, 255, 256, 300} {
 		ap := make([]float64, kc*MR)
 		bp := make([]float64, kc*NR)
 		var seed [MR * NR]float64
-		for _, s := range [][]float64{ap, bp, seed[:]} {
-			for i := range s {
-				s[i] = rng.Float64()*2 - 1
-			}
-		}
+		randFill(rng, ap)
+		randFill(rng, bp)
+		randFill(rng, seed[:])
 		var want [MR * NR]float64
 		for _, i := range isas {
 			forceISA(t, i)
 			got := seed
 			microKernel(ap, bp, &got)
-			if i == isaGo {
+			if i == cpu.Generic {
 				want = got
 				continue
 			}
@@ -61,6 +72,93 @@ func TestMicroKernelsAgreeBitwise(t *testing.T) {
 				}
 			}
 		}
+
+		// In-place cases: the tile sits at (2, 3) of a destination with
+		// stride 17 + d and canaries on every side.
+		dest := func(d int) *matrix.Matrix {
+			m := matrix.New(MR+4, 17+d)
+			randFill(rng, m.Data)
+			return m
+		}
+		cases := []struct {
+			name  string
+			seed  bool
+			modes []int
+			coefs []float64
+		}{
+			{"seed", true, []int{tileStore}, []float64{1}},
+			{"overwrite", false, []int{tileStore}, []float64{1}},
+			{"scaled", false, []int{tileSet, tileSet, tileAdd, tileAdd}, []float64{-0.5, 3, -0.5, 3}},
+		}
+		for _, c := range cases {
+			init := make([]*matrix.Matrix, len(c.modes))
+			for d := range init {
+				init[d] = dest(d)
+			}
+			// Reference: microGo into the accumulator array, then the Go
+			// write-out.
+			forceISA(t, cpu.Generic)
+			ref := make([]*matrix.Matrix, len(init))
+			for d := range ref {
+				ref[d] = init[d].Clone()
+			}
+			var acc [MR * NR]float64
+			if c.seed {
+				loadTile(&acc, ref[0], 2, 3, MR, NR)
+			}
+			microKernel(ap, bp, &acc)
+			for d, m := range ref {
+				switch c.modes[d] {
+				case tileStore:
+					storeTile(m, 2, 3, MR, NR, &acc)
+				case tileSet:
+					setScaledTile(m, 2, 3, MR, NR, c.coefs[d], &acc)
+				case tileAdd:
+					addScaledTile(m, 2, 3, MR, NR, c.coefs[d], &acc)
+				}
+			}
+			for _, i := range isas[1:] {
+				forceISA(t, i)
+				got := make([]*matrix.Matrix, len(init))
+				var outs [maxTileOuts]tileOut
+				for d := range got {
+					got[d] = init[d].Clone()
+					outs[d] = tileAt(got[d], 2, 3, c.coefs[d], c.modes[d])
+				}
+				microTile(ap, bp, c.seed, outs[:len(got)])
+				for d := range got {
+					for x, v := range got[d].Data {
+						if w := ref[d].Data[x]; math.Float64bits(v) != math.Float64bits(w) {
+							t.Fatalf("kc=%d %s: %s out %d [%d][%d] = %v, go %v",
+								kc, c.name, isaNames[i], d, x/got[d].Stride, x%got[d].Stride, v, w)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFullTileBadViewPanics gives Mul a destination whose storage is
+// one element short of its claimed 16×8 shape. Every routine must
+// panic rather than write past the slice: the vector routines write
+// full tiles through a raw pointer, so tileAt's bounds check is all
+// that stands between a bad view and a write out of range.
+func TestFullTileBadViewPanics(t *testing.T) {
+	a, b := matrix.New(MR, 4), matrix.New(4, NR)
+	fill(a, 1)
+	fill(b, 2)
+	for _, i := range hostISAs() {
+		forceISA(t, i)
+		c := &matrix.Matrix{Rows: MR, Cols: NR, Stride: NR, Data: make([]float64, MR*NR-1)}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Mul into a short destination did not panic", isaNames[i])
+				}
+			}()
+			Mul(c, a, b, Blocking{}, 1, pool.NewArena(), nil)
+		}()
 	}
 }
 
@@ -95,27 +193,39 @@ func TestFusedChainWitness(t *testing.T) {
 
 // BenchmarkMicroPeak measures the micro-kernel's ceiling: microKernel
 // alone on one packed micro-panel pair that stays in L1 (48 KiB at
-// kc = 256), under each routine the host supports, with no packing or
-// tile write-out. GFLOP/s counts 2·MR·NR·kc per call.
+// kc = 256), under each routine the host supports, with no packing.
+// The inplace sub-benchmarks add the vector routines' write-out of a
+// full tile to a strided destination (c = coeff·acc into a 64-column
+// matrix), the multi-output path's work per tile. GFLOP/s counts
+// 2·MR·NR·kc per call.
 func BenchmarkMicroPeak(b *testing.B) {
 	rng := matrix.Rand(7)
 	for _, i := range hostISAs() {
 		for _, kc := range []int{64, 128, 256} {
 			ap := make([]float64, kc*MR)
 			bp := make([]float64, kc*NR)
-			for _, s := range [][]float64{ap, bp} {
-				for x := range s {
-					s[x] = rng.Float64()*2 - 1
-				}
-			}
+			randFill(rng, ap)
+			randFill(rng, bp)
+			flops := float64(2 * MR * NR * kc)
 			b.Run(fmt.Sprintf("%s/kc=%d", isaNames[i], kc), func(b *testing.B) {
 				forceISA(b, i)
 				var acc [MR * NR]float64
 				for r := 0; r < b.N; r++ {
 					microKernel(ap, bp, &acc)
 				}
-				flops := float64(2*MR*NR*kc) * float64(b.N)
-				b.ReportMetric(flops/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+				b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			})
+			if i == cpu.Generic {
+				continue
+			}
+			b.Run(fmt.Sprintf("%s/inplace/kc=%d", isaNames[i], kc), func(b *testing.B) {
+				forceISA(b, i)
+				c := matrix.New(MR, 64)
+				outs := [1]tileOut{tileAt(c, 0, 8, 0.5, tileSet)}
+				for r := 0; r < b.N; r++ {
+					microTile(ap, bp, false, outs[:])
+				}
+				b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 			})
 		}
 	}

@@ -137,6 +137,10 @@ func DefaultConfig(dir string) Config {
 				"abmm/internal/reqtrace",
 				"abmm/internal/stability",
 			},
+			// The CPU probe is a leaf: both packages with assembly routines
+			// (kernel, matrix) read the one probe instead of each carrying
+			// a copy.
+			"abmm/internal/cpu": {},
 			"abmm/internal/dd": {
 				"abmm/internal/matrix",
 				"abmm/internal/parallel",
@@ -161,13 +165,17 @@ func DefaultConfig(dir string) Config {
 				"abmm/internal/stability",
 			},
 			"abmm/internal/kernel": {
+				"abmm/internal/cpu",
 				"abmm/internal/matrix",
 				"abmm/internal/obs",
 				"abmm/internal/parallel",
 				"abmm/internal/pool",
 			},
-			"abmm/internal/lint":     {},
-			"abmm/internal/matrix":   {"abmm/internal/parallel"},
+			"abmm/internal/lint": {},
+			"abmm/internal/matrix": {
+				"abmm/internal/cpu",
+				"abmm/internal/parallel",
+			},
 			"abmm/internal/obs":      {},
 			"abmm/internal/parallel": {},
 			"abmm/internal/pool":     {"abmm/internal/matrix"},

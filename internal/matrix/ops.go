@@ -1,6 +1,9 @@
 package matrix
 
-import "abmm/internal/parallel"
+import (
+	"abmm/internal/cpu"
+	"abmm/internal/parallel"
+)
 
 // opsGrain is the minimum number of rows per parallel chunk for flat
 // element-wise kernels; below this the scheduling overhead dominates.
@@ -56,10 +59,65 @@ func AddScaled(dst, a *Matrix, c float64, workers int) {
 func addScaledRows(dst, a *Matrix, c float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		d, x := dst.Row(i), a.Row(i)
+		v := axpy(d, x, c)
+		d, x = d[v:], x[v:len(d)]
 		for j := range d {
 			d[j] += c * x[j]
 		}
 	}
+}
+
+// useISA picks the vector routines combine2 and axpy run. It starts as
+// cpu.Host; tests lower it to check the narrower routines against the
+// Go loops on the same host. Library code never writes it.
+var useISA = cpu.Host
+
+// vecLen returns the prefix of an n-element row the vector routines
+// cover: n rounded down to the vector width, or 0 without one.
+func vecLen(n int) int {
+	switch useISA {
+	case cpu.AVX512:
+		return n &^ 7
+	case cpu.AVX2:
+		return n &^ 3
+	}
+	return 0
+}
+
+// combine2 sets d[j] = c0·x[j] + c1·y[j] (two rounded products, then
+// their rounded sum) over the vector-width prefix of d and returns its
+// length; the caller finishes the rest in Go. It touches the prefix's
+// last element in d, x and y first, so a row shorter than d panics
+// instead of the routine reading or writing out of range.
+func combine2(d, x, y []float64, c0, c1 float64) int {
+	n := vecLen(len(d))
+	if n == 0 {
+		return 0
+	}
+	_, _, _ = d[n-1], x[n-1], y[n-1]
+	if useISA == cpu.AVX512 {
+		combine2AVX512(&d[0], &x[0], &y[0], n, c0, c1)
+	} else {
+		combine2AVX2(&d[0], &x[0], &y[0], n, c0, c1)
+	}
+	return n
+}
+
+// axpy sets d[j] += c·x[j] (a rounded product, then a rounded sum) over
+// the vector-width prefix of d and returns its length, with combine2's
+// bounds discipline.
+func axpy(d, x []float64, c float64) int {
+	n := vecLen(len(d))
+	if n == 0 {
+		return 0
+	}
+	_, _ = d[n-1], x[n-1]
+	if useISA == cpu.AVX512 {
+		axpyAVX512(&d[0], &x[0], n, c)
+	} else {
+		axpyAVX2(&d[0], &x[0], n, c)
+	}
+	return n
 }
 
 // lcTerm is one nonzero term of a linear combination.
@@ -68,14 +126,18 @@ type lcTerm struct {
 	m *Matrix
 }
 
-// LinearCombine computes dst = Σ coeffs[t] * srcs[t] with a single fused
-// pass over the output. Zero coefficients are skipped; coefficients of
-// ±1 avoid the multiply. This is the workhorse of the encoding (S_r,
-// T_r) and decoding (C_k) steps of Equation (2) and of basis
-// transformations: fusing the terms reads each source once and writes
-// the destination once, which is what keeps the linear phase
-// communication-efficient. dst may alias srcs[t] only when t is the
-// first term with a nonzero coefficient.
+// LinearCombine computes dst = Σ coeffs[t] * srcs[t], skipping zero
+// coefficients. This is the workhorse of the encoding (S_r, T_r) and
+// decoding (C_k) steps of Equation (2) and of basis transformations.
+// Each element takes the same operations in term order: the first term
+// sets it (a copy for 1, a negation for −1, else a rounded product) and
+// every later term adds its rounded product (a plain add or subtract
+// for ±1). Row by row, the host's vector routines apply the first two
+// terms in one pass over the row's vector-width prefix and every later
+// term in one more pass; Go applies the terms to the rest of the row,
+// one pass each. Products by ±1 are exact, so both give the same bits.
+// dst may alias srcs[t] only when t is the first term with a nonzero
+// coefficient.
 //
 //abmm:hotpath
 func LinearCombine(dst *Matrix, coeffs []float64, srcs []*Matrix, workers int) {
@@ -124,8 +186,16 @@ func LinearCombine(dst *Matrix, coeffs []float64, srcs []*Matrix, workers int) {
 func combineRows(dst *Matrix, terms []lcTerm, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		d := dst.Row(i)
-		// First term initializes the row.
-		switch x := terms[0].m.Row(i); terms[0].c {
+		v := 0
+		if len(terms) > 1 {
+			v = combine2(d, terms[0].m.Row(i), terms[1].m.Row(i), terms[0].c, terms[1].c)
+			for _, t := range terms[2:] {
+				axpy(d[:v], t.m.Row(i), t.c)
+			}
+		}
+		d = d[v:]
+		// First term initializes the rest of the row.
+		switch x := terms[0].m.Row(i)[v:]; terms[0].c {
 		case 1:
 			copy(d, x)
 		case -1:
@@ -139,7 +209,7 @@ func combineRows(dst *Matrix, terms []lcTerm, lo, hi int) {
 			}
 		}
 		for _, t := range terms[1:] {
-			switch x := t.m.Row(i); t.c {
+			switch x := t.m.Row(i)[v:]; t.c {
 			case 1:
 				for j := range d {
 					d[j] += x[j]

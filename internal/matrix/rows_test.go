@@ -1,0 +1,142 @@
+package matrix
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"abmm/internal/cpu"
+)
+
+var isaNames = [...]string{cpu.Generic: "go", cpu.AVX2: "avx2", cpu.AVX512: "avx512"}
+
+// hostISAs lists the row routines this host runs, narrowest (the Go
+// loops) first.
+func hostISAs() []cpu.ISA {
+	var out []cpu.ISA
+	for i := cpu.Generic; i <= cpu.Host; i++ {
+		out = append(out, i)
+	}
+	return out
+}
+
+// forceISA makes the row loops use routine i until the test ends.
+func forceISA(tb testing.TB, i cpu.ISA) {
+	prev := useISA
+	useISA = i
+	tb.Cleanup(func() { useISA = prev })
+}
+
+// specialView returns a rows×n view (row stride n+3) of uniform values
+// with a NaN, infinities, a negative zero and a value that overflows
+// when scaled by −3 sprinkled in.
+func specialView(seed uint64, rows, n int) *Matrix {
+	base := randMat(seed, rows, n+3)
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 1e308}
+	for x := int(seed) % 7; x < len(base.Data); x += 11 {
+		base.Data[x] = specials[x%len(specials)]
+	}
+	return base.View(0, 0, rows, n)
+}
+
+// TestRowRoutinesAgreeBitwise runs LinearCombine (2 and 3 terms, into
+// a fresh destination and into its first source) and AddScaled under
+// every row routine the host supports and compares each with the Go
+// loops: row lengths 1–33 cover every tail length of both vector
+// widths, and 1000 the unrolled main loops. Non-NaN elements must
+// match to the bit and NaNs must sit in the same places (a product
+// by −1 or 1 may return a NaN with another sign or payload than Go's
+// negation or copy).
+func TestRowRoutinesAgreeBitwise(t *testing.T) {
+	isas := hostISAs()
+	t.Logf("host routines: %d of %d (widest %s)", len(isas), len(isaNames), isaNames[cpu.Host])
+	coefs := []float64{1, -1, 0.5, -3}
+	const rows = 3
+	lengths := []int{1000}
+	for n := 1; n <= 33; n++ {
+		lengths = append(lengths, n)
+	}
+	// run computes one case under routine i into a destination filled
+	// with distinct values (or into a copy of the first source when
+	// alias is set), so an element the routine skips keeps a value the
+	// Go loops would have overwritten.
+	run := func(i cpu.ISA, n int, alias bool, f func(dst *Matrix)) *Matrix {
+		forceISA(t, i)
+		dst := specialView(99, rows, n).Clone()
+		if alias {
+			dst = specialView(1, rows, n).Clone()
+		}
+		f(dst)
+		return dst
+	}
+	check := func(name string, i cpu.ISA, got, want *Matrix) {
+		t.Helper()
+		for r := 0; r < got.Rows; r++ {
+			for c := 0; c < got.Cols; c++ {
+				g, w := got.At(r, c), want.At(r, c)
+				if math.IsNaN(g) != math.IsNaN(w) || !math.IsNaN(w) && math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("%s: %s [%d][%d] = %v, go loop %v", name, isaNames[i], r, c, g, w)
+				}
+			}
+		}
+	}
+	for _, n := range lengths {
+		x, y, z := specialView(1, rows, n), specialView(2, rows, n), specialView(3, rows, n)
+		for _, c0 := range coefs {
+			for _, c1 := range coefs {
+				for _, c2 := range append([]float64{0}, coefs...) {
+					for _, alias := range []bool{false, true} {
+						f := func(dst *Matrix) {
+							first := x
+							if alias {
+								first = dst
+							}
+							LinearCombine(dst, []float64{c0, c1, c2}, []*Matrix{first, y, z}, 1)
+						}
+						want := run(cpu.Generic, n, alias, f)
+						for _, i := range isas[1:] {
+							name := fmt.Sprintf("n=%d LinearCombine(%v, %v, %v) alias=%v", n, c0, c1, c2, alias)
+							check(name, i, run(i, n, alias, f), want)
+						}
+					}
+				}
+			}
+			f := func(dst *Matrix) { AddScaled(dst, y, c0, 1) }
+			want := run(cpu.Generic, n, false, f)
+			for _, i := range isas[1:] {
+				check(fmt.Sprintf("n=%d AddScaled(%v)", n, c0), i, run(i, n, false, f), want)
+			}
+		}
+	}
+}
+
+// BenchmarkLinearCombine times the two row routines through their
+// public entry points at one worker, under each routine the host runs:
+// a two-term LinearCombine (d = c0·x + c1·y) and AddScaled (d += c·x),
+// on n×n operands that fit in L2 together (n=128: 3 × 128 KiB) and on
+// operands the size of deep-1023's transforms (n=1024: 3 × 8 MiB, past
+// L2 and within a server LLC). GB/s counts the three n² streams each
+// pass moves: two reads and a write.
+func BenchmarkLinearCombine(b *testing.B) {
+	for _, n := range []int{128, 1024} {
+		x, y, d := randMat(1, n, n), randMat(2, n, n), New(n, n)
+		bytes := float64(3 * 8 * n * n)
+		for _, i := range hostISAs() {
+			b.Run(fmt.Sprintf("combine2/%s/n=%d", isaNames[i], n), func(b *testing.B) {
+				forceISA(b, i)
+				coeffs, srcs := []float64{0.5, -3}, []*Matrix{x, y}
+				for r := 0; r < b.N; r++ {
+					LinearCombine(d, coeffs, srcs, 1)
+				}
+				b.ReportMetric(bytes*float64(b.N)/b.Elapsed().Seconds()/1e9, "GB/s")
+			})
+			b.Run(fmt.Sprintf("axpy/%s/n=%d", isaNames[i], n), func(b *testing.B) {
+				forceISA(b, i)
+				for r := 0; r < b.N; r++ {
+					AddScaled(d, x, 0.5, 1)
+				}
+				b.ReportMetric(bytes*float64(b.N)/b.Elapsed().Seconds()/1e9, "GB/s")
+			})
+		}
+	}
+}

@@ -501,6 +501,9 @@ func (w *discardResponse) WriteHeader(code int)        { w.code = code }
 // a binary request's allocations — count and bytes — do not grow with
 // the operands. Operands, product and codec chunks all come back from
 // the pools, so what remains is per-request bookkeeping of fixed size.
+// Every size runs twice: without a deadline, and with X-Abmm-Timeout,
+// which gives the multiply a cancelable context the way every served
+// request has one.
 func TestBinaryRequestAllocsFlat(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector skews allocation counts")
@@ -512,7 +515,7 @@ func TestBinaryRequestAllocsFlat(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	s := newTestServer(t, Config{Workers: 1, TraceSample: -1})
 	h := s.Handler()
-	measure := func(n int) (allocs int, bytesPerReq float64) {
+	measure := func(n int, timeout string) (allocs int, bytesPerReq float64) {
 		_, frame := binaryBody(t, "ours", 0, n, n, n)
 		body := bytes.NewReader(frame.Bytes())
 		w := &discardResponse{h: make(http.Header)}
@@ -520,10 +523,13 @@ func TestBinaryRequestAllocsFlat(t *testing.T) {
 			body.Seek(0, io.SeekStart)
 			r := httptest.NewRequest(http.MethodPost, "/v1/multiply", body)
 			r.Header.Set("Content-Type", ContentTypeBinary)
+			if timeout != "" {
+				r.Header.Set("X-Abmm-Timeout", timeout)
+			}
 			w.code = 0
 			h.ServeHTTP(w, r)
 			if w.code != 0 && w.code != http.StatusOK {
-				t.Fatalf("n=%d: status %d", n, w.code)
+				t.Fatalf("n=%d timeout=%q: status %d", n, timeout, w.code)
 			}
 		}
 		serve() // compile the plan, fill the pools
@@ -537,14 +543,18 @@ func TestBinaryRequestAllocsFlat(t *testing.T) {
 		runtime.ReadMemStats(&m1)
 		return allocs, float64(m1.TotalAlloc-m0.TotalAlloc) / runs
 	}
-	smallAllocs, smallBytes := measure(64)
-	bigAllocs, bigBytes := measure(512)
-	t.Logf("per request: 64² %d allocs %.0f B, 512² %d allocs %.0f B", smallAllocs, smallBytes, bigAllocs, bigBytes)
-	if smallAllocs != bigAllocs {
-		t.Errorf("allocs per request grow with n: %d at 64², %d at 512²", smallAllocs, bigAllocs)
-	}
-	if d := bigBytes - smallBytes; d > 1024 || d < -1024 {
-		t.Errorf("bytes per request differ by %.0f between 64² (%.0f) and 512² (%.0f), want within 1 KiB", d, smallBytes, bigBytes)
+	for _, timeout := range []string{"", "10s"} {
+		smallAllocs, smallBytes := measure(64, timeout)
+		bigAllocs, bigBytes := measure(512, timeout)
+		t.Logf("per request, timeout %q: 64² %d allocs %.0f B, 512² %d allocs %.0f B",
+			timeout, smallAllocs, smallBytes, bigAllocs, bigBytes)
+		if smallAllocs != bigAllocs {
+			t.Errorf("timeout %q: allocs per request grow with n: %d at 64², %d at 512²", timeout, smallAllocs, bigAllocs)
+		}
+		if d := bigBytes - smallBytes; d > 1024 || d < -1024 {
+			t.Errorf("timeout %q: bytes per request differ by %.0f between 64² (%.0f) and 512² (%.0f), want within 1 KiB",
+				timeout, d, smallBytes, bigBytes)
+		}
 	}
 }
 
