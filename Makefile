@@ -62,13 +62,16 @@ bench-smoke:
 # blocked reference loop (ns/op, GFLOPS via -benchmem MB/s, allocs),
 # the micro-kernel's measured ceiling (BenchmarkMicroPeak: GFLOP/s of
 # each routine the host runs on L1-resident panels, kc 64/128/256,
-# alone and with the in-place tile write-out) and the row routines of
-# the encode/decode and transform passes (BenchmarkLinearCombine: GB/s
-# of each routine on an L2-resident and an LLC-sized block).
+# alone and with the in-place tile write-out), the A/B packs
+# (BenchmarkPack: GB/s of each routine with one and two terms on
+# deep-1023's 64×64 leaf block and square-2048's 128×256 A block and
+# 256×512 B panel) and the row routines of the encode/decode and
+# transform passes (BenchmarkLinearCombine: GB/s of each routine on an
+# L2-resident and an LLC-sized block).
 # The full trajectory version (durable JSON cells at 256/1024/4096) is
 # `make bench-json`; this is the quick in-place comparison.
 kernel-bench:
-	$(GO) test -run xxx -bench 'BenchmarkBaseCase|BenchmarkMicroPeak|BenchmarkLinearCombine' -benchmem ./internal/kernel/ ./internal/matrix/
+	$(GO) test -run xxx -bench 'BenchmarkBaseCase|BenchmarkMicroPeak|BenchmarkPack|BenchmarkLinearCombine' -benchmem ./internal/kernel/ ./internal/matrix/
 
 # Durable benchmark trajectory (cmd/bench): run the fixed matrix and
 # write the next BENCH_<k>.json, or re-run and diff against the newest

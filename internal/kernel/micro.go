@@ -34,10 +34,11 @@ const (
 	NR = 8
 )
 
-// useISA is the routine the micro-kernel runs. It starts as cpu.Host,
-// the widest level the CPU and OS support (probed once at init); tests
-// lower it to check the narrower routines against each other on the
-// same host. Library code never writes it. Every routine applies each
+// useISA is the routine the micro-kernel runs, and the level of the
+// vector pack routines (pack.go). It starts as cpu.Host, the widest
+// level the CPU and OS support (probed once at init); tests lower it
+// to check the narrower routines against each other on the same host.
+// Library code never writes it. Every micro-kernel routine applies each
 // product to its accumulator as one fused multiply-add (c = fma(a, b,
 // c), a single rounding), one k at a time in ascending order, so they
 // agree to the bit and differ only in speed:

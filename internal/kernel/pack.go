@@ -1,6 +1,9 @@
 package kernel
 
-import "abmm/internal/matrix"
+import (
+	"abmm/internal/cpu"
+	"abmm/internal/matrix"
+)
 
 // Packing: the cache-blocked outer loops copy operand blocks into
 // contiguous micro-panel buffers once per block, so the micro-kernel's
@@ -23,6 +26,16 @@ import "abmm/internal/matrix"
 // multiply-add), so a fused pack is bitwise identical to materializing
 // the combination with LinearCombine and then packing it. Zero
 // coefficients must be filtered by the caller, as with LinearCombine.
+//
+// On amd64 the vector routines (pack_amd64.s) apply each term to each
+// full micro-panel in registers, one call per term and panel, with the
+// same operation per element in the same term order: packA's over the
+// largest multiple of the vector width in kc (8 k steps on AVX-512, 4
+// on AVX2), transposing each square block of source rows into the
+// k-major panel; packB's over every k step, one 8-wide source row
+// each. Go packs ragged panels (rows past m or columns past n, which
+// are zero-filled) and packA's k tail, and everything under
+// cpu.Generic, the only path off amd64 and the tests' reference.
 
 // Term is one scaled source operand of a fused linear combination
 // handed to the pack routines: the term contributes Coeff·M.
@@ -31,26 +44,98 @@ type Term struct {
 	M     *matrix.Matrix
 }
 
+// Pack modes: the operation term t applies to each panel element p
+// from its source element v, by position and coefficient c. The Go
+// loops and the vector routines (pack_amd64.s) take the same cases.
+const (
+	packCopy   = iota // first term, c = 1: p = v
+	packNeg           // first term, c = −1: p = −v
+	packScale         // first term: p = c·v
+	packAdd           // later term, c = 1: p += v
+	packSub           // later term, c = −1: p −= v
+	packMulAdd        // later term: p += c·v
+)
+
+// packMode returns the mode of term t with coefficient c.
+func packMode(t int, c float64) int {
+	mode := packCopy
+	if t > 0 {
+		mode = packAdd
+	}
+	switch c {
+	case 1:
+		return mode
+	case -1:
+		return mode + 1
+	}
+	return mode + 2
+}
+
+// packVecLen returns the k steps of a full A micro-panel the vector
+// routines cover: kc rounded down to the vector width, or 0 without
+// one.
+func packVecLen(kc int) int {
+	switch useISA {
+	case cpu.AVX512:
+		return kc &^ 7
+	case cpu.AVX2:
+		return kc &^ 3
+	}
+	return 0
+}
+
 // packA packs the block rows [i0, i0+m) × cols [k0, k0+kc) of the A
 // operand Σ terms into dst as ⌈m/MR⌉ consecutive MR-row micro-panels,
 // each stored k-major with the MR row elements of one k adjacent.
 // Rows past m are zero-filled. dst must hold ⌈m/MR⌉·MR·kc elements.
+// terms must be non-empty: GEMM returns before packing when either
+// operand has no terms.
 //
 //abmm:hotpath
 func packA(dst []float64, terms []Term, i0, m, k0, kc int) {
 	panels := (m + MR - 1) / MR
+	kv := packVecLen(kc)
 	for p := 0; p < panels; p++ {
 		panel := dst[p*MR*kc : (p+1)*MR*kc]
+		i := i0 + p*MR
+		k := 0
+		if kv > 0 && (p+1)*MR <= m {
+			for t, term := range terms {
+				packAVec(panel, term, t, i, k0, kv)
+			}
+			k = kv
+		}
+		if k == kc {
+			continue
+		}
+		tail := panel[k*MR:]
 		for r := 0; r < MR; r++ {
-			i := i0 + p*MR + r
-			if i >= i0+m {
-				for k := 0; k < kc; k++ {
-					panel[k*MR+r] = 0
-				}
+			if p*MR+r < m {
+				packRowStrided(tail, r, terms, i+r, k0+k, kc-k)
 				continue
 			}
-			packRowStrided(panel, r, terms, i, k0, kc)
+			for x := r; x < len(tail); x += MR {
+				tail[x] = 0
+			}
 		}
+	}
+}
+
+// packAVec runs the vector routine for term t over the first kv k
+// steps of the full A micro-panel at rows [i, i+MR), kv a positive
+// multiple of the vector width. It touches the last panel element and
+// the last source element first, so a view too small for the block
+// panics here instead of the routine reading or writing out of range.
+//
+//abmm:hotpath
+func packAVec(panel []float64, term Term, t, i, k0, kv int) {
+	src := term.M
+	off := i*src.Stride + k0
+	_, _ = panel[kv*MR-1], src.Data[off+(MR-1)*src.Stride+kv-1]
+	if useISA == cpu.AVX512 {
+		packAAVX512(&panel[0], &src.Data[off], 8*src.Stride, kv, term.Coeff, packMode(t, term.Coeff))
+	} else {
+		packAAVX2(&panel[0], &src.Data[off], 8*src.Stride, kv, term.Coeff, packMode(t, term.Coeff))
 	}
 }
 
@@ -60,34 +145,28 @@ func packA(dst []float64, terms []Term, i0, m, k0, kc int) {
 //
 //abmm:hotpath
 func packRowStrided(panel []float64, r int, terms []Term, i, k0, kc int) {
-	if len(terms) == 0 {
-		for k := 0; k < kc; k++ {
-			panel[k*MR+r] = 0
-		}
-		return
-	}
 	for t, term := range terms {
 		src := term.M
 		row := src.Data[i*src.Stride+k0 : i*src.Stride+k0+kc]
 		c := term.Coeff
-		switch {
-		case t == 0 && c == 1:
+		switch packMode(t, c) {
+		case packCopy:
 			for k, v := range row {
 				panel[k*MR+r] = v
 			}
-		case t == 0 && c == -1:
+		case packNeg:
 			for k, v := range row {
 				panel[k*MR+r] = -v
 			}
-		case t == 0:
+		case packScale:
 			for k, v := range row {
 				panel[k*MR+r] = c * v
 			}
-		case c == 1:
+		case packAdd:
 			for k, v := range row {
 				panel[k*MR+r] += v
 			}
-		case c == -1:
+		case packSub:
 			for k, v := range row {
 				panel[k*MR+r] -= v
 			}
@@ -104,7 +183,8 @@ func packRowStrided(panel []float64, r int, terms []Term, i, k0, kc int) {
 // block's ⌈n/NR⌉ consecutive NR-column micro-panels, each stored k-major
 // with the NR column elements of one k adjacent. Columns past n are
 // zero-filled. Disjoint panel ranges write disjoint parts of dst, so
-// workers can pack one block in parallel.
+// workers can pack one block in parallel. terms must be non-empty, as
+// for packA.
 //
 //abmm:hotpath
 func packB(dst []float64, terms []Term, k0, kc, j0, n, p0, p1 int) {
@@ -112,7 +192,29 @@ func packB(dst []float64, terms []Term, k0, kc, j0, n, p0, p1 int) {
 		panel := dst[p*NR*kc : (p+1)*NR*kc]
 		j := j0 + p*NR
 		w := min(NR, j0+n-j)
-		packColsContig(panel, terms, k0, kc, j, w)
+		if w < NR || useISA == cpu.Generic {
+			packColsContig(panel, terms, k0, kc, j, w)
+			continue
+		}
+		for t, term := range terms {
+			packBVec(panel, term, t, k0, kc, j)
+		}
+	}
+}
+
+// packBVec runs the vector routine for term t over the full B
+// micro-panel at rows [k0, k0+kc), cols [j, j+NR), with packAVec's
+// bounds discipline.
+//
+//abmm:hotpath
+func packBVec(panel []float64, term Term, t, k0, kc, j int) {
+	src := term.M
+	off := k0*src.Stride + j
+	_, _ = panel[kc*NR-1], src.Data[off+(kc-1)*src.Stride+NR-1]
+	if useISA == cpu.AVX512 {
+		packBAVX512(&panel[0], &src.Data[off], 8*src.Stride, kc, term.Coeff, packMode(t, term.Coeff))
+	} else {
+		packBAVX2(&panel[0], &src.Data[off], 8*src.Stride, kc, term.Coeff, packMode(t, term.Coeff))
 	}
 }
 
@@ -122,18 +224,12 @@ func packB(dst []float64, terms []Term, k0, kc, j0, n, p0, p1 int) {
 //
 //abmm:hotpath
 func packColsContig(panel []float64, terms []Term, k0, kc, j, w int) {
-	if len(terms) == 0 {
-		for i := range panel {
-			panel[i] = 0
-		}
-		return
-	}
 	for t, term := range terms {
 		src := term.M
 		c := term.Coeff
 		base := k0*src.Stride + j
-		switch {
-		case t == 0 && c == 1:
+		switch packMode(t, c) {
+		case packCopy:
 			for k := 0; k < kc; k++ {
 				row := src.Data[base : base+w]
 				out := panel[k*NR : k*NR+NR]
@@ -145,7 +241,7 @@ func packColsContig(panel []float64, terms []Term, k0, kc, j, w int) {
 				}
 				base += src.Stride
 			}
-		case t == 0 && c == -1:
+		case packNeg:
 			for k := 0; k < kc; k++ {
 				row := src.Data[base : base+w]
 				out := panel[k*NR : k*NR+NR]
@@ -157,7 +253,7 @@ func packColsContig(panel []float64, terms []Term, k0, kc, j, w int) {
 				}
 				base += src.Stride
 			}
-		case t == 0:
+		case packScale:
 			for k := 0; k < kc; k++ {
 				row := src.Data[base : base+w]
 				out := panel[k*NR : k*NR+NR]
@@ -169,7 +265,7 @@ func packColsContig(panel []float64, terms []Term, k0, kc, j, w int) {
 				}
 				base += src.Stride
 			}
-		case c == 1:
+		case packAdd:
 			for k := 0; k < kc; k++ {
 				row := src.Data[base : base+w]
 				out := panel[k*NR : k*NR+w]
@@ -178,7 +274,7 @@ func packColsContig(panel []float64, terms []Term, k0, kc, j, w int) {
 				}
 				base += src.Stride
 			}
-		case c == -1:
+		case packSub:
 			for k := 0; k < kc; k++ {
 				row := src.Data[base : base+w]
 				out := panel[k*NR : k*NR+w]

@@ -34,8 +34,9 @@ func Scale(dst, a *Matrix, c float64, workers int) {
 }
 
 func scaleRowsRange(dst, a *Matrix, c float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		d, x := dst.Row(i), a.Row(i)
+	end, n := rowSpans(lo, hi, dst.Cols, dst.IsContiguous() && a.IsContiguous())
+	for i := lo; i < end; i++ {
+		d, x := span(dst, i, n), span(a, i, n)
 		for j := range d {
 			d[j] = c * x[j]
 		}
@@ -57,8 +58,9 @@ func AddScaled(dst, a *Matrix, c float64, workers int) {
 }
 
 func addScaledRows(dst, a *Matrix, c float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		d, x := dst.Row(i), a.Row(i)
+	end, n := rowSpans(lo, hi, dst.Cols, dst.IsContiguous() && a.IsContiguous())
+	for i := lo; i < end; i++ {
+		d, x := span(dst, i, n), span(a, i, n)
 		v := axpy(d, x, c)
 		d, x = d[v:], x[v:len(d)]
 		for j := range d {
@@ -132,10 +134,12 @@ type lcTerm struct {
 // Each element takes the same operations in term order: the first term
 // sets it (a copy for 1, a negation for −1, else a rounded product) and
 // every later term adds its rounded product (a plain add or subtract
-// for ±1). Row by row, the host's vector routines apply the first two
-// terms in one pass over the row's vector-width prefix and every later
-// term in one more pass; Go applies the terms to the rest of the row,
-// one pass each. Products by ±1 are exact, so both give the same bits.
+// for ±1). Span by span (each row, or all rows at once when dst and
+// every source are contiguous), the host's vector routines apply the
+// first two terms in one pass over the span's vector-width prefix and
+// every later term in one more pass; Go applies the terms to the rest
+// of the span, one pass each. Products by ±1 are exact, so both give
+// the same bits.
 // dst may alias srcs[t] only when t is the first term with a nonzero
 // coefficient.
 //
@@ -184,18 +188,23 @@ func LinearCombine(dst *Matrix, coeffs []float64, srcs []*Matrix, workers int) {
 }
 
 func combineRows(dst *Matrix, terms []lcTerm, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		d := dst.Row(i)
+	flat := dst.IsContiguous()
+	for _, t := range terms {
+		flat = flat && t.m.IsContiguous()
+	}
+	end, n := rowSpans(lo, hi, dst.Cols, flat)
+	for i := lo; i < end; i++ {
+		d := span(dst, i, n)
 		v := 0
 		if len(terms) > 1 {
-			v = combine2(d, terms[0].m.Row(i), terms[1].m.Row(i), terms[0].c, terms[1].c)
+			v = combine2(d, span(terms[0].m, i, n), span(terms[1].m, i, n), terms[0].c, terms[1].c)
 			for _, t := range terms[2:] {
-				axpy(d[:v], t.m.Row(i), t.c)
+				axpy(d[:v], span(t.m, i, n), t.c)
 			}
 		}
 		d = d[v:]
-		// First term initializes the rest of the row.
-		switch x := terms[0].m.Row(i)[v:]; terms[0].c {
+		// First term initializes the rest of the span.
+		switch x := span(terms[0].m, i, n)[v:]; terms[0].c {
 		case 1:
 			copy(d, x)
 		case -1:
@@ -209,7 +218,7 @@ func combineRows(dst *Matrix, terms []lcTerm, lo, hi int) {
 			}
 		}
 		for _, t := range terms[1:] {
-			switch x := t.m.Row(i)[v:]; t.c {
+			switch x := span(t.m, i, n)[v:]; t.c {
 			case 1:
 				for j := range d {
 					d[j] += x[j]
@@ -226,6 +235,27 @@ func combineRows(dst *Matrix, terms []lcTerm, lo, hi int) {
 			}
 		}
 	}
+}
+
+// rowSpans returns how the row loops walk rows [lo, hi) of operands
+// with cols columns: rows [lo, end), each a span of n elements from its
+// first. When every operand is contiguous (flat), the rows are
+// adjacent in all of them and form one span of (hi−lo)·cols elements,
+// so the vector routines run over it in one call and Go finishes only
+// its tail; otherwise each row is its own span. Every element takes the
+// same operations either way.
+func rowSpans(lo, hi, cols int, flat bool) (end, n int) {
+	if flat && lo < hi {
+		return lo + 1, (hi - lo) * cols
+	}
+	return hi, cols
+}
+
+// span returns the n elements of m from the first element of row i:
+// row i itself when n is m.Cols, and rows i onwards of a contiguous m
+// when n is a multiple of it.
+func span(m *Matrix, i, n int) []float64 {
+	return m.Data[i*m.Stride : i*m.Stride+n]
 }
 
 // ScaleRows computes dst[i,j] = d[i] * a[i,j] (left multiplication by

@@ -46,7 +46,10 @@ func specialView(seed uint64, rows, n int) *Matrix {
 // widths, and 1000 the unrolled main loops. Non-NaN elements must
 // match to the bit and NaNs must sit in the same places (a product
 // by −1 or 1 may return a NaN with another sign or payload than Go's
-// negation or copy).
+// negation or copy). It then runs the row loops over rows [2, 5) of
+// contiguous operands, which they walk as one span, under every
+// routine, and compares them with the Go loops over the same data in
+// strided views (row stride cols+3), which they walk row by row.
 func TestRowRoutinesAgreeBitwise(t *testing.T) {
 	isas := hostISAs()
 	t.Logf("host routines: %d of %d (widest %s)", len(isas), len(isaNames), isaNames[cpu.Host])
@@ -105,6 +108,43 @@ func TestRowRoutinesAgreeBitwise(t *testing.T) {
 			want := run(cpu.Generic, n, false, f)
 			for _, i := range isas[1:] {
 				check(fmt.Sprintf("n=%d AddScaled(%v)", n, c0), i, run(i, n, false, f), want)
+			}
+		}
+	}
+
+	const blockRows, lo, hi = 6, 2, 5
+	for n := 1; n <= 33; n++ {
+		strided := []*Matrix{specialView(1, blockRows, n), specialView(2, blockRows, n), specialView(3, blockRows, n)}
+		contig := []*Matrix{strided[0].Clone(), strided[1].Clone(), strided[2].Clone()}
+		for _, c0 := range coefs {
+			for _, c1 := range coefs {
+				cases := []struct {
+					name string
+					f    func(dst *Matrix, src []*Matrix)
+				}{
+					{"combineRows 2 terms", func(dst *Matrix, src []*Matrix) {
+						combineRows(dst, []lcTerm{{c0, src[0]}, {c1, src[1]}}, lo, hi)
+					}},
+					{"combineRows 3 terms", func(dst *Matrix, src []*Matrix) {
+						combineRows(dst, []lcTerm{{c0, src[0]}, {c1, src[1]}, {-c0, src[2]}}, lo, hi)
+					}},
+					{"combineRows 1 term", func(dst *Matrix, src []*Matrix) {
+						combineRows(dst, []lcTerm{{c1, src[1]}}, lo, hi)
+					}},
+					{"addScaledRows", func(dst *Matrix, src []*Matrix) { addScaledRows(dst, src[1], c1, lo, hi) }},
+					{"scaleRowsRange", func(dst *Matrix, src []*Matrix) { scaleRowsRange(dst, src[1], c1, lo, hi) }},
+				}
+				for _, tc := range cases {
+					forceISA(t, cpu.Generic)
+					want := specialView(99, blockRows, n)
+					tc.f(want, strided)
+					for _, i := range isas {
+						forceISA(t, i)
+						got := specialView(99, blockRows, n).Clone()
+						tc.f(got, contig)
+						check(fmt.Sprintf("n=%d %s(%v, %v) contiguous", n, tc.name, c0, c1), i, got, want)
+					}
+				}
 			}
 		}
 	}
