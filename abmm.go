@@ -114,18 +114,6 @@ type PlansPage = obs.PlansPage
 // cardinality.
 func NewPlanRegistry(maxPlans int) *PlanRegistry { return obs.NewPlanRegistry(maxPlans) }
 
-// Tuner decides plan configuration on plan-cache miss: attach one via
-// Options.Tuner and shapes whose recursion depth was left automatic get
-// their (algorithm, levels, workers) tuple from a persisted
-// tuning profile or bounded measurement instead of the static defaults.
-// internal/tune provides the implementation; tuned plans carry a
-// "/tuned" marker in their identity.
-type Tuner = core.Tuner
-
-// TunedChoice is a Tuner's decision for one shape; see core.TunedChoice
-// for which zero fields keep the multiplier's defaults.
-type TunedChoice = core.TunedChoice
-
 // SLOConfig declares latency/error service objectives for the serving
 // layer's burn-rate SLO engine; see obs.SLOConfig and server.Config.SLO.
 type SLOConfig = obs.SLOConfig

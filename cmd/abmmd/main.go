@@ -26,7 +26,6 @@ import (
 
 	"abmm"
 	"abmm/internal/server"
-	"abmm/internal/tune"
 )
 
 func main() {
@@ -50,8 +49,6 @@ func main() {
 		sloErrRatio  = flag.Float64("slo-error-ratio-max", 0, "numerical objective: sampled error beyond this multiple of the predicted bound burns the budget (0 = no error objective)")
 		sloWindow    = flag.Duration("slo-window", 0, "long burn-rate window; short window is 1/12th of it (0 = 1m)")
 		maxPlans     = flag.Int("max-plans", 0, "per-plan telemetry registry bound behind /debug/plans (0 = 64)")
-		tuneProfile  = flag.String("tune-profile", "", "tuning profile JSON written by 'bench -tune'; profiled shapes boot pre-tuned")
-		tuneBudget   = flag.Duration("tune-budget", 0, "online autotuning budget per unseen shape on plan-cache miss (0 = profile-only; the first request for an unseen shape pays this in latency)")
 	)
 	flag.Parse()
 
@@ -87,21 +84,6 @@ func main() {
 				cfg.Algorithms = append(cfg.Algorithms, name)
 			}
 		}
-	}
-	// Autotuning is opt-in: a tuner is attached only when a profile or
-	// an online budget was asked for. A bad profile file never stops the
-	// server — it is logged and the process serves untuned (the tuner
-	// answers "no opinion" for every shape the file would have covered).
-	if *tuneProfile != "" || *tuneBudget > 0 {
-		tn := tune.New(tune.Config{Budget: *tuneBudget, Logger: logger})
-		if *tuneProfile != "" {
-			if err := tn.LoadFile(*tuneProfile); err != nil {
-				logger.Warn("tuning profile unusable; serving untuned", "path", *tuneProfile, "error", err)
-			} else {
-				logger.Info("tuning profile loaded", "path", *tuneProfile)
-			}
-		}
-		cfg.Tuner = tn
 	}
 	abmm.PublishStats("abmm", cfg.Collector)
 

@@ -46,17 +46,6 @@ type Options struct {
 	// Multipliers may share one registry; plans evicted from the cache
 	// release their slots. See obs.PlanRegistry.
 	Plans *obs.PlanRegistry
-	// Tuner, when non-nil, is consulted once per plan-cache miss whose
-	// recursion depth was left automatic (Levels < 0): the tuner may
-	// override the algorithm, levels, and workers for that shape (from a
-	// persisted tuning profile, or by bounded measurement — see
-	// internal/tune). Plans compiled from a tuner decision carry a
-	// "/tuned" marker in their identity (X-Abmm-Plan, /debug/plans).
-	// Explicit Levels settings always win: a caller who pinned the depth
-	// is never second-guessed. The warm path never consults the tuner —
-	// tuning is compile-time cost only, so the 0 allocs/op warm
-	// MultiplyInto guarantee holds with a Tuner attached.
-	Tuner Tuner
 	// ErrorSampleEvery enables sampled numerical-accuracy telemetry:
 	// when positive and the plan has a recorder (Recorder, Plans, or
 	// both), every Nth execution of each plan (the 1st, N+1st, ...) is
@@ -68,40 +57,10 @@ type Options struct {
 	// allocate); the other N−1 executions pay one atomic increment and
 	// keep the warm-path guarantees. 0 disables sampling.
 	ErrorSampleEvery int
-
-	// tuned marks an Options value rewritten by a Tuner decision. Set
-	// only by compilePlan (never by callers), it flows into the plan's
-	// identity as the "/tuned" marker.
-	tuned bool
 }
 
 // AutoLevels is the Levels value requesting automatic selection.
 const AutoLevels = -1
-
-// Tuner decides plan configuration on plan-cache miss. Implementations
-// (see internal/tune) typically consult a persisted tuning profile
-// first and fall back to bounded measurement. Choose runs on the cold
-// compile path, under the plan cache's mutex — it must be bounded, and
-// it must never fail: returning ok=false simply compiles the default
-// configuration.
-type Tuner interface {
-	// Choose picks a configuration for multiplying m×k by k×n, given the
-	// multiplier's default algorithm and options. ok=false means "no
-	// opinion" (compile the defaults, no tuned marker).
-	Choose(def *algos.Algorithm, opt Options, m, k, n int) (TunedChoice, bool)
-}
-
-// TunedChoice is a Tuner's decision for one shape. Zero-valued fields
-// keep the multiplier's defaults where noted.
-type TunedChoice struct {
-	// Alg replaces the multiplier's algorithm; nil keeps it.
-	Alg *algos.Algorithm
-	// Levels is the recursion depth to compile; negative keeps automatic
-	// selection.
-	Levels int
-	// Workers overrides the degree of parallelism; 0 keeps the default.
-	Workers int
-}
 
 func (o Options) workers() int { return parallel.Resolve(o.Workers) }
 
@@ -128,44 +87,9 @@ func (mu *Multiplier) Levels(m, k, n int) int {
 }
 
 // Plan returns the compiled plan for an m×k·k×n multiplication,
-// building and caching it on first use. The compile closure below is
-// called only on a cache miss and never escapes get; the capture is
-// cold-start cost, not warm-path cost.
+// building and caching it on first use.
 func (mu *Multiplier) Plan(m, k, n int) *Plan {
-	// The compile closure's capture is cold-start cost (see doc above).
-	//abmm:allow hotpath-alloc
-	return mu.cache.get(PlanKey{M: m, K: k, N: n}, func() *Plan {
-		return compilePlan(mu.Alg, mu.Opt, m, k, n)
-	})
-}
-
-// compilePlan is the plan-cache miss path: when a Tuner is attached and
-// the caller left the recursion depth automatic, consult it and compile
-// its choice (marked tuned); otherwise compile the defaults. Runs under
-// the plan cache's mutex, so a tuner that measures online blocks other
-// lookups on the same Multiplier for its budget — see
-// Options.Tuner and internal/tune.Config.Budget.
-//
-//abmm:coldpath
-func compilePlan(alg *algos.Algorithm, opt Options, m, k, n int) *Plan {
-	if opt.Tuner == nil || opt.Levels >= 0 {
-		return NewPlan(alg, opt, m, k, n)
-	}
-	ch, ok := opt.Tuner.Choose(alg, opt, m, k, n)
-	if !ok {
-		return NewPlan(alg, opt, m, k, n)
-	}
-	if ch.Alg != nil {
-		alg = ch.Alg
-	}
-	if ch.Levels >= 0 {
-		opt.Levels = ch.Levels
-	}
-	if ch.Workers > 0 {
-		opt.Workers = ch.Workers
-	}
-	opt.tuned = true
-	return NewPlan(alg, opt, m, k, n)
+	return mu.cache.get(PlanKey{M: m, K: k, N: n}, mu.Alg, mu.Opt)
 }
 
 // Stats reports plan-cache hit/miss/eviction counts and retained

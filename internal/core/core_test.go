@@ -64,9 +64,9 @@ func TestRectangularThroughPipeline(t *testing.T) {
 }
 
 // TestAutoLevels pins the automatic depth rule (recurse while every
-// base-block dimension stays ≥ 512) at the shapes the repository
-// benchmark and the autotuner table serve. Levels resolves the depth
-// without multiplying.
+// base-block dimension stays ≥ 512) at the repository benchmark's
+// shapes and at odd and non-square shapes near the floor. Levels
+// resolves the depth without multiplying.
 func TestAutoLevels(t *testing.T) {
 	mu := core.New(algos.Ours(), core.Options{Levels: core.AutoLevels})
 	for _, tc := range []struct{ m, k, n, want int }{

@@ -45,7 +45,6 @@ type Plan struct {
 	key     PlanKey
 	levels  int
 	workers int
-	tuned   bool // configuration came from a Tuner decision
 
 	// Padded operand dimensions; padded is false when they equal the
 	// operand shape and the pad/crop steps are skipped entirely.
@@ -126,7 +125,6 @@ func NewPlan(alg *algos.Algorithm, opt Options, m, k, n int) *Plan {
 		key:     PlanKey{M: m, K: k, N: n},
 		levels:  levels,
 		workers: w,
-		tuned:   opt.tuned,
 	}
 	p.arenas.New = func() any { return pool.NewArena() }
 	if levels == 0 {
@@ -180,13 +178,12 @@ func NewPlan(alg *algos.Algorithm, opt Options, m, k, n int) *Plan {
 // per-plan registry attached, the claimed slot teed with opt.Recorder.
 // Runs once at compile time, after compileInfo (the slot stores the
 // flop accountings). The schedule segment is always "seq", the engine's
-// one recursion schedule; identities keep it so X-Abmm-Plan values,
-// abmm_plan_* labels and tuning profiles stay stable.
+// one recursion schedule; identities keep it so X-Abmm-Plan values and
+// abmm_plan_* labels stay stable.
 func (p *Plan) wire(opt Options) {
 	id := obs.PlanID{
 		Alg: p.alg.Name, M: p.key.M, K: p.key.K, N: p.key.N,
 		Levels: p.levels, Schedule: "seq", Kernel: kernel.DefaultBlocking().Label(),
-		Tuned: p.tuned,
 	}
 	p.desc = id.Desc()
 	p.rec = opt.Recorder
@@ -229,14 +226,6 @@ func (p *Plan) Key() PlanKey { return p.key }
 
 // Levels returns the compiled recursion depth.
 func (p *Plan) Levels() int { return p.levels }
-
-// Tuned reports whether the plan's configuration came from a Tuner
-// decision (Options.Tuner) rather than the multiplier's static options.
-func (p *Plan) Tuned() bool { return p.tuned }
-
-// Alg returns the algorithm the plan was compiled with — the
-// multiplier's own unless a Tuner substituted another.
-func (p *Plan) Alg() *algos.Algorithm { return p.alg }
 
 // ArenaBytes returns the high-water mark of workspace bytes held by any
 // single arena of this plan.
@@ -539,10 +528,11 @@ type planCache struct {
 const DefaultPlanCache = 32
 
 // get is cache-lookup-or-compile: the hit path is two map/list touches
-// under a mutex, the miss path compiles a plan (allocating freely).
+// under a mutex, the miss path compiles alg's plan for key under opt
+// (allocating freely).
 //
 //abmm:coldpath
-func (pc *planCache) get(key PlanKey, compile func() *Plan) *Plan {
+func (pc *planCache) get(key PlanKey, alg *algos.Algorithm, opt Options) *Plan {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	if pc.entries == nil {
@@ -557,7 +547,7 @@ func (pc *planCache) get(key PlanKey, compile func() *Plan) *Plan {
 	// Compilation runs under pc.mu deliberately: concurrent gets of one
 	// key must not compile (and then leak) duplicate plans.
 	//abmm:allow lock-discipline
-	p := compile()
+	p := NewPlan(alg, opt, key.M, key.K, key.N)
 	pc.entries[key] = pc.order.PushFront(p)
 	for pc.order.Len() > DefaultPlanCache {
 		old := pc.order.Back()

@@ -58,15 +58,12 @@ func DefaultConfig(dir string) Config {
 			"abmm/cmd/abmmd": {
 				"abmm",
 				"abmm/internal/server",
-				"abmm/internal/tune",
 			},
 			"abmm/cmd/abmmvet":  {"abmm/internal/lint"},
 			"abmm/cmd/algoinfo": {"abmm"},
 			"abmm/cmd/bench": {
 				"abmm",
 				"abmm/internal/bench",
-				"abmm/internal/core",
-				"abmm/internal/tune",
 			},
 			"abmm/cmd/experiments": {"abmm/internal/experiments"},
 			"abmm/cmd/loadgen": {
@@ -197,19 +194,6 @@ func DefaultConfig(dir string) Config {
 				"abmm/internal/algos",
 				"abmm/internal/basis",
 				"abmm/internal/exact",
-			},
-			// The tuner imports the abmm facade (like internal/bench, for
-			// the catalog registry), the engine layers it measures, and obs
-			// for the /metrics exposition writer; the reverse arrows never
-			// exist — core sees only the Tuner interface it defines, server
-			// only abmm.Tuner.
-			"abmm/internal/tune": {
-				"abmm",
-				"abmm/internal/algos",
-				"abmm/internal/core",
-				"abmm/internal/matrix",
-				"abmm/internal/obs",
-				"abmm/internal/stability",
 			},
 		},
 	}

@@ -4,9 +4,7 @@ package obs
 // it can say *that* p99 regressed, not *which* compiled plan regressed
 // — but plan choice (algorithm, levels, schedule, kernel blocking)
 // varies sharply by shape, so a serving process needs the distribution
-// keyed by plan identity: that is the measurement substrate a
-// shape-aware autotuner selects against, and the view /debug/plans
-// renders.
+// keyed by plan identity: the view /debug/plans renders.
 //
 // The registry is bounded and eviction-aware: a slot is claimed once at
 // plan-compile time (cold, under a mutex) and recorded into with plain
@@ -36,24 +34,13 @@ type PlanID struct {
 	Levels   int
 	Schedule string
 	Kernel   string
-	// Tuned marks a plan whose configuration came from a tuner decision
-	// (profile hit or online measurement; see internal/tune) rather than
-	// from the caller's static options. It is part of the identity so a
-	// tuned and an untuned compilation of the same tuple never share a
-	// slot, and it renders as a "/tuned" suffix in Desc.
-	Tuned bool
 }
 
 // Desc renders the plan identity without its shape —
-// "alg/L<levels>/<schedule>", with a "/tuned" suffix when the
-// configuration came from a tuner — the form the serving layer echoes
-// in X-Abmm-Plan headers and uses as the `plan` metric label.
+// "alg/L<levels>/<schedule>" — the form the serving layer echoes in
+// X-Abmm-Plan headers and uses as the `plan` metric label.
 func (id PlanID) Desc() string {
-	d := fmt.Sprintf("%s/L%d/%s", id.Alg, id.Levels, id.Schedule)
-	if id.Tuned {
-		d += "/tuned"
-	}
-	return d
+	return fmt.Sprintf("%s/L%d/%s", id.Alg, id.Levels, id.Schedule)
 }
 
 // Shape renders the operand shape as "MxKxN".
@@ -302,7 +289,8 @@ func (r *PlanRegistry) Overflowed() int64 {
 
 // PlanStats is one plan's aggregate in a PlansPage — the JSON shape
 // served by /debug/plans, pinned by a golden test (extend it, don't
-// rename fields).
+// rename fields; removing one, as the "tuned" flag was with the
+// autotuner, is a deliberate wire change).
 type PlanStats struct {
 	Plan   string `json:"plan"` // alg/L<levels>/<schedule>
 	Shape  string `json:"shape"`
@@ -312,9 +300,6 @@ type PlanStats struct {
 	// "seq"); Kernel the base-case blocking "mcxkcxnc".
 	Schedule string `json:"schedule"`
 	Kernel   string `json:"kernel"`
-	// Tuned reports whether the plan's configuration came from a tuner
-	// decision (see internal/tune).
-	Tuned bool `json:"tuned"`
 	// Live reports whether the plan is currently cached by some
 	// Multiplier (false once evicted; the slot retains history until
 	// reclaimed).
@@ -364,7 +349,6 @@ func (s *PlanSlot) stats() PlanStats {
 		Levels:              s.id.Levels,
 		Schedule:            s.id.Schedule,
 		Kernel:              s.id.Kernel,
-		Tuned:               s.id.Tuned,
 		Live:                s.refs > 0 || s.overflow,
 		Execs:               s.execs.Load(),
 		Seconds:             float64(s.nanos.Load()) / 1e9,

@@ -156,9 +156,9 @@ func goldenRegistry() *PlanRegistry {
 	a.ErrorSample(2e-16, 1e-13)
 	a.ExemplarTrace(0x0123456789abcdef, 0xfedcba9876543210, 12*time.Millisecond)
 
-	// Tuned identity: pins the "/tuned" suffix rendering in the JSON,
-	// HTML, and metric-label surfaces.
-	b := r.Claim(PlanID{Alg: "strassen", M: 128, K: 128, N: 128, Levels: 1, Schedule: "task", Kernel: "128x256x512", Tuned: true},
+	// A second schedule segment: pins its rendering in the JSON, HTML,
+	// and metric-label surfaces.
+	b := r.Claim(PlanID{Alg: "strassen", M: 128, K: 128, N: 128, Levels: 1, Schedule: "task", Kernel: "128x256x512"},
 		2*128*128*128, 4_000_000)
 	b.MulDone(MulInfo{}, 2*time.Millisecond)
 
@@ -197,7 +197,7 @@ func TestPlansHandlerHTML(t *testing.T) {
 	h.ServeHTTP(rr, httptest.NewRequest("GET", "/debug/plans", nil))
 	body := rr.Body.String()
 	for _, want := range []string{
-		"ours/L2/seq", "strassen/L1/task/tuned", "256x256x256",
+		"ours/L2/seq", "strassen/L1/task", "256x256x256",
 		"/debug/requests?id=0123456789abcdeffedcba9876543210",
 		">other<", // overflow row
 	} {

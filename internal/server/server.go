@@ -100,13 +100,6 @@ type Config struct {
 	// obs.DefaultMaxPlans. Plans beyond the bound share one "other"
 	// slot.
 	MaxPlans int
-	// Tuner, when non-nil, is attached to every shared multiplier
-	// (abmm.Options.Tuner): requests that leave the recursion depth
-	// automatic get shape-tuned plans, marked "/tuned" in X-Abmm-Plan
-	// and /debug/plans. When the tuner exposes WriteMetrics
-	// (internal/tune.Tuner does), its abmm_tune_* families join the
-	// /metrics scrape. See cmd/abmmd's -tune-profile and -tune-budget.
-	Tuner abmm.Tuner
 }
 
 func (c Config) withDefaults() Config {
@@ -391,7 +384,6 @@ func (s *Server) multiplier(alg string, levels int) (*abmm.Multiplier, error) {
 			Recorder:         s.engineRecorder(),
 			ErrorSampleEvery: s.cfg.ErrorSampleEvery,
 			Plans:            s.plans,
-			Tuner:            s.cfg.Tuner,
 		})
 		s.mus[key] = mu
 	}
@@ -871,13 +863,6 @@ func (s *Server) writeMetrics(w io.Writer) {
 	burn.Float(st.Errors.Short.Burn, "objective", "errors", "window", "short")
 
 	s.plans.WritePlanMetrics(w)
-
-	// Tuner families, when a metrics-capable tuner is configured (the
-	// interface assertion keeps server free of an internal/tune import —
-	// the dependency arrow stays tune→core, never server→tune).
-	if tm, ok := s.cfg.Tuner.(interface{ WriteMetrics(io.Writer) }); ok {
-		tm.WriteMetrics(w)
-	}
 }
 
 // b2i renders a boolean gauge as 0 or 1.

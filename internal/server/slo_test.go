@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"abmm"
 	"abmm/internal/obs"
 )
 
@@ -126,35 +127,49 @@ func TestHealthzJSONBody(t *testing.T) {
 	}
 }
 
+// TestPlanHeaderAndDebugPlans checks that X-Abmm-Plan and /debug/plans
+// agree on the compiled plan, for an explicit depth and for the
+// automatic one (16³ sits below the 512 floor, so it resolves to L0).
 func TestPlanHeaderAndDebugPlans(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	for _, tc := range []struct {
+		name   string
+		levels int
+		want   string
+	}{
+		{"explicit", 1, "ours/L1/seq"},
+		{"auto", abmm.AutoLevels, "ours/L0/seq"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newTestServer(t, Config{Workers: 1})
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
 
-	_, body := binaryBody(t, "ours", 1, 16, 16, 16)
-	resp, err := postMultiply(ts, body, ContentTypeBinary)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if got := resp.Header.Get("X-Abmm-Plan"); got != "ours/L1/seq" {
-		t.Errorf("X-Abmm-Plan = %q, want ours/L1/seq", got)
-	}
+			_, body := binaryBody(t, "ours", tc.levels, 16, 16, 16)
+			resp, err := postMultiply(ts, body, ContentTypeBinary)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if got := resp.Header.Get("X-Abmm-Plan"); got != tc.want {
+				t.Errorf("X-Abmm-Plan = %q, want %s", got, tc.want)
+			}
 
-	presp, err := ts.Client().Get(ts.URL + "/debug/plans?format=json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer presp.Body.Close()
-	var page obs.PlansPage
-	if err := json.NewDecoder(presp.Body).Decode(&page); err != nil {
-		t.Fatal(err)
-	}
-	if len(page.Plans) != 1 {
-		t.Fatalf("/debug/plans lists %d plans, want 1: %+v", len(page.Plans), page)
-	}
-	if ps := page.Plans[0]; ps.Plan != "ours/L1/seq" || ps.Shape != "16x16x16" || ps.Execs != 1 {
-		t.Errorf("plan stats = %+v", ps)
+			presp, err := ts.Client().Get(ts.URL + "/debug/plans?format=json")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer presp.Body.Close()
+			var page obs.PlansPage
+			if err := json.NewDecoder(presp.Body).Decode(&page); err != nil {
+				t.Fatal(err)
+			}
+			if len(page.Plans) != 1 {
+				t.Fatalf("/debug/plans lists %d plans, want 1: %+v", len(page.Plans), page)
+			}
+			if ps := page.Plans[0]; ps.Plan != tc.want || ps.Shape != "16x16x16" || ps.Execs != 1 {
+				t.Errorf("plan stats = %+v", ps)
+			}
+		})
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 	"abmm/internal/core"
 	"abmm/internal/matrix"
 	"abmm/internal/obs"
-	"abmm/internal/tune"
 )
 
 const sentinel = 12345.0
@@ -285,40 +284,6 @@ func TestMultiplyIntoZeroAllocPlanRegistry(t *testing.T) {
 	if ps := page.Plans[0]; ps.Latency.Count != ps.Execs || !(ps.Latency.P50 > 0) ||
 		ps.ArenaHighWaterBytes <= 0 {
 		t.Fatalf("plan slot telemetry incoherent: %+v", ps)
-	}
-}
-
-// TestMultiplyIntoZeroAllocTuned extends the warm-path guarantee to
-// autotuning: the tuner is consulted exactly once, on the plan-cache
-// miss, so once the tuned plan is warm, MultiplyInto allocates nothing
-// — tuning is free where it matters.
-func TestMultiplyIntoZeroAllocTuned(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts differ under the race detector")
-	}
-	alg, _ := abmm.Lookup("ours")
-	const n = 128
-	a, b, dst := abmm.NewMatrix(n, n), abmm.NewMatrix(n, n), abmm.NewMatrix(n, n)
-	a.FillUniform(abmm.Rand(1), -1, 1)
-	b.FillUniform(abmm.Rand(2), -1, 1)
-	tn := tune.New(tune.Config{})
-	tn.Install(&tune.Profile{Schema: tune.Schema, Cells: []tune.Entry{
-		{M: n, K: n, N: n, Alg: "ours", Levels: 2, Schedule: "seq"},
-	}})
-	mu := abmm.NewMultiplier(alg, abmm.Options{Levels: abmm.AutoLevels, Workers: 1, Tuner: tn})
-	mu.MultiplyInto(dst, a, b)
-	mu.MultiplyInto(dst, a, b)
-	if av := testing.AllocsPerRun(10, func() { mu.MultiplyInto(dst, a, b) }); av != 0 {
-		t.Fatalf("warm MultiplyInto with tuning allocated %.1f objects/op, want 0", av)
-	}
-	// The plan the warm path ran carries the tuned identity.
-	if d := mu.Plan(n, n, n).Desc(); d != "ours/L2/seq/tuned" {
-		t.Fatalf("plan identity = %q, want ours/L2/seq/tuned", d)
-	}
-	// And the product is still right.
-	want := abmm.MultiplyClassical(a, b, 1)
-	if d := matrix.MaxAbsDiff(dst, want); d > 1e-10 {
-		t.Fatalf("tuned plan wrong by %g", d)
 	}
 }
 
