@@ -67,11 +67,13 @@ bench-smoke:
 # deep-1023's 64×64 leaf block and square-2048's 128×256 A block and
 # 256×512 B panel) and the row routines of the encode/decode and
 # transform passes (BenchmarkLinearCombine: GB/s of each routine on an
-# L2-resident and an LLC-sized block).
+# L2-resident and an LLC-sized block) and the stacking passes
+# (BenchmarkLayout: GB/s of ToRecursiveInto and FromRecursiveInto at 1
+# and 2 workers on deep-1023's and square-2048's operands).
 # The full trajectory version (durable JSON cells at 256/1024/4096) is
 # `make bench-json`; this is the quick in-place comparison.
 kernel-bench:
-	$(GO) test -run xxx -bench 'BenchmarkBaseCase|BenchmarkMicroPeak|BenchmarkPack|BenchmarkLinearCombine' -benchmem ./internal/kernel/ ./internal/matrix/
+	$(GO) test -run xxx -bench 'BenchmarkBaseCase|BenchmarkMicroPeak|BenchmarkPack|BenchmarkLinearCombine|BenchmarkLayout' -benchmem ./internal/kernel/ ./internal/matrix/ ./internal/bilinear/
 
 # Durable benchmark trajectory (cmd/bench): run the fixed matrix and
 # write the next BENCH_<k>.json, or re-run and diff against the newest

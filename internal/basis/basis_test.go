@@ -103,7 +103,11 @@ func TestTransformMatchesMatrixDefinition(t *testing.T) {
 	for j := 0; j < 4; j++ {
 		want := matrix.New(4, 4)
 		for i := 0; i < 4; i++ {
-			matrix.AddScaled(want, in.View(i*4, 0, 4, 4), f[i*4+j], 1)
+			for r := 0; r < 4; r++ {
+				for c := 0; c < 4; c++ {
+					want.Set(r, c, want.At(r, c)+f[i*4+j]*in.At(i*4+r, c))
+				}
+			}
 		}
 		if d := matrix.MaxAbsDiff(out.View(j*4, 0, 4, 4), want); d > 1e-13 {
 			t.Fatalf("group %d differs by %g", j, d)

@@ -29,6 +29,10 @@ const (
 	elemScale                 // group[i] *= c
 )
 
+// elemOp is one elementary operation. factorElementary never emits a
+// zero c: scales take a nonzero pivot and adds skip zero entries, as
+// they must, since applyInPlace runs both through matrix.LinearCombine,
+// which skips zero coefficients.
 type elemOp struct {
 	kind elemKind
 	i, j int
@@ -101,14 +105,22 @@ func (t *Transform) applyInPlace(ops []elemOp, v *matrix.Matrix, level, workers 
 			t.applyInPlace(ops, groups[i], level-1, 1, al)
 		})
 	}
+	// group_i += c·group_j is the two-term combination 1·group_i +
+	// c·group_j written over its first term: a rounded product, then a
+	// rounded sum.
+	var coeff [2]float64
+	var args [2]*matrix.Matrix
 	for _, op := range ops {
 		switch op.kind {
 		case elemAdd:
-			matrix.AddScaled(groups[op.i], groups[op.j], op.c, workers)
+			coeff[0], coeff[1] = 1, op.c
+			args[0], args[1] = groups[op.i], groups[op.j]
+			matrix.LinearCombine(groups[op.i], coeff[:], args[:], workers)
 		case elemSwap:
 			swapGroups(groups[op.i], groups[op.j], workers)
 		case elemScale:
-			matrix.Scale(groups[op.i], groups[op.i], op.c, workers)
+			coeff[0], args[0] = op.c, groups[op.i]
+			matrix.LinearCombine(groups[op.i], coeff[:1], args[:1], workers)
 		}
 	}
 	for _, g := range groups {

@@ -124,40 +124,3 @@ func TestMultiplyRejectsDecomposedSpec(t *testing.T) {
 	}()
 	bilinear.Multiply(fd.Spec, matrix.New(4, 4), matrix.New(4, 4), 1, bilinear.Options{})
 }
-
-func TestLayoutRoundTrip(t *testing.T) {
-	for _, l := range []int{0, 1, 2, 3} {
-		m := matrix.New(24, 24)
-		m.FillUniform(matrix.Rand(uint64(l)), -1, 1)
-		if l > 0 && (24%(2<<uint(l-1)) != 0) {
-			continue
-		}
-		pm, pk, _ := matrix.PadShape(24, 24, 24, 2, 2, 2, l)
-		p := m.PadTo(pm, pk)
-		s := bilinear.ToRecursive(p, 2, 2, l, 2)
-		back := matrix.New(p.Rows, p.Cols)
-		bilinear.FromRecursive(s, back, 2, 2, l, 2)
-		if !matrix.Equal(back, p) {
-			t.Fatalf("layout round trip failed at l=%d", l)
-		}
-	}
-}
-
-func TestLayoutRectangular(t *testing.T) {
-	m := matrix.New(18, 32)
-	m.FillUniform(matrix.Rand(3), -1, 1)
-	// 3×2 base, two levels: 36 base blocks of 2×8 stacked vertically.
-	s := bilinear.ToRecursive(m, 3, 2, 2, 2)
-	if s.Rows != 72 || s.Cols != 8 {
-		t.Fatalf("stacked shape %dx%d, want 72x8", s.Rows, s.Cols)
-	}
-	back := matrix.New(18, 32)
-	bilinear.FromRecursive(s, back, 3, 2, 2, 2)
-	if !matrix.Equal(back, m) {
-		t.Fatal("rectangular layout round trip failed")
-	}
-	// Spot-check block placement: base block (0,0) is m[0:2,0:8].
-	if matrix.MaxAbsDiff(s.View(0, 0, 2, 8), m.View(0, 0, 2, 8)) != 0 {
-		t.Fatal("first base block misplaced")
-	}
-}

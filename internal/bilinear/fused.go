@@ -4,15 +4,15 @@ package bilinear
 // the R products is a linear combination of the top-level operand
 // groups, and every output group is a linear combination of the R
 // products. The classical schedule materializes those combinations
-// (S_r, T_r, and the Scale/AddScaled decode sweeps) as full-matrix
-// memory passes around each base-case multiply. The packed kernel
-// makes all three passes free: its packing already copies each operand
-// block once, so the encode coefficients ride along with the copy, and
-// its write-out already touches each output tile once per kc slice, so
-// the decode coefficients ride along with the store. One recursion
-// level — 2R+ (number of nonzero w entries) full-matrix sweeps —
-// disappears into the kernel's existing memory traffic. This is the
-// fusion scheme of "Implementing Strassen's Algorithm with BLIS"
+// (S_r, T_r, and the decode program's scale and accumulate sweeps) as
+// full-matrix memory passes around each base-case multiply. The packed
+// kernel makes all three passes free: its packing already copies each
+// operand block once, so the encode coefficients ride along with the
+// copy, and its write-out already touches each output tile once per kc
+// slice, so the decode coefficients ride along with the store. One
+// recursion level — 2R+ (number of nonzero w entries) full-matrix
+// sweeps — disappears into the kernel's existing memory traffic. This
+// is the fusion scheme of "Implementing Strassen's Algorithm with BLIS"
 // (PAPERS.md), applied at the alternative-basis recursion's leaves.
 
 import (
@@ -42,8 +42,9 @@ const maxFusedDim = 32
 // per-element operation order, so a fused pack is bitwise identical to
 // materializing S_r/T_r and packing the result. On the decode side, a
 // product that scatters (≥ 2 outputs, a non-unit coefficient, or a
-// first-touch overwrite) reproduces materialize-then-Scale/AddScaled
-// rounding exactly when the base block's inner dimension fits one kc
+// first-touch overwrite) reproduces the rounding of materializing it
+// and then scaling or accumulating it (a rounded product, then a
+// rounded sum) exactly when the base block's inner dimension fits one kc
 // slice, so an output group written by a single product matches the
 // unfused step bitwise; a group summing several products may associate
 // its sum differently from the decode program. A product whose decode

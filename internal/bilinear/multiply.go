@@ -5,11 +5,11 @@ import (
 )
 
 // Multiply runs the full standard-basis pipeline for a spec whose
-// operators act directly on matrix blocks: pad the operands so that
-// `levels` recursion steps divide evenly, convert to stacked layout,
-// execute the recursion, and convert back, cropping the padding. It
-// panics if the spec is decomposed (those require basis
-// transformations; see internal/core).
+// operators act directly on matrix blocks: stack the operands, padded
+// so that `levels` recursion steps divide evenly, execute the
+// recursion, and unstack the product without its padding. It panics if
+// the spec is decomposed (those require basis transformations; see
+// internal/core).
 func Multiply(s *Spec, a, b *matrix.Matrix, levels int, opt Options) *matrix.Matrix {
 	if !s.IsStandard() {
 		panic("bilinear: Multiply requires a standard-basis spec")
@@ -24,11 +24,9 @@ func multiplyWith(e *Engine, a, b *matrix.Matrix) *matrix.Matrix {
 		panic(matrix.ErrShape)
 	}
 	s, levels, w := e.s, e.levels, e.workers
-	pm, pk, pn := matrix.PadShape(a.Rows, a.Cols, b.Cols, s.M0, s.K0, s.N0, levels)
-	as := ToRecursive(a.PadTo(pm, pk), s.M0, s.K0, levels, w)
-	bs := ToRecursive(b.PadTo(pk, pn), s.K0, s.N0, levels, w)
-	cs := e.exec(as, bs)
-	cp := matrix.New(pm, pn)
-	FromRecursive(cs, cp, s.M0, s.N0, levels, w)
-	return cp.CropTo(a.Rows, b.Cols)
+	as := ToRecursive(a, s.M0, s.K0, levels, w)
+	bs := ToRecursive(b, s.K0, s.N0, levels, w)
+	c := matrix.New(a.Rows, b.Cols)
+	FromRecursive(e.exec(as, bs), c, s.M0, s.N0, levels, w)
+	return c
 }

@@ -85,13 +85,13 @@ func runProgram(p *schedule.Program, inputs []*matrix.Matrix, rows, cols int,
 			owned[op.Dst] = m
 			regs[op.Dst] = m
 		}
-		if op.B < 0 {
-			matrix.Scale(regs[op.Dst], regs[op.A], op.CA, workers)
-		} else {
-			coeff[0], coeff[1] = op.CA, op.CB
-			args[0], args[1] = regs[op.A], regs[op.B]
-			matrix.LinearCombine(regs[op.Dst], coeff[:], args[:], workers)
+		terms := 1
+		coeff[0], args[0] = op.CA, regs[op.A]
+		if op.B >= 0 {
+			coeff[1], args[1] = op.CB, regs[op.B]
+			terms = 2
 		}
+		matrix.LinearCombine(regs[op.Dst], coeff[:terms], args[:terms], workers)
 		recycleReg(p, regs, owned, al, op.A, i)
 		if op.B >= 0 {
 			recycleReg(p, regs, owned, al, op.B, i)

@@ -4,10 +4,13 @@ import (
 	"testing"
 
 	"abmm/internal/algos"
+	"abmm/internal/basis"
+	"abmm/internal/bilinear"
 	"abmm/internal/core"
 	"abmm/internal/dd"
 	"abmm/internal/exact"
 	"abmm/internal/matrix"
+	"abmm/internal/pool"
 )
 
 func refMul(a, b *matrix.Matrix) *matrix.Matrix {
@@ -133,4 +136,82 @@ func TestDeterministicAcrossSchedules(t *testing.T) {
 			t.Fatalf("ours L=3 199²: Workers %d differs bitwise from Workers 1", w)
 		}
 	}
+}
+
+// TestPlanMatchesStagedPipeline runs every catalog algorithm on ragged
+// shapes and holds Plan.MultiplyInto, whose stacking passes pad and
+// crop, bit for bit to the same pipeline staged through each layer's
+// exported functions with padding and cropping as passes of their own.
+// Each plan first multiplies other operands, so the checked call runs
+// on dirty arena buffers.
+func TestPlanMatchesStagedPipeline(t *testing.T) {
+	catalog := []*algos.Algorithm{
+		algos.Classical(2, 2, 2), algos.Strassen(), algos.Winograd(), algos.AltWinograd(), algos.Ours(),
+		algos.Laderman(), algos.LadermanAlt(), algos.HopcroftKerr223(), algos.Rect323(),
+	}
+	for _, sh := range [][3]int{{100, 130, 90}, {81, 80, 82}, {33, 17, 65}, {7, 9, 5}} {
+		m, k, n := sh[0], sh[1], sh[2]
+		a, b := matrix.New(m, k), matrix.New(k, n)
+		a.FillUniform(matrix.Rand(uint64(m)), -1, 1)
+		b.FillUniform(matrix.Rand(uint64(n)), -1, 1)
+		wa, wb := matrix.New(m, k), matrix.New(k, n)
+		wa.FillUniform(matrix.Rand(uint64(k)), 1, 2)
+		wb.FillUniform(matrix.Rand(uint64(k+1)), 1, 2)
+		for _, alg := range catalog {
+			for levels := 1; levels <= 3; levels++ {
+				for _, w := range []int{1, 2} {
+					plan := core.NewPlan(alg, core.Options{Levels: levels, Workers: w}, m, k, n)
+					got := matrix.New(m, n)
+					plan.MultiplyInto(got, wa, wb)
+					plan.MultiplyInto(got, a, b)
+					if !matrix.Equal(got, stagedMultiply(alg, a, b, levels, w)) {
+						t.Errorf("%s %dx%dx%d L=%d w=%d: plan differs bitwise from the staged pipeline", alg.Name, m, k, n, levels, w)
+					}
+				}
+			}
+		}
+	}
+}
+
+// stagedMultiply computes a·b through the layers' exported functions:
+//
+//	PadInto → ToRecursiveInto → φ/ψ → ExecInto → νᵀ → FromRecursiveInto → CropInto
+//
+// applying each basis transform in place when it can, as core.Plan does.
+func stagedMultiply(alg *algos.Algorithm, a, b *matrix.Matrix, levels, w int) *matrix.Matrix {
+	s := alg.Spec
+	ar := pool.NewArena()
+	pm, pk, pn := matrix.PadShape(a.Rows, a.Cols, b.Cols, s.M0, s.K0, s.N0, levels)
+	pow := func(x int) int {
+		v := 1
+		for i := 0; i < levels; i++ {
+			v *= x
+		}
+		return v
+	}
+	stack := func(src *matrix.Matrix, rows, cols, p, q int) *matrix.Matrix {
+		padded := matrix.New(rows, cols)
+		matrix.PadInto(padded, src)
+		st := matrix.New(pow(p*q)*(rows/pow(p)), cols/pow(q))
+		bilinear.ToRecursiveInto(st, padded, p, q, levels, w, ar)
+		return st
+	}
+	transform := func(tr *basis.Transform, v *matrix.Matrix) *matrix.Matrix {
+		if tr == nil || tr.IsIdentity() || tr.ApplyInPlaceFrom(v, levels, w, ar) {
+			return v
+		}
+		return tr.Apply(v, levels, w)
+	}
+	as := transform(alg.Phi, stack(a, pm, pk, s.M0, s.K0))
+	bs := transform(alg.Psi, stack(b, pk, pn, s.K0, s.N0))
+	cs := matrix.New(pow(s.DW())*(pm/pow(s.M0)), pn/pow(s.N0))
+	bilinear.NewEngine(s, bilinear.Options{Workers: w}, levels).ExecInto(cs, as, bs, ar)
+	if alg.Nu != nil {
+		cs = transform(alg.Nu.Transposed(), cs)
+	}
+	full := matrix.New(pm, pn)
+	bilinear.FromRecursiveInto(full, cs, s.M0, s.N0, levels, w, ar)
+	c := matrix.New(a.Rows, b.Cols)
+	matrix.CropInto(c, full)
+	return c
 }

@@ -46,10 +46,9 @@ type Plan struct {
 	levels  int
 	workers int
 
-	// Padded operand dimensions; padded is false when they equal the
-	// operand shape and the pad/crop steps are skipped entirely.
+	// Padded operand dimensions: the shapes the stacked layout lays
+	// out, whose top-left corners are the caller's operands.
 	pm, pk, pn int
-	padded     bool
 
 	// Stacked-layout buffer shapes. asR/bsR are the row counts as laid
 	// out by ToRecursive; phiR/psiR the row counts after a
@@ -135,7 +134,6 @@ func NewPlan(alg *algos.Algorithm, opt Options, m, k, n int) *Plan {
 	}
 	s := alg.Spec
 	p.pm, p.pk, p.pn = matrix.PadShape(m, k, n, s.M0, s.K0, s.N0, levels)
-	p.padded = p.pm != m || p.pk != k || p.pn != n
 
 	ah, aw := p.pm/ipow(s.M0, levels), p.pk/ipow(s.K0, levels)
 	bh, bw := p.pk/ipow(s.K0, levels), p.pn/ipow(s.N0, levels)
@@ -370,23 +368,13 @@ func (p *Plan) stages(dst, a, b *matrix.Matrix, done <-chan struct{}, ms obs.Mul
 	w := p.workers
 	s := p.alg.Spec
 
-	// Stage operands into stacked layout (padding first if needed).
+	// Stage operands into stacked layout; the stacking pass writes the
+	// pad lanes as zeros.
 	ps := ms.StartPhase(obs.PhasePad)
 	as := ar.Mat(p.asR, p.asC)
 	bs := ar.Mat(p.bsR, p.bsC)
-	if p.padded {
-		ap := ar.Mat(p.pm, p.pk)
-		matrix.PadInto(ap, a)
-		bilinear.ToRecursiveInto(as, ap, s.M0, s.K0, p.levels, w, ar)
-		ar.PutMat(ap)
-		bp := ar.Mat(p.pk, p.pn)
-		matrix.PadInto(bp, b)
-		bilinear.ToRecursiveInto(bs, bp, s.K0, s.N0, p.levels, w, ar)
-		ar.PutMat(bp)
-	} else {
-		bilinear.ToRecursiveInto(as, a, s.M0, s.K0, p.levels, w, ar)
-		bilinear.ToRecursiveInto(bs, b, s.K0, s.N0, p.levels, w, ar)
-	}
+	bilinear.ToRecursiveInto(as, a, s.M0, s.K0, p.levels, w, ar)
+	bilinear.ToRecursiveInto(bs, b, s.K0, s.N0, p.levels, w, ar)
 	ps.End()
 
 	// Ã = φ(A), B̃ = ψ(B).
@@ -416,17 +404,9 @@ func (p *Plan) stages(dst, a, b *matrix.Matrix, done <-chan struct{}, ms obs.Mul
 		ps.End()
 	}
 
-	// Unstack and crop. When no padding was needed the stacked result
-	// unpacks straight into dst.
+	// Unstack into dst, skipping the pad lanes.
 	ps = ms.StartPhase(obs.PhaseCrop)
-	if p.padded {
-		cp := ar.Mat(p.pm, p.pn)
-		bilinear.FromRecursiveInto(cp, cs, s.M0, s.N0, p.levels, w, ar)
-		matrix.CropInto(dst, cp)
-		ar.PutMat(cp)
-	} else {
-		bilinear.FromRecursiveInto(dst, cs, s.M0, s.N0, p.levels, w, ar)
-	}
+	bilinear.FromRecursiveInto(dst, cs, s.M0, s.N0, p.levels, w, ar)
 	ar.PutMat(cs)
 	ps.End()
 }
@@ -546,7 +526,6 @@ func (pc *planCache) get(key PlanKey, alg *algos.Algorithm, opt Options) *Plan {
 	pc.misses.Add(1)
 	// Compilation runs under pc.mu deliberately: concurrent gets of one
 	// key must not compile (and then leak) duplicate plans.
-	//abmm:allow lock-discipline
 	p := NewPlan(alg, opt, key.M, key.K, key.N)
 	pc.entries[key] = pc.order.PushFront(p)
 	for pc.order.Len() > DefaultPlanCache {

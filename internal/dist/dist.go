@@ -77,14 +77,14 @@ func Multiply(spec *bilinear.Spec, a, b *matrix.Matrix, procs int, opt Options) 
 		w = 1
 	}
 
-	pm, pk, pn := matrix.PadShape(a.Rows, a.Cols, b.Cols, spec.M0, spec.K0, spec.N0, levels)
+	pm, pk, _ := matrix.PadShape(a.Rows, a.Cols, b.Cols, spec.M0, spec.K0, spec.N0, levels)
 	hA := pm / ipow(spec.M0, levels) // base block rows, A and C side
 	hB := pk / ipow(spec.K0, levels) // base block rows, B side
 	if hA%procs != 0 || hB%procs != 0 {
 		return nil, Stats{}, fmt.Errorf("dist: base block rows (%d, %d) not divisible by %d processors", hA, hB, procs)
 	}
-	as := bilinear.ToRecursive(a.PadTo(pm, pk), spec.M0, spec.K0, levels, w)
-	bs := bilinear.ToRecursive(b.PadTo(pk, pn), spec.K0, spec.N0, levels, w)
+	as := bilinear.ToRecursive(a, spec.M0, spec.K0, levels, w)
+	bs := bilinear.ToRecursive(b, spec.K0, spec.N0, levels, w)
 
 	net := newNetwork(procs)
 	aParts := scatter(as, hA/procs, procs)
@@ -103,9 +103,9 @@ func Multiply(spec *bilinear.Spec, a, b *matrix.Matrix, procs int, opt Options) 
 	wg.Wait()
 
 	cs := gather(cParts, hA/procs, procs)
-	cp := matrix.New(pm, pn)
-	bilinear.FromRecursive(cs, cp, spec.M0, spec.N0, levels, w)
-	return cp.CropTo(a.Rows, b.Cols), net.stats(), nil
+	c := matrix.New(a.Rows, b.Cols)
+	bilinear.FromRecursive(cs, c, spec.M0, spec.N0, levels, w)
+	return c, net.stats(), nil
 }
 
 // bfs executes the SPMD recursion for one processor. aPart and bPart

@@ -19,56 +19,6 @@ func seqRows(m *Matrix, workers int) bool {
 	return workers == 1 || m.Rows <= rowsGrain(m)
 }
 
-// Scale computes dst = c*a element-wise. dst may alias a.
-func Scale(dst, a *Matrix, c float64, workers int) {
-	if !SameShape(dst, a) {
-		panic(ErrShape)
-	}
-	if seqRows(dst, workers) {
-		scaleRowsRange(dst, a, c, 0, dst.Rows)
-		return
-	}
-	parallel.ForChunks(dst.Rows, workers, rowsGrain(dst), func(lo, hi int) {
-		scaleRowsRange(dst, a, c, lo, hi)
-	})
-}
-
-func scaleRowsRange(dst, a *Matrix, c float64, lo, hi int) {
-	end, n := rowSpans(lo, hi, dst.Cols, dst.IsContiguous() && a.IsContiguous())
-	for i := lo; i < end; i++ {
-		d, x := span(dst, i, n), span(a, i, n)
-		for j := range d {
-			d[j] = c * x[j]
-		}
-	}
-}
-
-// AddScaled computes dst += c*a element-wise (AXPY).
-func AddScaled(dst, a *Matrix, c float64, workers int) {
-	if !SameShape(dst, a) {
-		panic(ErrShape)
-	}
-	if seqRows(dst, workers) {
-		addScaledRows(dst, a, c, 0, dst.Rows)
-		return
-	}
-	parallel.ForChunks(dst.Rows, workers, rowsGrain(dst), func(lo, hi int) {
-		addScaledRows(dst, a, c, lo, hi)
-	})
-}
-
-func addScaledRows(dst, a *Matrix, c float64, lo, hi int) {
-	end, n := rowSpans(lo, hi, dst.Cols, dst.IsContiguous() && a.IsContiguous())
-	for i := lo; i < end; i++ {
-		d, x := span(dst, i, n), span(a, i, n)
-		v := axpy(d, x, c)
-		d, x = d[v:], x[v:len(d)]
-		for j := range d {
-			d[j] += c * x[j]
-		}
-	}
-}
-
 // useISA picks the vector routines combine2 and axpy run. It starts as
 // cpu.Host; tests lower it to check the narrower routines against the
 // Go loops on the same host. Library code never writes it.

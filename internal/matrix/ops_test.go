@@ -23,14 +23,14 @@ func TestAddSubScale(t *testing.T) {
 			t.Fatal("(a+b)-b != a exactly")
 		}
 		tw := New(33, 17)
-		Scale(tw, a, 2, workers)
+		LinearCombine(tw, []float64{2}, []*Matrix{a}, workers)
 		LinearCombine(tw, []float64{1, -1}, []*Matrix{tw, a}, workers) // in-place aliasing
 		if MaxAbsDiff(tw, a) != 0 {
 			t.Fatal("2a-a != a")
 		}
-		AddScaled(tw, a, -1, workers)
+		LinearCombine(tw, []float64{1, -1}, []*Matrix{tw, a}, workers)
 		if tw.MaxNorm() != 0 {
-			t.Fatal("AddScaled(-1) did not cancel")
+			t.Fatal("in-place a-a did not cancel")
 		}
 	}
 }
@@ -56,13 +56,12 @@ func TestOpsOnViews(t *testing.T) {
 func TestOpsShapePanics(t *testing.T) {
 	a, b := New(2, 2), New(2, 3)
 	for name, fn := range map[string]func(){
-		"Scale":      func() { Scale(New(2, 3), a, 2, 1) },
-		"AddScaled":  func() { AddScaled(New(2, 3), a, 2, 1) },
-		"ScaleRows":  func() { ScaleRows(a, a, []float64{1}, 1) },
-		"ScaleCols":  func() { ScaleCols(a, a, []float64{1, 2, 3}, 1) },
-		"MulAdd":     func() { MulAdd(New(2, 2), a, b.Transpose(), 1) },
-		"CopyInto":   func() { CopyInto(a, b) },
-		"MaxAbsDiff": func() { MaxAbsDiff(a, b) },
+		"LinearCombine": func() { LinearCombine(New(2, 3), []float64{1, 2}, []*Matrix{b, a}, 1) },
+		"ScaleRows":     func() { ScaleRows(a, a, []float64{1}, 1) },
+		"ScaleCols":     func() { ScaleCols(a, a, []float64{1, 2, 3}, 1) },
+		"MulAdd":        func() { MulAdd(New(2, 2), a, b.Transpose(), 1) },
+		"CopyInto":      func() { CopyInto(a, b) },
+		"MaxAbsDiff":    func() { MaxAbsDiff(a, b) },
 	} {
 		func() {
 			defer expectPanic(t, name+" shape mismatch")
@@ -112,7 +111,11 @@ func TestLinearCombineNegFirstTerm(t *testing.T) {
 	got := New(4, 4)
 	LinearCombine(got, []float64{-1}, []*Matrix{a}, 1)
 	want := New(4, 4)
-	Scale(want, a, -1, 1)
+	for i := 0; i < 4; i++ {
+		for j := 0; j < 4; j++ {
+			want.Set(i, j, -a.At(i, j))
+		}
+	}
 	if MaxAbsDiff(got, want) != 0 {
 		t.Fatal("leading -1 term wrong")
 	}

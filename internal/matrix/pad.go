@@ -1,23 +1,8 @@
 package matrix
 
-// PadTo returns m zero-padded to r-by-c. If m already has that shape it
-// is returned unchanged (no copy).
-func (m *Matrix) PadTo(r, c int) *Matrix {
-	if r < m.Rows || c < m.Cols {
-		panic("matrix: PadTo target smaller than source")
-	}
-	if r == m.Rows && c == m.Cols {
-		return m
-	}
-	out := New(r, c)
-	CopyInto(out.View(0, 0, m.Rows, m.Cols), m)
-	return out
-}
-
 // PadInto copies src into the top-left corner of dst and zeroes the
 // remaining border. dst must be at least as large as src in both
-// dimensions. It is the destination-passing form of PadTo: dst may be
-// recycled scratch with arbitrary prior contents.
+// dimensions; it may be recycled scratch with arbitrary prior contents.
 //
 //abmm:hotpath
 func PadInto(dst, src *Matrix) {
@@ -40,8 +25,7 @@ func PadInto(dst, src *Matrix) {
 }
 
 // CropInto copies the top-left dst.Rows-by-dst.Cols corner of src into
-// dst, the destination-passing form of CropTo. src must be at least as
-// large as dst in both dimensions.
+// dst. src must be at least as large as dst in both dimensions.
 //
 //abmm:hotpath
 func CropInto(dst, src *Matrix) {
@@ -51,19 +35,6 @@ func CropInto(dst, src *Matrix) {
 	for i := 0; i < dst.Rows; i++ {
 		copy(dst.Row(i), src.Row(i)[:dst.Cols])
 	}
-}
-
-// CropTo returns the top-left r-by-c corner of m as a copy with
-// contiguous storage. If m already has that shape it is returned
-// unchanged.
-func (m *Matrix) CropTo(r, c int) *Matrix {
-	if r > m.Rows || c > m.Cols {
-		panic("matrix: CropTo target larger than source")
-	}
-	if r == m.Rows && c == m.Cols {
-		return m
-	}
-	return m.View(0, 0, r, c).Clone()
 }
 
 // PadShape computes the padded dimensions for multiplying an m-by-k

@@ -4,37 +4,17 @@ import "testing"
 
 func TestPadCropRoundTrip(t *testing.T) {
 	m := randMat(5, 5, 7)
-	p := m.PadTo(8, 8)
-	if p.Rows != 8 || p.Cols != 8 {
-		t.Fatal("pad shape")
-	}
-	if p.At(7, 7) != 0 || p.At(0, 7) != 0 {
+	p := New(8, 8)
+	p.Fill(3) // dirty scratch: PadInto must overwrite the border
+	PadInto(p, m)
+	if p.At(7, 7) != 0 || p.At(0, 7) != 0 || p.At(5, 0) != 0 {
 		t.Fatal("padding not zero")
 	}
-	back := p.CropTo(5, 7)
+	back := New(5, 7)
+	CropInto(back, p)
 	if !Equal(back, m) {
 		t.Fatal("pad/crop round trip lost data")
 	}
-}
-
-func TestPadToNoopReturnsSame(t *testing.T) {
-	m := New(4, 4)
-	if m.PadTo(4, 4) != m {
-		t.Fatal("no-op pad must not copy")
-	}
-	if m.CropTo(4, 4) != m {
-		t.Fatal("no-op crop must not copy")
-	}
-}
-
-func TestPadToSmallerPanics(t *testing.T) {
-	defer expectPanic(t, "pad smaller")
-	New(4, 4).PadTo(3, 4)
-}
-
-func TestCropToLargerPanics(t *testing.T) {
-	defer expectPanic(t, "crop larger")
-	New(4, 4).CropTo(5, 4)
 }
 
 func TestPadShape(t *testing.T) {

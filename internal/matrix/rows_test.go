@@ -40,10 +40,11 @@ func specialView(seed uint64, rows, n int) *Matrix {
 }
 
 // TestRowRoutinesAgreeBitwise runs LinearCombine (2 and 3 terms, into
-// a fresh destination and into its first source) and AddScaled under
-// every row routine the host supports and compares each with the Go
-// loops: row lengths 1–33 cover every tail length of both vector
-// widths, and 1000 the unrolled main loops. Non-NaN elements must
+// a fresh destination and into its first source) under every row
+// routine the host supports and compares each with the Go loops: row
+// lengths 1–33 cover every tail length of both vector widths, and 1000
+// the unrolled main loops. The aliased cases with coefficients (1, c, 0)
+// are the in-place transforms' group add, d += c·y. Non-NaN elements must
 // match to the bit and NaNs must sit in the same places (a product
 // by −1 or 1 may return a NaN with another sign or payload than Go's
 // negation or copy). It then runs the row loops over rows [2, 5) of
@@ -104,11 +105,6 @@ func TestRowRoutinesAgreeBitwise(t *testing.T) {
 					}
 				}
 			}
-			f := func(dst *Matrix) { AddScaled(dst, y, c0, 1) }
-			want := run(cpu.Generic, n, false, f)
-			for _, i := range isas[1:] {
-				check(fmt.Sprintf("n=%d AddScaled(%v)", n, c0), i, run(i, n, false, f), want)
-			}
 		}
 	}
 
@@ -131,8 +127,6 @@ func TestRowRoutinesAgreeBitwise(t *testing.T) {
 					{"combineRows 1 term", func(dst *Matrix, src []*Matrix) {
 						combineRows(dst, []lcTerm{{c1, src[1]}}, lo, hi)
 					}},
-					{"addScaledRows", func(dst *Matrix, src []*Matrix) { addScaledRows(dst, src[1], c1, lo, hi) }},
-					{"scaleRowsRange", func(dst *Matrix, src []*Matrix) { scaleRowsRange(dst, src[1], c1, lo, hi) }},
 				}
 				for _, tc := range cases {
 					forceISA(t, cpu.Generic)
@@ -151,12 +145,14 @@ func TestRowRoutinesAgreeBitwise(t *testing.T) {
 }
 
 // BenchmarkLinearCombine times the two row routines through their
-// public entry points at one worker, under each routine the host runs:
-// a two-term LinearCombine (d = c0·x + c1·y) and AddScaled (d += c·x),
-// on n×n operands that fit in L2 together (n=128: 3 × 128 KiB) and on
-// operands the size of deep-1023's transforms (n=1024: 3 × 8 MiB, past
-// L2 and within a server LLC). GB/s counts the three n² streams each
-// pass moves: two reads and a write.
+// public entry point at one worker, under each routine the host runs:
+// a two-term LinearCombine (d = c0·x + c1·y) and the same combination
+// written over its first term (axpy: d = 1·d + c·x, the in-place
+// transforms' group add), on n×n operands that fit in L2 together
+// (n=128: 3 × 128 KiB) and on operands the size of deep-1023's
+// transforms (n=1024: 3 × 8 MiB, past L2 and within a server LLC).
+// GB/s counts the three n² streams each pass moves: two reads and a
+// write.
 func BenchmarkLinearCombine(b *testing.B) {
 	for _, n := range []int{128, 1024} {
 		x, y, d := randMat(1, n, n), randMat(2, n, n), New(n, n)
@@ -172,8 +168,9 @@ func BenchmarkLinearCombine(b *testing.B) {
 			})
 			b.Run(fmt.Sprintf("axpy/%s/n=%d", isaNames[i], n), func(b *testing.B) {
 				forceISA(b, i)
+				coeffs, srcs := []float64{1, 0.5}, []*Matrix{d, x}
 				for r := 0; r < b.N; r++ {
-					AddScaled(d, x, 0.5, 1)
+					LinearCombine(d, coeffs, srcs, 1)
 				}
 				b.ReportMetric(bytes*float64(b.N)/b.Elapsed().Seconds()/1e9, "GB/s")
 			})

@@ -6,9 +6,9 @@
 //
 //	C = D_A (D_A⁻¹ A D)(D⁻¹ B D_B⁻¹) D_B                    (Eq. 14).
 //
-// Scale factors are rounded to powers of two by default so that the
-// pre- and post-processing multiplications are exact in floating point
-// and the technique never adds error of its own.
+// Scale factors are rounded to powers of two so that the pre- and
+// post-processing multiplications are exact in floating point and the
+// technique never adds error of its own.
 package scaling
 
 import (
@@ -34,10 +34,14 @@ const (
 	// InsideOutside performs one inside step then one outside step.
 	InsideOutside
 	// RepeatedOutsideInside alternates outside and inside steps for
-	// Config.Steps rounds (the paper's R-O-I; a safe default when the
+	// repeatedRounds rounds (the paper's R-O-I; a safe default when the
 	// input distribution is unknown).
 	RepeatedOutsideInside
 )
+
+// repeatedRounds is the number of alternating outside-inside rounds
+// RepeatedOutsideInside runs.
+const repeatedRounds = 2
 
 // String returns the experiment label of the method.
 func (m Method) String() string {
@@ -61,20 +65,13 @@ func (m Method) String() string {
 // Config configures scaled multiplication.
 type Config struct {
 	Method Method
-	// Steps is the number of alternating rounds for
-	// RepeatedOutsideInside; default 2.
-	Steps int
-	// ExactPowers rounds all scale factors to powers of two
-	// (recommended and default true via NewConfig) so scaling is
-	// error-free.
-	ExactPowers bool
 	// Workers bounds parallelism of the scaling passes; 0 = default.
 	Workers int
 }
 
 // NewConfig returns the default configuration for a method.
 func NewConfig(m Method) Config {
-	return Config{Method: m, Steps: 2, ExactPowers: true}
+	return Config{Method: m}
 }
 
 // Multiply computes A·B through mul with the configured scaling wrapped
@@ -88,8 +85,8 @@ func Multiply(cfg Config, a, b *matrix.Matrix, mul func(a, b *matrix.Matrix) *ma
 	rowScale := ones(a.Rows)
 	colScale := ones(b.Cols)
 	outside := func() {
-		da := sanitize(sa.AbsRowMax(), cfg)
-		db := sanitize(sb.AbsColMax(), cfg)
+		da := sanitize(sa.AbsRowMax())
+		db := sanitize(sb.AbsColMax())
 		matrix.ScaleRows(sa, sa, reciprocals(da), w)
 		matrix.ScaleCols(sb, sb, reciprocals(db), w)
 		for i := range rowScale {
@@ -111,7 +108,7 @@ func Multiply(cfg Config, a, b *matrix.Matrix, mul func(a, b *matrix.Matrix) *ma
 			}
 			d[k] = math.Sqrt(bm[k] / am[k])
 		}
-		d = sanitize(d, cfg)
+		d = sanitize(d)
 		matrix.ScaleCols(sa, sa, d, w)
 		matrix.ScaleRows(sb, sb, reciprocals(d), w)
 	}
@@ -127,11 +124,7 @@ func Multiply(cfg Config, a, b *matrix.Matrix, mul func(a, b *matrix.Matrix) *ma
 		inside()
 		outside()
 	case RepeatedOutsideInside:
-		steps := cfg.Steps
-		if steps <= 0 {
-			steps = 2
-		}
-		for s := 0; s < steps; s++ {
+		for s := 0; s < repeatedRounds; s++ {
 			outside()
 			inside()
 		}
@@ -145,16 +138,14 @@ func Multiply(cfg Config, a, b *matrix.Matrix, mul func(a, b *matrix.Matrix) *ma
 }
 
 // sanitize replaces non-finite or zero scale factors with 1 and rounds
-// to powers of two when configured.
-func sanitize(d []float64, cfg Config) []float64 {
+// the others to powers of two.
+func sanitize(d []float64) []float64 {
 	for i, v := range d {
 		if v == 0 || math.IsNaN(v) || math.IsInf(v, 0) {
 			d[i] = 1
 			continue
 		}
-		if cfg.ExactPowers {
-			d[i] = math.Exp2(math.Round(math.Log2(v)))
-		}
+		d[i] = math.Exp2(math.Round(math.Log2(v)))
 	}
 	return d
 }

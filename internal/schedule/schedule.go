@@ -254,7 +254,10 @@ func (b *builder) hoist(k pairKey, targets []combo) {
 
 // emitChain emits a left-to-right chain computing the combination and
 // returns the register holding the result. Single-term combinations
-// with unit coefficient pass through without an op.
+// with unit coefficient pass through without an op. Executors run each
+// op as a matrix.LinearCombine, which skips zero coefficients; every
+// coefficient emitted here and in hoist is nonzero except the zero
+// combination's 0·x_0, which therefore fills its register with +0.
 func (b *builder) emitChain(c combo) int {
 	regs := sortedRegs(c)
 	if len(regs) == 0 {

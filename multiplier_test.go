@@ -158,21 +158,23 @@ func TestMultiplyIntoCtxZeroAllocUntraced(t *testing.T) {
 
 // TestMultiplyIntoZeroAllocWarm pins the tentpole guarantee: once a
 // plan and its arenas are warm, sequential MultiplyInto allocates
-// nothing.
+// nothing, on a shape the recursion divides and on one it pads.
 func TestMultiplyIntoZeroAllocWarm(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
 	alg, _ := abmm.Lookup("ours")
-	const n = 128
-	a, b, dst := abmm.NewMatrix(n, n), abmm.NewMatrix(n, n), abmm.NewMatrix(n, n)
-	a.FillUniform(abmm.Rand(1), -1, 1)
-	b.FillUniform(abmm.Rand(2), -1, 1)
-	mu := abmm.NewMultiplier(alg, abmm.Options{Levels: 2, Workers: 1})
-	mu.MultiplyInto(dst, a, b)
-	mu.MultiplyInto(dst, a, b)
-	if av := testing.AllocsPerRun(10, func() { mu.MultiplyInto(dst, a, b) }); av != 0 {
-		t.Fatalf("warm MultiplyInto allocated %.1f objects/op, want 0", av)
+	for _, sh := range [][3]int{{128, 128, 128}, {100, 130, 90}} {
+		m, k, n := sh[0], sh[1], sh[2]
+		a, b, dst := abmm.NewMatrix(m, k), abmm.NewMatrix(k, n), abmm.NewMatrix(m, n)
+		a.FillUniform(abmm.Rand(1), -1, 1)
+		b.FillUniform(abmm.Rand(2), -1, 1)
+		mu := abmm.NewMultiplier(alg, abmm.Options{Levels: 2, Workers: 1})
+		mu.MultiplyInto(dst, a, b)
+		mu.MultiplyInto(dst, a, b)
+		if av := testing.AllocsPerRun(10, func() { mu.MultiplyInto(dst, a, b) }); av != 0 {
+			t.Fatalf("%dx%dx%d: warm MultiplyInto allocated %.1f objects/op, want 0", m, k, n, av)
+		}
 	}
 }
 
