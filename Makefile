@@ -23,14 +23,18 @@ test:
 race:
 	$(GO) test -race -short ./...
 
-# The 386 pass type-checks code and tests for a 32-bit int. The
-# benchmark module (_perfbench, its own go.mod) is vetted the same way:
-# it calls the library's exported functions, so deleting one it uses
-# fails here instead of only in perfbench-selftest.
+# The 386 pass type-checks code and tests for a 32-bit int. The arm64
+# pass type-checks the !amd64 files (the Go micro-kernel, packs and row
+# routines, the CPU probe stub) on the 64-bit target they ship for;
+# 386 sees them only with a 32-bit int. The benchmark module
+# (_perfbench, its own go.mod) is vetted the same way: it calls the
+# library's exported functions, so deleting one it uses fails here
+# instead of only in perfbench-selftest.
 vet:
 	$(GO) vet ./...
 	GOARCH=386 $(GO) vet ./...
-	cd _perfbench && $(GO) vet . && GOARCH=386 $(GO) vet .
+	GOARCH=arm64 $(GO) vet ./...
+	cd _perfbench && $(GO) vet . && GOARCH=386 $(GO) vet . && GOARCH=arm64 $(GO) vet .
 
 # Formatting gate; testdata is excluded because the lint fixtures pin
 # their line numbers.

@@ -23,20 +23,28 @@ func TestApplyInPlaceMatchesApply(t *testing.T) {
 		if !tr.CanApplyInPlace() {
 			t.Fatalf("%s: catalog transform not in-place compilable", tr.Name)
 		}
-		for _, level := range []int{0, 1, 2} {
-			rows := 8
-			for i := 0; i < level; i++ {
-				rows *= tr.D1
-			}
-			in := matrix.New(rows, 12)
-			in.FillUniform(matrix.Rand(uint64(level+rows)), -1, 1)
-			want := tr.Apply(in, level, 2)
-			got := in.Clone()
-			if !tr.ApplyInPlace(got, level, 2) {
-				t.Fatalf("%s: ApplyInPlace refused", tr.Name)
-			}
-			if d := matrix.MaxAbsDiff(got, want); d > 1e-13 {
-				t.Fatalf("%s level %d: in-place differs by %g", tr.Name, level, d)
+		// Groups of 8 rows × 12 columns are whole multiples of the
+		// vector width; groups of 3 × 13 end every row combination in
+		// the scalar tail.
+		for _, sh := range [][2]int{{8, 12}, {3, 13}} {
+			for _, level := range []int{0, 1, 2} {
+				rows := sh[0]
+				for i := 0; i < level; i++ {
+					rows *= tr.D1
+				}
+				in := matrix.New(rows, sh[1])
+				in.FillUniform(matrix.Rand(uint64(level+rows)), -1, 1)
+				want := tr.Apply(in, level, 2)
+				for _, workers := range []int{1, 2} {
+					got := in.Clone()
+					if !tr.ApplyInPlace(got, level, workers) {
+						t.Fatalf("%s: ApplyInPlace refused", tr.Name)
+					}
+					if d := matrix.MaxAbsDiff(got, want); d > 1e-13 {
+						t.Fatalf("%s %dx%d level %d workers %d: in-place differs by %g",
+							tr.Name, rows, sh[1], level, workers, d)
+					}
+				}
 			}
 		}
 	}

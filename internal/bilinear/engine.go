@@ -21,8 +21,8 @@ type Options struct {
 	// breadth-first step above a depth-first recursion. With one worker
 	// the whole recursion runs on the calling goroutine.
 	Workers int
-	// Recorder, when non-nil, receives the base-case kernel's nested
-	// pack/kernel phase spans; nil disables recording at zero cost.
+	// Recorder, when non-nil, receives ExecInto's base-case pack/kernel
+	// phase spans; nil disables recording at zero cost.
 	Recorder obs.Recorder
 }
 
@@ -96,21 +96,6 @@ func NewEngine(s *Spec, opt Options, levels int) *Engine {
 	return e
 }
 
-// WithRecorder returns an engine identical to e but reporting to rec —
-// a shallow copy sharing the compiled state (the specs' programs and
-// the region names), so it costs one small allocation, not a
-// recompile. The serving layer uses it to attach a per-request trace
-// recorder to a cached plan's engine for a single execution. Returns e
-// itself when rec is already its recorder.
-func (e *Engine) WithRecorder(rec obs.Recorder) *Engine {
-	if e == nil || rec == e.rec {
-		return e
-	}
-	e2 := *e
-	e2.rec = rec
-	return &e2
-}
-
 // ExecInto runs the engine's recursion, writing the stacked product
 // into c. Scratch is drawn from al; with a warm pool.Arena the call
 // performs no heap allocation with one worker. c must be fully
@@ -118,19 +103,19 @@ func (e *Engine) WithRecorder(rec obs.Recorder) *Engine {
 //
 //abmm:hotpath
 func (e *Engine) ExecInto(c, a, b *matrix.Matrix, al *pool.Arena) {
-	e.ExecIntoCancel(c, a, b, al, nil)
+	e.ExecIntoCancel(c, a, b, al, nil, e.rec)
 }
 
-// ExecIntoCancel is ExecInto that stops once done is closed: the
-// recursion polls done at every node boundary, leaves included (one
-// non-blocking receive per node, nothing per element), and abandons the
-// remaining subtree, leaving c in an unspecified state. Scratch
-// accounting stays balanced on the abandoned path, so the arena remains
-// reusable. A nil done never fires and makes this identical to
-// ExecInto.
+// ExecIntoCancel is ExecInto that reports every leaf GEMM's pack and
+// kernel spans to rec instead (nil records nothing) and stops once done
+// is closed: the recursion polls done at every node boundary, leaves
+// included (one non-blocking receive per node, nothing per element),
+// and abandons the remaining subtree, leaving c in an unspecified
+// state. Scratch accounting stays balanced on the abandoned path, so
+// the arena remains reusable. A nil done never fires.
 //
 //abmm:hotpath
-func (e *Engine) ExecIntoCancel(c, a, b *matrix.Matrix, al *pool.Arena, done <-chan struct{}) {
+func (e *Engine) ExecIntoCancel(c, a, b *matrix.Matrix, al *pool.Arena, done <-chan struct{}, rec obs.Recorder) {
 	s, levels := e.s, e.levels
 	du, dv, dw := ipow(s.DU(), levels), ipow(s.DV(), levels), ipow(s.DW(), levels)
 	if a.Rows%du != 0 || b.Rows%dv != 0 {
@@ -143,10 +128,10 @@ func (e *Engine) ExecIntoCancel(c, a, b *matrix.Matrix, al *pool.Arena, done <-c
 	if c.Rows != dw*(a.Rows/du) || c.Cols != b.Cols {
 		panic(fmt.Sprintf("bilinear: output %dx%d, want %dx%d", c.Rows, c.Cols, dw*(a.Rows/du), b.Cols))
 	}
-	e.recurse(c, a, b, levels, al, done)
+	e.recurse(c, a, b, levels, al, done, rec)
 }
 
-func (e *Engine) recurse(c, a, b *matrix.Matrix, level int, al *pool.Arena, done <-chan struct{}) {
+func (e *Engine) recurse(c, a, b *matrix.Matrix, level int, al *pool.Arena, done <-chan struct{}, rec obs.Recorder) {
 	// Cooperative cancellation: one non-blocking receive per recursion
 	// node (base cases included — a leaf is still a whole classical
 	// block multiply, not an element). Bailing here, before any scratch
@@ -167,16 +152,16 @@ func (e *Engine) recurse(c, a, b *matrix.Matrix, level int, al *pool.Arena, done
 		defer trace.StartRegion(context.Background(), e.regionNames[level]).End()
 	}
 	if level == 0 {
-		kernel.Mul(c, a, b, kernel.DefaultBlocking(), e.workers, al, e.rec)
+		kernel.Mul(c, a, b, kernel.DefaultBlocking(), e.workers, al, rec)
 		return
 	}
 	// The last recursion level collapses into fused packed-kernel calls
 	// (encode during packing, decode during write-out; see fused.go).
 	if level == 1 && !e.unfused {
-		e.fusedStep(c, a, b, al, done)
+		e.fusedStep(c, a, b, al, done, rec)
 		return
 	}
-	e.scheduled(c, a, b, level, al, done)
+	e.scheduled(c, a, b, level, al, done, rec)
 }
 
 // scheduled runs one recursion step using the CSE-compiled linear-phase
@@ -184,7 +169,7 @@ func (e *Engine) recurse(c, a, b *matrix.Matrix, level int, al *pool.Arena, done
 // the R products recurse (concurrently at the top node when there is
 // more than one worker), and the decode program writes the output
 // groups in place.
-func (e *Engine) scheduled(c, a, b *matrix.Matrix, level int, al *pool.Arena, done <-chan struct{}) {
+func (e *Engine) scheduled(c, a, b *matrix.Matrix, level int, al *pool.Arena, done <-chan struct{}, rec obs.Recorder) {
 	s := e.specAt(level)
 	encA, encB, dec := s.Programs()
 	ah, bh, ch := a.Rows/s.DU(), b.Rows/s.DV(), c.Rows/s.DW()
@@ -199,10 +184,10 @@ func (e *Engine) scheduled(c, a, b *matrix.Matrix, level int, al *pool.Arena, do
 	if level == e.levels && e.workers > 1 {
 		// Done in a separate method so its closure doesn't force sRun
 		// and tRun to the heap on the single-worker path.
-		e.recurseFanOut(prods, sRun.outs, tRun.outs, level, al, done)
+		e.recurseFanOut(prods, sRun.outs, tRun.outs, level, al, done, rec)
 	} else {
 		for r := 0; r < s.R; r++ {
-			e.recurse(prods[r], sRun.outs[r], tRun.outs[r], level-1, al, done)
+			e.recurse(prods[r], sRun.outs[r], tRun.outs[r], level-1, al, done, rec)
 		}
 	}
 	sRun.release(al)
@@ -223,21 +208,20 @@ func (e *Engine) scheduled(c, a, b *matrix.Matrix, level int, al *pool.Arena, do
 // concurrently: one breadth-first step above a depth-first recursion,
 // the memory-bounded hybrid of CAPS. Each product's subtree runs on an
 // engine copy with max(1, workers/R) workers, so a leaf GEMM too small
-// to split still keeps a core busy. The copy is taken here, not at
-// construction, so it carries this execution's recorder (WithRecorder)
-// and per-level specs (MultiplyMixed). Products write disjoint buffers
-// and no accumulation changes order, so the result is bitwise identical
-// to the sequential loop; peak scratch grows by up to min(workers, R)−1
+// to split still keeps a core busy; it shares the compiled state and
+// per-level specs (MultiplyMixed). Products write disjoint buffers and
+// no accumulation changes order, so the result is bitwise identical to
+// the sequential loop; peak scratch grows by up to min(workers, R)−1
 // concurrent level-(L−1) subtrees. The closure and its goroutines
 // allocate, and this runs only with more than one worker.
 //
 //abmm:coldpath
-func (e *Engine) recurseFanOut(prods, souts, touts []*matrix.Matrix, level int, al *pool.Arena, done <-chan struct{}) {
+func (e *Engine) recurseFanOut(prods, souts, touts []*matrix.Matrix, level int, al *pool.Arena, done <-chan struct{}, rec obs.Recorder) {
 	sub := *e
 	sub.workers = max(1, e.workers/len(prods))
 	parallel.ForChunks(len(prods), e.workers, 1, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
-			sub.recurse(prods[r], souts[r], touts[r], level-1, al, done)
+			sub.recurse(prods[r], souts[r], touts[r], level-1, al, done, rec)
 		}
 	})
 }

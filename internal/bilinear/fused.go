@@ -18,6 +18,7 @@ package bilinear
 import (
 	"abmm/internal/kernel"
 	"abmm/internal/matrix"
+	"abmm/internal/obs"
 	"abmm/internal/parallel"
 	"abmm/internal/pool"
 )
@@ -57,7 +58,7 @@ const maxFusedDim = 32
 // still receives the same number of rounded partial sums.
 //
 //abmm:hotpath
-func (e *Engine) fusedStep(c, a, b *matrix.Matrix, al *pool.Arena, done <-chan struct{}) {
+func (e *Engine) fusedStep(c, a, b *matrix.Matrix, al *pool.Arena, done <-chan struct{}, rec obs.Recorder) {
 	s := e.specAt(1)
 	aGroups := groupsIn(al, a, s.DU())
 	bGroups := groupsIn(al, b, s.DV())
@@ -119,7 +120,7 @@ func (e *Engine) fusedStep(c, a, b *matrix.Matrix, al *pool.Arena, done <-chan s
 			no++
 			touched[k] = true
 		}
-		kernel.GEMM(outs[:no], at[:na], bt[:nb], kernel.DefaultBlocking(), e.workers, al, e.rec)
+		kernel.GEMM(outs[:no], at[:na], bt[:nb], kernel.DefaultBlocking(), e.workers, al, rec)
 	}
 	for k, t := range touched {
 		if !t {

@@ -166,7 +166,7 @@ func NewPlan(alg *algos.Algorithm, opt Options, m, k, n int) *Plan {
 			p.nuR = ipow(p.nuT.D2, levels) * ch
 		}
 	}
-	p.eng = bilinear.NewEngine(s, bilinear.Options{Workers: w, Recorder: opt.Recorder}, levels)
+	p.eng = bilinear.NewEngine(s, bilinear.Options{Workers: w}, levels)
 	p.compileInfo()
 	p.wire(opt)
 	return p
@@ -260,7 +260,7 @@ func (p *Plan) release(ar *pool.Arena) {
 //
 //abmm:hotpath
 func (p *Plan) MultiplyInto(dst, a, b *matrix.Matrix) {
-	p.runRec(dst, a, b, nil, p.rec, p.eng)
+	p.runRec(dst, a, b, nil, p.rec)
 }
 
 // MultiplyIntoCtx is MultiplyInto under a context: the bilinear
@@ -276,25 +276,24 @@ func (p *Plan) MultiplyInto(dst, a, b *matrix.Matrix) {
 // teed to it alongside the plan's own recorder, so the request's span
 // tree shows the Algorithm 1 pipeline without rebuilding the plan. A
 // warm untraced call allocates nothing, with a background or a
-// cancelable ctx alike; attaching a trace allocates the tee and the
-// engine copy (pinned by TestMultiplyIntoCtxZeroAllocUntraced).
+// cancelable ctx alike; attaching a trace allocates the tee (pinned by
+// TestMultiplyIntoCtxZeroAllocUntraced).
 //
 //abmm:coldpath
 func (p *Plan) MultiplyIntoCtx(ctx context.Context, dst, a, b *matrix.Matrix) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	rec, eng := p.rec, p.eng
+	rec := p.rec
 	tr := reqtrace.FromContext(ctx)
 	if tr != nil {
 		rec = obs.Tee(p.rec, tr)
-		eng = eng.WithRecorder(rec)
 	}
 	var t0 time.Time
 	if tr != nil && p.slot != nil {
 		t0 = time.Now()
 	}
-	p.runRec(dst, a, b, ctx.Done(), rec, eng)
+	p.runRec(dst, a, b, ctx.Done(), rec)
 	err := ctx.Err()
 	// A completed traced execution becomes a plan exemplar: /debug/plans
 	// links the slot's slowest and most recent trace IDs into the
@@ -307,13 +306,13 @@ func (p *Plan) MultiplyIntoCtx(ctx context.Context, dst, a, b *matrix.Matrix) er
 	return err
 }
 
-// runRec is the execution body with the done channel, recorder and
-// engine as parameters: MultiplyInto passes nil and the plan's own,
-// MultiplyIntoCtx the context's Done channel and, when traced, a
-// per-request tee.
+// runRec is the execution body with the done channel and the
+// execution's one recorder as parameters: MultiplyInto passes nil and
+// the plan's own, MultiplyIntoCtx the context's Done channel and, when
+// traced, a per-request tee.
 //
 //abmm:hotpath
-func (p *Plan) runRec(dst, a, b *matrix.Matrix, done <-chan struct{}, rec obs.Recorder, eng *bilinear.Engine) {
+func (p *Plan) runRec(dst, a, b *matrix.Matrix, done <-chan struct{}, rec obs.Recorder) {
 	if a.Rows != p.key.M || a.Cols != p.key.K || b.Rows != p.key.K || b.Cols != p.key.N {
 		panic(fmt.Sprintf("core: plan compiled for %dx%d·%dx%d got %dx%d·%dx%d",
 			p.key.M, p.key.K, p.key.K, p.key.N, a.Rows, a.Cols, b.Rows, b.Cols))
@@ -334,7 +333,7 @@ func (p *Plan) runRec(dst, a, b *matrix.Matrix, done <-chan struct{}, rec obs.Re
 		kernel.Mul(dst, a, b, kernel.DefaultBlocking(), p.workers, ar, rec)
 		ps.End()
 	} else {
-		p.stages(dst, a, b, done, ms, eng, ar)
+		p.stages(dst, a, b, done, ms, rec, ar)
 	}
 	// One epilogue at every depth, reaching every sink of rec.
 	if rec != nil {
@@ -359,12 +358,13 @@ func (p *Plan) runRec(dst, a, b *matrix.Matrix, done <-chan struct{}, rec obs.Re
 }
 
 // stages runs Algorithm 1's pipeline of a recursive plan (levels ≥ 1),
-// each stage under its phase span of ms, with all scratch from ar.
-// Once done is closed the engine abandons its recursion and the basis
-// transforms not yet started are skipped.
+// each stage under its phase span of ms and the engine's leaf GEMMs
+// reporting to rec, with all scratch from ar. Once done is closed the
+// engine abandons its recursion and the basis transforms not yet
+// started are skipped.
 //
 //abmm:hotpath
-func (p *Plan) stages(dst, a, b *matrix.Matrix, done <-chan struct{}, ms obs.MulSpan, eng *bilinear.Engine, ar *pool.Arena) {
+func (p *Plan) stages(dst, a, b *matrix.Matrix, done <-chan struct{}, ms obs.MulSpan, rec obs.Recorder, ar *pool.Arena) {
 	w := p.workers
 	s := p.alg.Spec
 
@@ -392,7 +392,7 @@ func (p *Plan) stages(dst, a, b *matrix.Matrix, done <-chan struct{}, ms obs.Mul
 	// Recursive-bilinear phase.
 	ps = ms.StartPhase(obs.PhaseBilinear)
 	cs := ar.Mat(p.csR, p.csC)
-	eng.ExecIntoCancel(cs, as, bs, ar, done)
+	p.eng.ExecIntoCancel(cs, as, bs, ar, done, rec)
 	ar.PutMat(as)
 	ar.PutMat(bs)
 	ps.End()

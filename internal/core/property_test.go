@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -74,6 +75,46 @@ func TestMeasuredErrorRespectsTheoreticalBound(t *testing.T) {
 			t.Errorf("%s: error %g exceeds theoretical bound %g", alg.Name, d, bound)
 		}
 	}
+}
+
+// TestErrorBoundOracleAcrossCatalog holds every catalog algorithm at
+// depths 1–3 to the bound a response reports as X-Abmm-Error-Bound:
+// ‖Ĉ−C‖max ≤ Plan.ErrorBound()·‖A‖max·‖B‖max against the quad-precision
+// reference, on all four input distributions (the Ballard–Benson
+// adversarial pair included) and on a shape that pads (130).
+func TestErrorBoundOracleAcrossCatalog(t *testing.T) {
+	catalog := []*algos.Algorithm{
+		algos.Classical(2, 2, 2), algos.Strassen(), algos.Winograd(), algos.AltWinograd(), algos.Ours(),
+		algos.Laderman(), algos.LadermanAlt(), algos.HopcroftKerr223(), algos.Rect323(),
+	}
+	dists := []matrix.Dist{
+		matrix.DistSymmetric, matrix.DistPositive, matrix.DistAdversarialOutside, matrix.DistAdversarialInside,
+	}
+	const workers = 2
+	worst, worstCase := 0.0, ""
+	for _, n := range []int{96, 130} {
+		for di, dist := range dists {
+			a, b := matrix.New(n, n), matrix.New(n, n)
+			matrix.FillPair(a, b, dist, matrix.Rand(uint64(31*n+di)))
+			ref := dd.ReferenceProduct(a, b, workers)
+			scale := a.MaxNorm() * b.MaxNorm()
+			for _, alg := range catalog {
+				for levels := 1; levels <= 3; levels++ {
+					plan := core.NewPlan(alg, core.Options{Levels: levels, Workers: workers}, n, n, n)
+					d := matrix.MaxAbsDiff(plan.Multiply(a, b), ref)
+					bound := plan.ErrorBound() * scale
+					if d > bound {
+						t.Errorf("%s n=%d %v L=%d: error %g exceeds the reported bound %g",
+							alg.Name, n, dist, levels, d, bound)
+					}
+					if r := d / bound; r > worst {
+						worst, worstCase = r, fmt.Sprintf("%s n=%d %v L=%d", alg.Name, n, dist, levels)
+					}
+				}
+			}
+		}
+	}
+	t.Logf("worst error/bound ratio %.3g (%s)", worst, worstCase)
 }
 
 // TestHigherDimPipelineAgreement: decomposed variants with growing

@@ -7,6 +7,7 @@ package core_test
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -108,5 +109,66 @@ func TestMultiplyIntoCtxTracedSpanSum(t *testing.T) {
 	if diff > time.Millisecond {
 		t.Fatalf("trace span sum %v vs collector phase sum %v differ by %v",
 			time.Duration(spanSum), time.Duration(phaseSum*1e9), diff)
+	}
+}
+
+// phaseCountRec counts the kernel's pack and kernel spans.
+type phaseCountRec struct {
+	pack, kernel atomic.Int64
+}
+
+func (r *phaseCountRec) PhaseDone(p obs.Phase, d time.Duration) {
+	switch p {
+	case obs.PhasePack:
+		r.pack.Add(1)
+	case obs.PhaseKernel:
+		r.kernel.Add(1)
+	}
+}
+
+func (r *phaseCountRec) MulDone(obs.MulInfo, time.Duration) {}
+func (r *phaseCountRec) ArenaRelease(obs.ArenaUsage)        {}
+func (r *phaseCountRec) ErrorSample(float64, float64)       {}
+
+// TestKernelSpansReachPlanRecorderAtEveryDepth pins the one road down:
+// the plan's recorder receives one pack and one kernel span per leaf
+// GEMM at every depth and worker count, and a traced MultiplyIntoCtx
+// files the same counts in the trace's pack/kernel aggregates.
+func TestKernelSpansReachPlanRecorderAtEveryDepth(t *testing.T) {
+	alg := algos.Strassen()
+	const n = 64
+	a, b := matrix.New(n, n), matrix.New(n, n)
+	a.FillUniform(matrix.Rand(5), -1, 1)
+	b.FillUniform(matrix.Rand(6), -1, 1)
+	for _, levels := range []int{0, 1, 2} {
+		gemms := int64(1)
+		for l := 0; l < levels; l++ {
+			gemms *= int64(alg.Spec.R)
+		}
+		for _, workers := range []int{1, 2} {
+			rec := &phaseCountRec{}
+			plan := core.NewPlan(alg, core.Options{Levels: levels, Workers: workers, Recorder: rec}, n, n, n)
+			dst := matrix.New(n, n)
+			plan.MultiplyInto(dst, a, b)
+			if rec.pack.Load() != gemms || rec.kernel.Load() != gemms {
+				t.Errorf("L=%d w=%d: plan recorder saw %d pack and %d kernel spans, want %d each",
+					levels, workers, rec.pack.Load(), rec.kernel.Load(), gemms)
+			}
+
+			tr := reqtrace.New()
+			if err := plan.MultiplyIntoCtx(reqtrace.NewContext(context.Background(), tr), dst, a, b); err != nil {
+				t.Fatal(err)
+			}
+			tr.Finish(reqtrace.OutcomeOK, "")
+			eng := tr.Snapshot().Engine
+			if eng.PackCalls != gemms || eng.KernelCalls != gemms {
+				t.Errorf("L=%d w=%d: trace filed %d pack and %d kernel calls, want %d each",
+					levels, workers, eng.PackCalls, eng.KernelCalls, gemms)
+			}
+			if rec.pack.Load() != 2*gemms || rec.kernel.Load() != 2*gemms {
+				t.Errorf("L=%d w=%d: plan recorder missed the traced run's spans (%d pack, %d kernel after two runs)",
+					levels, workers, rec.pack.Load(), rec.kernel.Load())
+			}
+		}
 	}
 }

@@ -33,9 +33,6 @@ func checkCtx(p *pass) {
 				if !ok || fd.Body == nil {
 					continue
 				}
-				if p.allowedInFunc(fd, ctxCheck) {
-					continue
-				}
 				checkCtxRoots(p, info, fd)
 				checkCtxDropped(p, info, fd)
 			}

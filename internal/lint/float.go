@@ -29,22 +29,21 @@ func checkFloat(p *pass) {
 		// reference the compensated result is checked against.
 		dd := u.Kind == unitBase && p.cfg.DDPkgs[u.Path]
 		for _, f := range u.ScanFiles {
-			fns := enclosingFuncs(f)
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.BinaryExpr:
 					switch n.Op {
 					case token.EQL, token.NEQ:
-						p.checkFloatCmp(u, fns, n.X, n.Y, n.OpPos)
+						p.checkFloatCmp(u, n.X, n.Y, n.OpPos)
 					case token.SUB:
 						if dd {
-							p.checkDDResidual(u, fns, n)
+							p.checkDDResidual(u, n)
 						}
 					}
 				case *ast.AssignStmt:
 					if dd && n.Tok == token.SUB_ASSIGN && len(n.Rhs) == 1 {
 						if isFloatMul(info, n.Rhs[0]) {
-							p.reportFloat(u, fns, n.TokPos,
+							p.report(n.TokPos, floatCheck,
 								"raw x -= a*b loses the rounding error of the product; use TwoProd or math.FMA")
 						}
 					}
@@ -59,7 +58,7 @@ func checkFloat(p *pass) {
 						}
 						for _, e := range cc.List {
 							if tv, ok := info.Types[e]; ok && tv.Value == nil {
-								p.reportFloat(u, fns, e.Pos(),
+								p.report(e.Pos(), floatCheck,
 									"switch over a float compares cases with ==; non-constant case is a float equality")
 							}
 						}
@@ -71,7 +70,7 @@ func checkFloat(p *pass) {
 	}
 }
 
-func (p *pass) checkFloatCmp(u *Package, fns []funcRange, x, y ast.Expr, pos token.Pos) {
+func (p *pass) checkFloatCmp(u *Package, x, y ast.Expr, pos token.Pos) {
 	info := u.Info
 	tx, okx := info.Types[x]
 	ty, oky := info.Types[y]
@@ -87,27 +86,18 @@ func (p *pass) checkFloatCmp(u *Package, fns []funcRange, x, y ast.Expr, pos tok
 	if exprString(p.fset, x) == exprString(p.fset, y) {
 		return
 	}
-	p.reportFloat(u, fns, pos, "==/!= between non-constant floats; compare with a tolerance or math.Abs")
+	p.report(pos, floatCheck, "==/!= between non-constant floats; compare with a tolerance or math.Abs")
 }
 
 // checkDDResidual flags a − b where either operand is a float product.
-func (p *pass) checkDDResidual(u *Package, fns []funcRange, n *ast.BinaryExpr) {
+func (p *pass) checkDDResidual(u *Package, n *ast.BinaryExpr) {
 	if !isFloat(typeOf(u.Info, n)) {
 		return
 	}
 	if isFloatMul(u.Info, n.X) || isFloatMul(u.Info, n.Y) {
-		p.reportFloat(u, fns, n.OpPos,
+		p.report(n.OpPos, floatCheck,
 			"raw a*b−c residual loses the rounding error of the product; use TwoProd or math.FMA")
 	}
-}
-
-// reportFloat applies the enclosing function's //abmm:allow before the
-// line-scoped suppression in report.
-func (p *pass) reportFloat(u *Package, fns []funcRange, pos token.Pos, msg string) {
-	if p.allowedInFunc(enclosing(fns, pos), floatCheck) {
-		return
-	}
-	p.report(pos, floatCheck, msg)
 }
 
 func isFloat(t types.Type) bool {
@@ -118,29 +108,4 @@ func isFloat(t types.Type) bool {
 func isFloatMul(info *types.Info, e ast.Expr) bool {
 	be, ok := ast.Unparen(e).(*ast.BinaryExpr)
 	return ok && be.Op == token.MUL && isFloat(typeOf(info, be))
-}
-
-// funcRange supports resolving a position to its enclosing function
-// declaration for function-scoped //abmm:allow directives.
-type funcRange struct {
-	fd *ast.FuncDecl
-}
-
-func enclosingFuncs(f *ast.File) []funcRange {
-	var fns []funcRange
-	for _, d := range f.Decls {
-		if fd, ok := d.(*ast.FuncDecl); ok {
-			fns = append(fns, funcRange{fd})
-		}
-	}
-	return fns
-}
-
-func enclosing(fns []funcRange, pos token.Pos) *ast.FuncDecl {
-	for _, fr := range fns {
-		if pos >= fr.fd.Pos() && pos < fr.fd.End() {
-			return fr.fd
-		}
-	}
-	return nil
 }

@@ -38,9 +38,6 @@ func checkGoroutine(p *pass) {
 				if !ok || fd.Body == nil {
 					continue
 				}
-				if p.allowedInFunc(fd, goroutineCheck) {
-					continue
-				}
 				spawnerAdds := callsWaitGroupAdd(info, fd.Body)
 				ast.Inspect(fd.Body, func(n ast.Node) bool {
 					gs, ok := n.(*ast.GoStmt)

@@ -63,12 +63,7 @@ func (h *hotWalker) visit(fd *ast.FuncDecl) {
 	h.scan(u, fd)
 }
 
-// report applies the function-scoped allow before the usual line-scoped
-// suppression.
-func (h *hotWalker) report(fd *ast.FuncDecl, pos token.Pos, msg string) {
-	if h.p.allowedInFunc(fd, hotpathCheck) {
-		return
-	}
+func (h *hotWalker) report(pos token.Pos, msg string) {
 	h.p.report(pos, hotpathCheck, msg)
 }
 
@@ -82,13 +77,13 @@ func (h *hotWalker) scan(u *Package, fd *ast.FuncDecl) {
 	walkParents(fd.Body, func(n ast.Node, parents []ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.GoStmt:
-			h.report(fd, n.Pos(), "goroutine spawned on hot path")
+			h.report(n.Pos(), "goroutine spawned on hot path")
 
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {
 				if ie, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok {
 					if _, isMap := typeOf(info, ie.X).Underlying().(*types.Map); isMap {
-						h.report(fd, ie.Pos(), "map write on hot path may allocate")
+						h.report(ie.Pos(), "map write on hot path may allocate")
 					}
 				}
 			}
@@ -97,7 +92,7 @@ func (h *hotWalker) scan(u *Package, fd *ast.FuncDecl) {
 			if n.Op == token.AND {
 				if cl, ok := ast.Unparen(n.X).(*ast.CompositeLit); ok {
 					escaping[cl] = true
-					h.report(fd, n.Pos(), "composite literal escapes to the heap (&T{...})")
+					h.report(n.Pos(), "composite literal escapes to the heap (&T{...})")
 				}
 			}
 
@@ -107,21 +102,21 @@ func (h *hotWalker) scan(u *Package, fd *ast.FuncDecl) {
 			}
 			switch typeOf(info, n).Underlying().(type) {
 			case *types.Slice:
-				h.report(fd, n.Pos(), "slice literal allocates on hot path")
+				h.report(n.Pos(), "slice literal allocates on hot path")
 			case *types.Map:
-				h.report(fd, n.Pos(), "map literal allocates on hot path")
+				h.report(n.Pos(), "map literal allocates on hot path")
 			}
 
 		case *ast.SelectorExpr:
 			if sel, ok := info.Selections[n]; ok && sel.Kind() == types.MethodVal {
 				if !isCallFun(parents, n) {
-					h.report(fd, n.Pos(), fmt.Sprintf("method value %s allocates a bound closure", exprString(h.p.fset, n)))
+					h.report(n.Pos(), fmt.Sprintf("method value %s allocates a bound closure", exprString(h.p.fset, n)))
 				}
 			}
 
 		case *ast.FuncLit:
 			if !exempt[n] && capturesOuter(info, fd, n) {
-				h.report(fd, n.Pos(), "closure captures variables and may escape to the heap")
+				h.report(n.Pos(), "closure captures variables and may escape to the heap")
 			}
 			// A literal handed to a coldpath callee runs off the hot
 			// path; constructing it was judged above, its body is not
@@ -133,7 +128,7 @@ func (h *hotWalker) scan(u *Package, fd *ast.FuncDecl) {
 		case *ast.CallExpr:
 			fun := ast.Unparen(n.Fun)
 			if tv, ok := info.Types[fun]; ok && tv.IsType() {
-				h.checkConversion(fd, info, n, tv.Type)
+				h.checkConversion(info, n, tv.Type)
 				return true
 			}
 			if id, ok := fun.(*ast.Ident); ok {
@@ -142,11 +137,11 @@ func (h *hotWalker) scan(u *Package, fd *ast.FuncDecl) {
 					case "panic":
 						return false // death path: its arguments may allocate
 					case "make":
-						h.report(fd, n.Pos(), "make allocates on hot path")
+						h.report(n.Pos(), "make allocates on hot path")
 					case "new":
-						h.report(fd, n.Pos(), "new allocates on hot path")
+						h.report(n.Pos(), "new allocates on hot path")
 					case "append":
-						h.report(fd, n.Pos(), "append may grow its backing array on hot path")
+						h.report(n.Pos(), "append may grow its backing array on hot path")
 					}
 					return true
 				}
@@ -165,10 +160,10 @@ func (h *hotWalker) scan(u *Package, fd *ast.FuncDecl) {
 				return true
 			}
 			if callee != nil && callee.Pkg() != nil && callee.Pkg().Path() == "fmt" {
-				h.report(fd, n.Pos(), fmt.Sprintf("call to fmt.%s allocates on hot path", callee.Name()))
+				h.report(n.Pos(), fmt.Sprintf("call to fmt.%s allocates on hot path", callee.Name()))
 				return true
 			}
-			h.checkCallArgs(fd, info, n, exempt)
+			h.checkCallArgs(info, n, exempt)
 			if callee != nil && !ifaceCall && callee.Pkg() != nil && h.p.loader.IsModulePath(callee.Pkg().Path()) {
 				if cd := h.p.declFor(callee); cd != nil {
 					callees = append(callees, cd)
@@ -193,7 +188,7 @@ func (h *hotWalker) scan(u *Package, fd *ast.FuncDecl) {
 // checkCallArgs flags interface boxing and variadic slice packing; for
 // calls into the parallel-dispatch packages it instead marks function-
 // literal arguments as exempt from the capture rule.
-func (h *hotWalker) checkCallArgs(fd *ast.FuncDecl, info *types.Info, call *ast.CallExpr, exempt map[*ast.FuncLit]bool) {
+func (h *hotWalker) checkCallArgs(info *types.Info, call *ast.CallExpr, exempt map[*ast.FuncLit]bool) {
 	callee, _ := staticCallee(info, call)
 	if callee != nil && callee.Pkg() != nil && h.p.cfg.ParallelPkgs[callee.Pkg().Path()] {
 		for _, a := range call.Args {
@@ -221,30 +216,30 @@ func (h *hotWalker) checkCallArgs(fd *ast.FuncDecl, info *types.Info, call *ast.
 			pt = params.At(i).Type()
 		}
 		if pt != nil && isInterface(pt) && boxes(info, arg) {
-			h.report(fd, arg.Pos(), fmt.Sprintf("argument %s boxes into an interface and allocates", exprString(h.p.fset, arg)))
+			h.report(arg.Pos(), fmt.Sprintf("argument %s boxes into an interface and allocates", exprString(h.p.fset, arg)))
 		}
 	}
 	if sig.Variadic() && !call.Ellipsis.IsValid() && len(call.Args) >= params.Len() {
-		h.report(fd, call.Pos(), "variadic call packs an argument slice on hot path")
+		h.report(call.Pos(), "variadic call packs an argument slice on hot path")
 	}
 }
 
 // checkConversion flags conversions that allocate: boxing into an
 // interface type and string ↔ slice copies.
-func (h *hotWalker) checkConversion(fd *ast.FuncDecl, info *types.Info, call *ast.CallExpr, target types.Type) {
+func (h *hotWalker) checkConversion(info *types.Info, call *ast.CallExpr, target types.Type) {
 	if len(call.Args) != 1 {
 		return
 	}
 	arg := call.Args[0]
 	if isInterface(target) && boxes(info, arg) {
-		h.report(fd, call.Pos(), "conversion boxes into an interface and allocates")
+		h.report(call.Pos(), "conversion boxes into an interface and allocates")
 		return
 	}
 	at := typeOf(info, arg)
 	_, targetSlice := target.Underlying().(*types.Slice)
 	_, argSlice := at.Underlying().(*types.Slice)
 	if targetSlice && isString(at) || isString(target) && argSlice {
-		h.report(fd, call.Pos(), "string ↔ slice conversion copies on hot path")
+		h.report(call.Pos(), "string ↔ slice conversion copies on hot path")
 	}
 }
 

@@ -47,8 +47,9 @@
 //	                            metric-cardinality judges at each call
 //
 // Every //abmm:allow must sit in a comment group that also carries at
-// least one plain prose line justifying it; a bare allow is itself a
-// finding (unjustified-allow), and that finding cannot be suppressed.
+// least one plain prose line justifying it, and must suppress at least
+// one finding; a bare allow and a dead allow are themselves findings
+// (unjustified-allow), and those findings cannot be suppressed.
 //
 // See DESIGN.md §2c and §2h for the directive contract and how to add a
 // check.
@@ -60,6 +61,7 @@ import (
 	"go/ast"
 	"go/printer"
 	"go/token"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -170,6 +172,12 @@ func Run(cfg Config) ([]Finding, error) {
 	checkLock(p)
 	checkGoroutine(p)
 	checkMetrics(p)
+	for _, d := range p.allows {
+		if !d.used {
+			p.reportAllow(d.pos, fmt.Sprintf("//abmm:allow %s suppresses no finding; delete it",
+				strings.Join(d.checks, " ")))
+		}
+	}
 
 	sort.Slice(p.findings, func(i, j int) bool {
 		a, b := p.findings[i], p.findings[j]
@@ -197,13 +205,15 @@ type pass struct {
 	units  []*Package
 	base   []*Package
 
-	// hot/cold/labels mark annotated functions; allowFunc holds
-	// function-scoped suppressions, allowLine[file][line] line-scoped ones.
+	// hot/cold/labels mark annotated functions. allows lists every
+	// //abmm:allow; allowFunc holds the function-scoped ones (a doc
+	// comment's function body), allowLine[file][line] the line-scoped.
 	hot       map[*ast.FuncDecl]bool
 	cold      map[*ast.FuncDecl]bool
 	labels    map[*ast.FuncDecl]bool
-	allowFunc map[*ast.FuncDecl]map[string]bool
-	allowLine map[string]map[int]map[string]bool
+	allows    []*allowDir
+	allowFunc []allowSpan
+	allowLine map[string]map[int]*allowDir
 
 	// guards maps a struct-field declaration position (the stable
 	// cross-universe key) to the //abmm:guards declaration on it.
@@ -221,15 +231,21 @@ type pass struct {
 }
 
 // report records a finding unless a directive or an earlier identical
-// report suppresses it.
+// report suppresses it. Every directive that covers the finding is
+// marked used.
 func (p *pass) report(pos token.Pos, check, msg string) {
 	position := p.fset.Position(pos)
-	if lines, ok := p.allowLine[position.Filename]; ok {
-		for _, ln := range [2]int{position.Line, position.Line - 1} {
-			if checks, ok := lines[ln]; ok && (checks[check] || checks["all"]) {
-				return
-			}
+	suppressed := false
+	for _, ln := range [2]int{position.Line, position.Line - 1} {
+		suppressed = p.allowLine[position.Filename][ln].use(check) || suppressed
+	}
+	for _, s := range p.allowFunc {
+		if pos >= s.from && pos < s.to {
+			suppressed = s.dir.use(check) || suppressed
 		}
+	}
+	if suppressed {
+		return
 	}
 	key := fmt.Sprintf("%s|%s|%s", position, check, msg)
 	if p.seen[key] {
@@ -239,20 +255,46 @@ func (p *pass) report(pos token.Pos, check, msg string) {
 	p.findings = append(p.findings, Finding{Pos: position, Check: check, Message: msg})
 }
 
-// allowedInFunc reports whether fd carries a function-scoped
-// //abmm:allow for check.
-func (p *pass) allowedInFunc(fd *ast.FuncDecl, check string) bool {
-	if fd == nil {
-		return false
-	}
-	checks := p.allowFunc[fd]
-	return checks != nil && (checks[check] || checks["all"])
+// allowCheck rejects //abmm:allow directives whose comment group
+// carries no prose justification, or that suppress no finding. It is
+// the one check a directive cannot suppress: an allow cannot vouch for
+// itself.
+const allowCheck = "unjustified-allow"
+
+// allowDir is one //abmm:allow directive; used records whether it
+// suppressed a finding.
+type allowDir struct {
+	pos    token.Position
+	checks []string
+	used   bool
 }
 
-// allowCheck rejects //abmm:allow directives whose comment group
-// carries no prose justification. It is the one check a directive
-// cannot suppress: an allow cannot vouch for itself.
-const allowCheck = "unjustified-allow"
+// use reports whether d suppresses check, marking d used if so. A nil
+// d suppresses nothing.
+func (d *allowDir) use(check string) bool {
+	if d == nil || !slices.Contains(d.checks, check) && !slices.Contains(d.checks, "all") {
+		return false
+	}
+	d.used = true
+	return true
+}
+
+// allowSpan is a function-scoped allow: it covers [from, to), the
+// annotated declaration.
+type allowSpan struct {
+	from, to token.Pos
+	dir      *allowDir
+}
+
+// reportAllow records an unjustified-allow finding, bypassing report:
+// no directive's suppression applies to it.
+func (p *pass) reportAllow(position token.Position, msg string) {
+	key := fmt.Sprintf("%s|%s", position, allowCheck)
+	if !p.seen[key] {
+		p.seen[key] = true
+		p.findings = append(p.findings, Finding{Pos: position, Check: allowCheck, Message: msg})
+	}
+}
 
 // guardDecl is one //abmm:guards annotation: the guarded field and the
 // name of the sibling mutex field that must be held to touch it.
@@ -267,8 +309,7 @@ func (p *pass) scanDirectives() {
 	p.hot = make(map[*ast.FuncDecl]bool)
 	p.cold = make(map[*ast.FuncDecl]bool)
 	p.labels = make(map[*ast.FuncDecl]bool)
-	p.allowFunc = make(map[*ast.FuncDecl]map[string]bool)
-	p.allowLine = make(map[string]map[int]map[string]bool)
+	p.allowLine = make(map[string]map[int]*allowDir)
 	p.guards = make(map[string]*guardDecl)
 	done := make(map[*ast.File]bool)
 	for _, u := range p.units {
@@ -362,47 +403,23 @@ func (p *pass) scanFileDirectives(f *ast.File) {
 				if len(checks) == 0 {
 					continue
 				}
+				d := &allowDir{pos: p.fset.Position(c.Pos()), checks: checks}
+				p.allows = append(p.allows, d)
 				if !hasJustification(cg) {
-					// Bypass report(): the directive's own line-scoped
-					// suppression must not silence this.
-					position := p.fset.Position(c.Pos())
-					key := fmt.Sprintf("%s|%s", position, allowCheck)
-					if !p.seen[key] {
-						p.seen[key] = true
-						p.findings = append(p.findings, Finding{
-							Pos:   position,
-							Check: allowCheck,
-							Message: fmt.Sprintf(
-								"//abmm:allow %s has no justifying comment; say why in the same comment group",
-								strings.Join(checks, " ")),
-						})
-					}
+					p.reportAllow(d.pos, fmt.Sprintf(
+						"//abmm:allow %s has no justifying comment; say why in the same comment group",
+						strings.Join(checks, " ")))
 				}
 				if fd != nil {
-					set := p.allowFunc[fd]
-					if set == nil {
-						set = make(map[string]bool)
-						p.allowFunc[fd] = set
-					}
-					for _, ch := range checks {
-						set[ch] = true
-					}
+					p.allowFunc = append(p.allowFunc, allowSpan{from: fd.Pos(), to: fd.End(), dir: d})
 					continue
 				}
-				pos := p.fset.Position(c.Pos())
-				lines := p.allowLine[pos.Filename]
+				lines := p.allowLine[d.pos.Filename]
 				if lines == nil {
-					lines = make(map[int]map[string]bool)
-					p.allowLine[pos.Filename] = lines
+					lines = make(map[int]*allowDir)
+					p.allowLine[d.pos.Filename] = lines
 				}
-				set := lines[pos.Line]
-				if set == nil {
-					set = make(map[string]bool)
-					lines[pos.Line] = set
-				}
-				for _, ch := range checks {
-					set[ch] = true
-				}
+				lines[d.pos.Line] = d
 			}
 		}
 	}

@@ -44,9 +44,6 @@ func checkLock(p *pass) {
 				if !ok || fd.Body == nil {
 					continue
 				}
-				if p.allowedInFunc(fd, lockCheck) {
-					continue
-				}
 				lw := &lockWalker{p: p, info: info, body: fd.Body}
 				lw.scope(fd.Body)
 			}

@@ -34,25 +34,12 @@ func checkMetrics(p *pass) {
 	for _, u := range p.base {
 		info := u.Info
 		for _, f := range u.ScanFiles {
-			walkParents(f, func(n ast.Node, parents []ast.Node) bool {
+			ast.Inspect(f, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
 					return true
 				}
-				args := labelValueArgs(p, info, call)
-				if len(args) == 0 {
-					return true
-				}
-				var fd *ast.FuncDecl
-				for _, par := range parents {
-					if d, ok := par.(*ast.FuncDecl); ok {
-						fd = d
-					}
-				}
-				if p.allowedInFunc(fd, metricCheck) {
-					return true
-				}
-				for _, arg := range args {
+				for _, arg := range labelValueArgs(p, info, call) {
 					if msg := judgeLabelArg(info, arg); msg != "" {
 						p.report(arg.Pos(), metricCheck,
 							fmt.Sprintf("metric label value %s: %s; label values must come from a bounded set",

@@ -69,9 +69,6 @@ func checkPairing(p *pass) {
 				if !ok || fd.Body == nil {
 					continue
 				}
-				if p.allowedInFunc(fd, pairingCheck) {
-					continue
-				}
 				// Each function literal is its own scope: a resource
 				// acquired inside it must be settled inside it.
 				forEachScope(fd.Body, func(body *ast.BlockStmt) {

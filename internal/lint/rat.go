@@ -34,7 +34,6 @@ func checkRat(p *pass) {
 	for _, u := range p.units {
 		info := u.Info
 		for _, f := range u.ScanFiles {
-			fns := enclosingFuncs(f)
 			ast.Inspect(f, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
@@ -53,9 +52,6 @@ func checkRat(p *pass) {
 					return true
 				}
 				recv := ast.Unparen(sel.X)
-				if p.allowedInFunc(enclosing(fns, call.Pos()), ratCheck) {
-					return true
-				}
 
 				if c, ok := recv.(*ast.CallExpr); ok {
 					if borrowsPointer(info, c) {

@@ -25,10 +25,10 @@
 //     an HTML tree view and JSON (schema pinned by a golden test).
 //
 //   - W3C trace-context interop: ParseTraceparent/FormatTraceparent
-//     handle the `traceparent` header, so trace IDs propagate across
-//     HTTP hops (client → abmmd, and abmmd → abmmd once the distributed
-//     multiply lands); the binary wire format carries the same 24 bytes
-//     in its v2 frame (see internal/server wire.go).
+//     handle the `traceparent` header, the one carrier of a caller's
+//     trace context, so trace IDs propagate across HTTP hops (client →
+//     abmmd, and abmmd → abmmd once the distributed multiply lands).
+//     The binary frame carries only the multiplication.
 //
 // Annotation on the hot path is lock-free: span slots are claimed with
 // one atomic increment into a pre-sized array, aggregate counters are
@@ -279,10 +279,10 @@ func New() *Trace {
 	return newTrace(NewID(), 0, false)
 }
 
-// NewRemote returns a trace continuing a remote trace context (a
-// traceparent header or a wire-frame trace field): it keeps the
-// caller's 128-bit ID, records the caller's span as the parent, and
-// generates a fresh span ID for this hop.
+// NewRemote returns a trace continuing a remote trace context parsed
+// from a traceparent header: it keeps the caller's 128-bit ID, records
+// the caller's span as the parent, and generates a fresh span ID for
+// this hop.
 func NewRemote(id ID, parentSpan uint64) *Trace {
 	if id.IsZero() {
 		return New()

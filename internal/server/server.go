@@ -74,11 +74,11 @@ type Config struct {
 	// rejections, panics), each carrying the request's trace ID when
 	// traced; nil discards them.
 	Logger *slog.Logger
-	// TraceSample traces every nth request that arrives without trace
-	// context of its own: 0 defaults to 1 (trace every request — spans
-	// are cheap fixed-size annotations), negative disables local
-	// sampling. A request carrying a traceparent header or a v2 wire
-	// trace field is always traced regardless.
+	// TraceSample traces every nth request that arrives without a
+	// traceparent header, the one carrier of a caller's trace context:
+	// 0 defaults to 1 (trace every request — spans are cheap fixed-size
+	// annotations), negative disables local sampling. A request carrying
+	// a valid traceparent is always traced regardless.
 	TraceSample int
 	// TraceSlow is the duration at or above which a completed trace also
 	// lands in the "slow" ring of /debug/requests; 0 defaults to
@@ -553,14 +553,6 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 			s.failReq(w, tr, http.StatusBadRequest, err.Error())
 		}
 		return
-	}
-	// Wire-carried trace context (v2 frame) applies when the transport
-	// brought none: frame consumers without HTTP header access still get
-	// their trace continued here.
-	if tr == nil && !req.TraceID.IsZero() {
-		tr = reqtrace.NewRemote(req.TraceID, req.TraceSpan)
-		holdTrace(r, tr)
-		ctx = reqtrace.NewContext(ctx, tr)
 	}
 	m, k, n := req.A.Rows, req.A.Cols, req.B.Cols
 	if tr != nil {

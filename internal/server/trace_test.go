@@ -1,8 +1,8 @@
 package server
 
 // End-to-end tests for request tracing: traceparent propagation over
-// HTTP, the v2 wire frame's trace field, the /debug/requests rings,
-// trace IDs on error responses and panics, and structured logs.
+// HTTP, the /debug/requests rings, trace IDs on error responses and
+// panics, and structured logs.
 
 import (
 	"bytes"
@@ -114,44 +114,6 @@ func TestServerTraceparentRoundTrip(t *testing.T) {
 	}
 	if !strings.Contains(logs, "multiply ok") {
 		t.Errorf("slog output missing completion record:\n%s", logs)
-	}
-}
-
-func TestServerWireTraceField(t *testing.T) {
-	s, ts, _ := tracedServer(t, Config{TraceSample: -1})
-
-	req := &Request{
-		Alg: "ours", Levels: 1,
-		A: testMatrix(8, 8, 1), B: testMatrix(8, 8, -1),
-		TraceID:   reqtrace.ID{Hi: 0x0123456789abcdef, Lo: 0xfedcba9876543210},
-		TraceSpan: 0x42,
-	}
-	var buf bytes.Buffer
-	if err := EncodeRequest(&buf, req); err != nil {
-		t.Fatal(err)
-	}
-	if got := buf.Bytes()[:4]; string(got) != "ABM2" {
-		t.Fatalf("traced request encoded with magic %q, want ABM2", got)
-	}
-	if int64(buf.Len()) != RequestWireSize(req) {
-		t.Fatalf("RequestWireSize = %d, encoded %d", RequestWireSize(req), buf.Len())
-	}
-
-	resp := postTraced(t, ts, &buf, ContentTypeBinary, "")
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(resp.Body)
-		t.Fatalf("status %d: %s", resp.StatusCode, msg)
-	}
-	if got := resp.Header.Get("X-Abmm-Trace-Id"); got != req.TraceID.String() {
-		t.Fatalf("X-Abmm-Trace-Id = %q, want %q (from wire trace field)", got, req.TraceID.String())
-	}
-	tr := s.Traces().Lookup(req.TraceID)
-	if tr == nil {
-		t.Fatal("wire-traced request not filed in the rings")
-	}
-	if tr.ParentSpan() != req.TraceSpan {
-		t.Fatalf("parent span %#x, want %#x", tr.ParentSpan(), req.TraceSpan)
 	}
 }
 

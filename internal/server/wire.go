@@ -10,27 +10,17 @@ package server
 //
 //	request  = "ABM1" | algLen u8 | alg [algLen]byte | levels i8 |
 //	           m u32 | k u32 | n u32 | a [m*k]f64 | b [k*n]f64
-//	request2 = "ABM2" | algLen u8 | alg [algLen]byte | levels i8 |
-//	           m u32 | k u32 | n u32 | flags u8 |
-//	           [flags&1: traceHi u64 | traceLo u64 | span u64] |
-//	           a [m*k]f64 | b [k*n]f64
 //	response = "ABMR" | m u32 | n u32 | c [m*n]f64
 //
 // levels is the recursion depth; LevelsAuto (-1) requests automatic
-// selection. The version-2 frame is negotiated by magic: a server
-// accepts both, and EncodeRequest emits ABM1 unless the request carries
-// trace context (so new clients keep working against old servers when
-// untraced, and the frame is byte-identical to v1 in that case). The
-// flags byte reserves room for future fields; unknown bits are
-// rejected. Bit 0 announces W3C-style trace context — the 128-bit trace
-// ID and the caller's span — which is how a trace follows a
-// multiplication between abmmd processes (the HTTP traceparent header
-// carries it for HTTP clients; the wire field serves consumers of the
-// raw frame, and the distributed multiply on the ROADMAP).
+// selection. Any other magic, the retired "ABM2" included, is rejected
+// as a malformed frame.
 //
-// Request metadata that is not part of the product — latency, compiled
-// depth, the plan's error bound, the trace ID — travels in HTTP
-// response headers (see server.go) so the payload stays a pure matrix.
+// Request metadata that is not part of the product travels in HTTP
+// headers (see server.go) so the payload stays a pure matrix: the
+// caller's trace context in the traceparent request header; latency,
+// compiled depth, the plan's error bound and the trace ID in response
+// headers.
 // JSON request/response bodies are the small-matrix echo alternative;
 // see jsonRequest in server.go.
 
@@ -44,7 +34,6 @@ import (
 
 	"abmm"
 	"abmm/internal/pool"
-	"abmm/internal/reqtrace"
 )
 
 // ContentTypeBinary is the Content-Type of binary-framed multiplication
@@ -56,14 +45,9 @@ const ContentTypeBinary = "application/x-abmm-matrix"
 const LevelsAuto = -1
 
 var (
-	reqMagic   = [4]byte{'A', 'B', 'M', '1'}
-	reqMagicV2 = [4]byte{'A', 'B', 'M', '2'}
-	respMagic  = [4]byte{'A', 'B', 'M', 'R'}
+	reqMagic  = [4]byte{'A', 'B', 'M', '1'}
+	respMagic = [4]byte{'A', 'B', 'M', 'R'}
 )
-
-// wireFlagTrace is v2-frame flag bit 0: the header carries a 24-byte
-// trace-context field.
-const wireFlagTrace = 0x01
 
 // ErrFrame reports a malformed or truncated wire frame.
 var ErrFrame = errors.New("server: malformed wire frame")
@@ -74,9 +58,7 @@ var errTruncated = fmt.Errorf("%w: truncated frame", ErrFrame)
 
 // Request is one decoded multiplication request: multiply A (m×k) by
 // B (k×n) with the named catalog algorithm at the given recursion
-// depth (LevelsAuto for automatic). TraceID/TraceSpan, when non-zero,
-// carry the caller's trace context in the v2 frame; a zero TraceID
-// encodes as a plain v1 frame.
+// depth (LevelsAuto for automatic).
 //
 // A request returned by DecodeRequest holds A and B in storage drawn
 // from the process-wide size-class pools (internal/pool). Call Release
@@ -86,11 +68,6 @@ type Request struct {
 	Alg    string
 	Levels int
 	A, B   *abmm.Matrix
-
-	// TraceID is the caller's 128-bit trace identifier; TraceSpan the
-	// caller's span the server-side work nests under. See reqtrace.
-	TraceID   reqtrace.ID
-	TraceSpan uint64
 
 	// pooled marks A and B as drawn by DecodeRequest, so Release never
 	// recycles storage a caller built and still owns.
@@ -124,12 +101,10 @@ var chunks = sync.Pool{New: func() any { return new([wireChunk]byte) }}
 var wireAlgs = abmm.Names()
 
 // maxHeader is the longest request header: magic, algLen, the longest
-// name, levels, three dimensions, the v2 flags byte and trace field.
-const maxHeader = 4 + 1 + 255 + 1 + 12 + 1 + 24
+// name, levels and three dimensions.
+const maxHeader = 4 + 1 + 255 + 1 + 12
 
-// EncodeRequest writes req in the binary wire format: the v1 frame
-// when the request carries no trace context (byte-compatible with old
-// servers), the v2 frame when it does.
+// EncodeRequest writes req in the binary wire format.
 func EncodeRequest(w io.Writer, req *Request) error {
 	if len(req.Alg) > 255 {
 		return fmt.Errorf("server: algorithm name %q too long", req.Alg)
@@ -138,25 +113,14 @@ func EncodeRequest(w io.Writer, req *Request) error {
 		return fmt.Errorf("server: shapes %dx%d and %dx%d do not conform",
 			req.A.Rows, req.A.Cols, req.B.Rows, req.B.Cols)
 	}
-	traced := !req.TraceID.IsZero()
-	hdr := make([]byte, 0, 4+1+len(req.Alg)+1+12+1+24)
-	if traced {
-		hdr = append(hdr, reqMagicV2[:]...)
-	} else {
-		hdr = append(hdr, reqMagic[:]...)
-	}
+	hdr := make([]byte, 0, 4+1+len(req.Alg)+1+12)
+	hdr = append(hdr, reqMagic[:]...)
 	hdr = append(hdr, byte(len(req.Alg)))
 	hdr = append(hdr, req.Alg...)
 	hdr = append(hdr, byte(int8(req.Levels)))
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(req.A.Rows))
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(req.A.Cols))
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(req.B.Cols))
-	if traced {
-		hdr = append(hdr, wireFlagTrace)
-		hdr = binary.LittleEndian.AppendUint64(hdr, req.TraceID.Hi)
-		hdr = binary.LittleEndian.AppendUint64(hdr, req.TraceID.Lo)
-		hdr = binary.LittleEndian.AppendUint64(hdr, req.TraceSpan)
-	}
 	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
@@ -166,10 +130,10 @@ func EncodeRequest(w io.Writer, req *Request) error {
 	return writeMatrix(w, req.B)
 }
 
-// DecodeRequest reads one binary request from r, accepting both the v1
-// and the v2 frame. maxElems bounds the element count of any single
-// operand or the result; a frame that announces more is rejected before
-// its payload is read. It reads exactly one frame and nothing past it.
+// DecodeRequest reads one binary request from r. maxElems bounds the
+// element count of any single operand or the result; a frame that
+// announces more is rejected before its payload is read. It reads
+// exactly one frame and nothing past it.
 //
 // A and B of the returned request live in pooled storage; see
 // Request.Release. On error DecodeRequest returns no request and keeps
@@ -179,8 +143,7 @@ func DecodeRequest(r io.Reader, maxElems int) (*Request, error) {
 	if _, err := io.ReadFull(r, hdr[:5]); err != nil {
 		return nil, frameErr(err)
 	}
-	magic := [4]byte(hdr[:4])
-	if magic != reqMagic && magic != reqMagicV2 {
+	if [4]byte(hdr[:4]) != reqMagic {
 		return nil, fmt.Errorf("%w: bad magic %q", ErrFrame, hdr[:4])
 	}
 	algLen := int(hdr[4])
@@ -197,29 +160,6 @@ func DecodeRequest(r io.Reader, maxElems int) (*Request, error) {
 		return nil, err
 	}
 	req := &Request{Alg: internAlg(fixed[:algLen]), Levels: levels}
-	if magic == reqMagicV2 {
-		fb := hdr[5+len(fixed):]
-		if _, err := io.ReadFull(r, fb[:1]); err != nil {
-			return nil, frameErr(err)
-		}
-		flags := fb[0]
-		// Reject unknown flag bits rather than skipping fields whose
-		// lengths this version cannot know.
-		if unknown := flags &^ wireFlagTrace; unknown != 0 {
-			return nil, fmt.Errorf("%w: unknown v2 flags %#02x", ErrFrame, unknown)
-		}
-		if flags&wireFlagTrace != 0 {
-			tc := fb[1:25]
-			if _, err := io.ReadFull(r, tc); err != nil {
-				return nil, frameErr(err)
-			}
-			req.TraceID = reqtrace.ID{
-				Hi: binary.LittleEndian.Uint64(tc[0:8]),
-				Lo: binary.LittleEndian.Uint64(tc[8:16]),
-			}
-			req.TraceSpan = binary.LittleEndian.Uint64(tc[16:24])
-		}
-	}
 	a, b, err := readOperands(r, m, k, n)
 	if err != nil {
 		pool.Put(a)
@@ -309,11 +249,7 @@ func DecodeResponse(r io.Reader, maxElems int) (*abmm.Matrix, error) {
 // RequestWireSize returns the exact encoded byte length of a request,
 // for Content-Length headers and admission-time body caps.
 func RequestWireSize(req *Request) int64 {
-	n := int64(4+1+len(req.Alg)+1+12) + 8*int64(req.A.Rows*req.A.Cols+req.B.Rows*req.B.Cols)
-	if !req.TraceID.IsZero() {
-		n += 1 + 24 // v2 flags byte + trace-context field
-	}
-	return n
+	return int64(4+1+len(req.Alg)+1+12) + 8*int64(req.A.Rows*req.A.Cols+req.B.Rows*req.B.Cols)
 }
 
 func checkShape(m, k, n, maxElems int) error {

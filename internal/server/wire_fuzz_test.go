@@ -11,10 +11,10 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"abmm"
-	"abmm/internal/reqtrace"
 )
 
 // fuzzMaxElems keeps accepted payloads small so the fuzzer spends its
@@ -22,8 +22,9 @@ import (
 const fuzzMaxElems = 1 << 10
 
 // fuzzSeedFrame encodes a small valid request through the production
-// encoder, so the corpus starts from byte-exact v1 and v2 frames.
-func fuzzSeedFrame(tb testing.TB, traced bool) []byte {
+// encoder, so the corpus starts from byte-exact frames. vals overwrite
+// the operands' leading elements, A's first and then B's.
+func fuzzSeedFrame(tb testing.TB, vals ...float64) []byte {
 	tb.Helper()
 	a := abmm.NewMatrix(2, 3)
 	b := abmm.NewMatrix(3, 2)
@@ -33,11 +34,8 @@ func fuzzSeedFrame(tb testing.TB, traced bool) []byte {
 	for i := range b.Data {
 		b.Data[i] = 1.0 / float64(i+1)
 	}
+	copy(b.Data, vals[copy(a.Data, vals):])
 	req := &Request{Alg: "strassen", Levels: LevelsAuto, A: a, B: b}
-	if traced {
-		req.TraceID = reqtrace.ID{Hi: 0x0123456789abcdef, Lo: 0xfedcba9876543210}
-		req.TraceSpan = 42
-	}
 	var buf bytes.Buffer
 	if err := EncodeRequest(&buf, req); err != nil {
 		tb.Fatalf("EncodeRequest: %v", err)
@@ -46,29 +44,33 @@ func fuzzSeedFrame(tb testing.TB, traced bool) []byte {
 }
 
 func FuzzDecodeFrame(f *testing.F) {
-	v1 := fuzzSeedFrame(f, false)
-	v2 := fuzzSeedFrame(f, true)
+	v1 := fuzzSeedFrame(f)
 	f.Add(v1)
-	f.Add(v2)
-	// Truncations at every structural boundary: mid-magic, mid-header,
-	// after the flags byte, mid-trace-field, mid-payload.
+	// Truncations at every structural boundary: mid-magic, after the
+	// name length, mid-name, mid-dimensions, mid-payload.
 	for _, cut := range []int{0, 3, 5, 9, 18, 19, 30, len(v1) - 1} {
-		if cut <= len(v1) {
-			f.Add(v1[:cut])
-		}
-		if cut <= len(v2) {
-			f.Add(v2[:cut])
-		}
+		f.Add(v1[:cut])
 	}
-	// A v2 frame with an unknown flag bit, and with the trace flag
-	// cleared (header shrinks by the 24-byte field).
-	bad := append([]byte(nil), v2...)
-	bad[18] |= 0x80
-	f.Add(bad)
-	f.Add([]byte("ABM2\x00\xff\x01\x00\x00\x00\x01\x00\x00\x00\x01\x00\x00\x00\x00"))
 	// Oversized announced shapes must be rejected before any payload
 	// allocation.
 	f.Add([]byte("ABM1\x00\xff\xff\xff\xff\x7f\xff\xff\xff\x7f\xff\xff\xff\x7f"))
+	// Non-finite and extreme payloads: the decoder accepts any float
+	// bits, and the round trip below must keep each one bit for bit.
+	special := []float64{
+		math.Float64frombits(0x7ff8_0000_dead_beef), // quiet NaN with payload bits
+		math.Float64frombits(0x7ff0_0000_0000_0001), // signaling NaN
+		math.Float64frombits(0xfff8_0000_0000_0042), // negative NaN with payload bits
+		math.Inf(1), math.Inf(-1), math.Copysign(0, -1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.MaxFloat64, -math.MaxFloat64,
+	}
+	for _, v := range special {
+		f.Add(fuzzSeedFrame(f, v))
+	}
+	// All of them at once, in both operands.
+	f.Add(fuzzSeedFrame(f, special...))
+	slices.Reverse(special)
+	f.Add(fuzzSeedFrame(f, special...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := DecodeRequest(bytes.NewReader(data), fuzzMaxElems)
@@ -93,15 +95,18 @@ func FuzzDecodeFrame(f *testing.F) {
 			t.Fatalf("operands do not conform: %dx%d · %dx%d", m, k, req.B.Rows, n)
 		}
 
-		// Round trip through the production encoder. The re-encoded
-		// frame picks its own version (v1 when the trace ID is zero), so
-		// compare decoded fields, not bytes.
+		// Round trip through the production encoder: there is one
+		// frame layout, so the accepted frame re-encodes byte for byte
+		// (data may run on past it; DecodeRequest reads one frame).
 		var buf bytes.Buffer
 		if err := EncodeRequest(&buf, req); err != nil {
 			t.Fatalf("re-encode of accepted frame: %v", err)
 		}
 		if got := int64(buf.Len()); got != RequestWireSize(req) {
 			t.Fatalf("RequestWireSize = %d, encoded %d bytes", RequestWireSize(req), got)
+		}
+		if !bytes.Equal(buf.Bytes(), data[:buf.Len()]) {
+			t.Fatalf("re-encoded frame % x differs from the accepted % x", buf.Bytes(), data[:buf.Len()])
 		}
 		wantA := append([]float64(nil), req.A.Data...)
 		wantB := append([]float64(nil), req.B.Data...)
@@ -131,17 +136,6 @@ func FuzzDecodeFrame(f *testing.F) {
 				t.Fatalf("B[%d] changed bits: %x -> %x", i,
 					math.Float64bits(wantB[i]), math.Float64bits(re.B.Data[i]))
 			}
-		}
-		// Trace context survives exactly when the frame carried a
-		// non-zero trace ID: a zero ID re-encodes as v1 by design, which
-		// drops any stray span value the fuzzer put next to it.
-		if !req.TraceID.IsZero() {
-			if re.TraceID != req.TraceID || re.TraceSpan != req.TraceSpan {
-				t.Fatalf("round trip changed trace context: %v/%d -> %v/%d",
-					req.TraceID, req.TraceSpan, re.TraceID, re.TraceSpan)
-			}
-		} else if !re.TraceID.IsZero() {
-			t.Fatalf("zero trace ID re-decoded as %v", re.TraceID)
 		}
 	})
 }

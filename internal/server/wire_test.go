@@ -3,12 +3,14 @@ package server
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"abmm"
-	"abmm/internal/reqtrace"
 )
 
 func testMatrix(r, c int, seed float64) *abmm.Matrix {
@@ -104,64 +106,61 @@ func TestDecodeRequestRejects(t *testing.T) {
 	}
 }
 
-func TestWireV2TraceRoundTrip(t *testing.T) {
-	req := &Request{
-		Alg: "ours", Levels: 1,
-		A: testMatrix(2, 3, 1), B: testMatrix(3, 2, -1),
-		TraceID:   reqtrace.ID{Hi: 0xa1b2c3d4e5f60718, Lo: 0x1122334455667788},
-		TraceSpan: 0xcafebabe,
-	}
+func TestWireUntracedStaysV1(t *testing.T) {
+	// A request frame carries no trace context: it encodes as the v1
+	// frame byte for byte, so clients and servers of every version
+	// agree on it.
+	req := &Request{Alg: "ours", Levels: 1, A: testMatrix(1, 1, 1), B: testMatrix(1, 1, -1)}
 	var buf bytes.Buffer
 	if err := EncodeRequest(&buf, req); err != nil {
-		t.Fatalf("encode: %v", err)
+		t.Fatal(err)
 	}
-	if got, want := int64(buf.Len()), RequestWireSize(req); got != want {
-		t.Fatalf("wire size %d, RequestWireSize says %d", got, want)
+	want := []byte("ABM1\x04ours\x01" +
+		"\x01\x00\x00\x00\x01\x00\x00\x00\x01\x00\x00\x00" +
+		"\x00\x00\x00\x00\x00\x00\xf0\x3f" + // a = 1
+		"\x00\x00\x00\x00\x00\x00\xf0\xbf") // b = -1
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("frame % x, want % x", buf.Bytes(), want)
 	}
-	dec, err := DecodeRequest(&buf, 1<<20)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if dec.TraceID != req.TraceID || dec.TraceSpan != req.TraceSpan {
-		t.Fatalf("trace context %v/%#x, want %v/%#x", dec.TraceID, dec.TraceSpan, req.TraceID, req.TraceSpan)
+	if _, err := DecodeRequest(&buf, 1<<20); err != nil {
+		t.Fatal(err)
 	}
 }
 
-func TestWireUntracedStaysV1(t *testing.T) {
-	// An untraced request must encode as a byte-identical v1 frame so
-	// new clients keep working against pre-v2 servers.
+// TestRetiredABM2FrameRejected pins the one trace carrier: a frame in
+// the retired ABM2 layout (the ABM1 header plus a flags byte and a
+// 24-byte trace field) is a malformed frame to DecodeRequest and a 400
+// to the handler; trace context travels in the traceparent header.
+func TestRetiredABM2FrameRejected(t *testing.T) {
 	req := &Request{Alg: "ours", Levels: 1, A: testMatrix(2, 2, 1), B: testMatrix(2, 2, -1)}
 	var buf bytes.Buffer
 	if err := EncodeRequest(&buf, req); err != nil {
 		t.Fatal(err)
 	}
-	if got := buf.Bytes()[:4]; string(got) != "ABM1" {
-		t.Fatalf("untraced request encoded with magic %q, want ABM1", got)
+	v1 := buf.Bytes()
+	hdrLen := 4 + 1 + len(req.Alg) + 1 + 12
+	frame := append([]byte("ABM2"), v1[4:hdrLen]...)
+	frame = append(frame, 0x01)                // flags: trace field present
+	frame = append(frame, make([]byte, 24)...) // trace ID and parent span
+	frame[len(frame)-1] = 0x42
+	frame = append(frame, v1[hdrLen:]...)
+
+	_, err := DecodeRequest(bytes.NewReader(frame), 1<<20)
+	if !errors.Is(err, ErrFrame) || !strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("ABM2 frame: want ErrFrame (bad magic), got %v", err)
 	}
-	dec, err := DecodeRequest(&buf, 1<<20)
+
+	s := newTestServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp, err := ts.Client().Post(ts.URL+"/v1/multiply", ContentTypeBinary, bytes.NewReader(frame))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !dec.TraceID.IsZero() || dec.TraceSpan != 0 {
-		t.Fatalf("v1 frame decoded trace context %v/%#x", dec.TraceID, dec.TraceSpan)
-	}
-}
-
-func TestWireV2RejectsUnknownFlags(t *testing.T) {
-	req := &Request{
-		Alg: "ours", Levels: 1, A: testMatrix(2, 2, 1), B: testMatrix(2, 2, -1),
-		TraceID: reqtrace.ID{Lo: 1},
-	}
-	var buf bytes.Buffer
-	if err := EncodeRequest(&buf, req); err != nil {
-		t.Fatal(err)
-	}
-	frame := buf.Bytes()
-	// The flags byte sits after magic+algLen+alg+levels+3×u32.
-	flagsOff := 4 + 1 + len(req.Alg) + 1 + 12
-	frame[flagsOff] |= 0x80
-	if _, err := DecodeRequest(bytes.NewReader(frame), 1<<20); !errors.Is(err, ErrFrame) {
-		t.Fatalf("unknown flag bits: want ErrFrame, got %v", err)
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "bad magic") {
+		t.Fatalf("ABM2 frame: status %d (%s), want 400 bad magic", resp.StatusCode, msg)
 	}
 }
 
