@@ -104,41 +104,55 @@ perfbench-selftest:
 	cd _perfbench && $(GO) test .
 
 # End-to-end serving smoke test: build abmmd, drive it with loadgen for
-# a few seconds over a small shape mix, require at least one success,
-# zero hard errors, and a clean traceparent round-trip on every
-# response (loadgen -trace, the default, exits nonzero on any
-# X-Abmm-Trace-Id mismatch), check that /debug/requests serves filed
-# span trees and that the live /metrics exposition carries the engine,
-# server and per-plan families of the traffic just served, then drain
-# via SIGTERM. CI runs this step.
+# a few seconds over a small shape mix, then send a one-second burst of
+# strassen at L=2 on 128² so a recursion runs through the server too.
+# Require at least one success per burst, zero hard errors, and a clean
+# traceparent round-trip on every response (loadgen -trace, the
+# default, exits nonzero on any X-Abmm-Trace-Id mismatch); check that
+# /debug/requests serves filed span trees, among them the burst's L=2
+# traces with their 49 leaf kernel calls, and that the live /metrics
+# exposition carries the engine, server and per-plan families of the
+# traffic just served; then drain via SIGTERM. Binaries and fetched
+# files stay under the git-ignored .bench_build/smoke/. CI runs this
+# step.
 SMOKE_ADDR ?= 127.0.0.1:18080
 serve-smoke:
-	$(GO) build -o /tmp/abmmd ./cmd/abmmd
-	$(GO) build -o /tmp/abmm-loadgen ./cmd/loadgen
-	/tmp/abmmd -addr $(SMOKE_ADDR) -algs ours,strassen & \
+	mkdir -p .bench_build/smoke
+	$(GO) build -o .bench_build/smoke/abmmd ./cmd/abmmd
+	$(GO) build -o .bench_build/smoke/loadgen ./cmd/loadgen
+	.bench_build/smoke/abmmd -addr $(SMOKE_ADDR) -algs ours,strassen & \
 	pid=$$!; \
 	for i in $$(seq 1 50); do \
 		if wget -q -O /dev/null http://$(SMOKE_ADDR)/healthz 2>/dev/null; then break; fi; \
 		sleep 0.1; \
 	done; \
-	/tmp/abmm-loadgen -target http://$(SMOKE_ADDR) -c 4 -d 3s -shapes 64,128,256 -min-ok 1; \
+	.bench_build/smoke/loadgen -target http://$(SMOKE_ADDR) -c 4 -d 3s -shapes 64,128,256 -min-ok 1; \
 	status=$$?; \
 	if [ $$status -eq 0 ]; then \
-		wget -q -O /tmp/abmm-requests.json "http://$(SMOKE_ADDR)/debug/requests?format=json" && \
-		grep -q '"outcome": "ok"' /tmp/abmm-requests.json && \
-		grep -q '"name": "exec"' /tmp/abmm-requests.json || \
+		.bench_build/smoke/loadgen -target http://$(SMOKE_ADDR) -alg strassen -levels 2 -shapes 128 -d 1s -min-ok 1; \
+		status=$$?; \
+	fi; \
+	if [ $$status -eq 0 ]; then \
+		wget -q -O .bench_build/smoke/requests.json "http://$(SMOKE_ADDR)/debug/requests?format=json" && \
+		grep -q '"outcome": "ok"' .bench_build/smoke/requests.json && \
+		grep -q '"name": "exec"' .bench_build/smoke/requests.json || \
 		{ echo "serve-smoke: /debug/requests missing traced spans" >&2; status=1; }; \
 	fi; \
 	if [ $$status -eq 0 ]; then \
-		wget -q -O /tmp/abmm-plans.json "http://$(SMOKE_ADDR)/debug/plans?format=json" && \
-		grep -q '"plan": "ours/' /tmp/abmm-plans.json || \
+		grep -q '"levels": 2' .bench_build/smoke/requests.json && \
+		grep -q '"kernel_calls": 49' .bench_build/smoke/requests.json || \
+		{ echo "serve-smoke: /debug/requests missing the L=2 traces and their 49 kernel calls" >&2; status=1; }; \
+	fi; \
+	if [ $$status -eq 0 ]; then \
+		wget -q -O .bench_build/smoke/plans.json "http://$(SMOKE_ADDR)/debug/plans?format=json" && \
+		grep -q '"plan": "ours/' .bench_build/smoke/plans.json || \
 		{ echo "serve-smoke: /debug/plans missing the served plans" >&2; status=1; }; \
 	fi; \
 	if [ $$status -eq 0 ]; then \
-		wget -q -O /tmp/abmm-metrics.txt http://$(SMOKE_ADDR)/metrics && \
-		grep -Eq '^abmm_mults_total [1-9]' /tmp/abmm-metrics.txt && \
-		grep -Eq '^abmm_server_requests_total\{code="200"\} [1-9]' /tmp/abmm-metrics.txt && \
-		grep -q '^abmm_plan_execs_total{plan="ours/' /tmp/abmm-metrics.txt || \
+		wget -q -O .bench_build/smoke/metrics.txt http://$(SMOKE_ADDR)/metrics && \
+		grep -Eq '^abmm_mults_total [1-9]' .bench_build/smoke/metrics.txt && \
+		grep -Eq '^abmm_server_requests_total\{code="200"\} [1-9]' .bench_build/smoke/metrics.txt && \
+		grep -q '^abmm_plan_execs_total{plan="ours/' .bench_build/smoke/metrics.txt || \
 		{ echo "serve-smoke: /metrics missing the served engine, request or plan series" >&2; status=1; }; \
 	fi; \
 	kill -TERM $$pid; wait $$pid; \
@@ -148,19 +162,21 @@ serve-smoke:
 # a tight admission gate, push it past the limit with loadgen, and
 # assert the burn-rate readiness contract end to end — /readyz must
 # report 503 right after the overload and recover to 200 once the short
-# window (1/12th of -slo-window) clears with no further traffic. CI
-# runs this step next to serve-smoke.
+# window (1/12th of -slo-window) clears with no further traffic.
+# Binaries stay under .bench_build/smoke/, as in serve-smoke. CI runs
+# this step next to serve-smoke.
 slo-smoke:
-	$(GO) build -o /tmp/abmmd ./cmd/abmmd
-	$(GO) build -o /tmp/abmm-loadgen ./cmd/loadgen
-	/tmp/abmmd -addr $(SMOKE_ADDR) -algs ours -max-in-flight 1 -max-queued 2 \
+	mkdir -p .bench_build/smoke
+	$(GO) build -o .bench_build/smoke/abmmd ./cmd/abmmd
+	$(GO) build -o .bench_build/smoke/loadgen ./cmd/loadgen
+	.bench_build/smoke/abmmd -addr $(SMOKE_ADDR) -algs ours -max-in-flight 1 -max-queued 2 \
 		-slo-latency-p99 1ms -slo-window 24s & \
 	pid=$$!; \
 	for i in $$(seq 1 50); do \
 		if wget -q -O /dev/null http://$(SMOKE_ADDR)/healthz 2>/dev/null; then break; fi; \
 		sleep 0.1; \
 	done; \
-	/tmp/abmm-loadgen -target http://$(SMOKE_ADDR) -c 8 -d 3s -shapes 256 -min-ok 1; \
+	.bench_build/smoke/loadgen -target http://$(SMOKE_ADDR) -c 8 -d 3s -shapes 256 -min-ok 1; \
 	status=$$?; \
 	if [ $$status -eq 0 ]; then \
 		if wget -q -O /dev/null "http://$(SMOKE_ADDR)/readyz" 2>/dev/null; then \

@@ -499,8 +499,10 @@ func (w *discardResponse) WriteHeader(code int)        { w.code = code }
 
 // TestBinaryRequestAllocsFlat pins the pooled request path: once warm,
 // a binary request's allocations — count and bytes — do not grow with
-// the operands. Operands, product and codec chunks all come back from
-// the pools, so what remains is per-request bookkeeping of fixed size.
+// the operands. Operands and product come back from the pools, and the
+// raw payload path reads and writes their storage directly, with no
+// codec chunk (the portable path's chunks are pooled too), so what
+// remains is per-request bookkeeping of fixed size.
 // Every size runs twice: without a deadline, and with X-Abmm-Timeout,
 // which gives the multiply a cancelable context the way every served
 // request has one.

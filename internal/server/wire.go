@@ -3,10 +3,8 @@ package server
 // Binary wire format. A multiplication request is a small framed
 // header followed by the two operands as row-major float64 payloads;
 // the response is a framed header followed by the product. All integers
-// and floats are little-endian — the native order of every platform the
-// pure-Go kernels target — so a same-architecture client can assemble a
-// request with a handful of appends and no per-element byte swapping in
-// its own buffers.
+// and floats are little-endian, the native order of every platform the
+// pure-Go kernels target.
 //
 //	request  = "ABM1" | algLen u8 | alg [algLen]byte | levels i8 |
 //	           m u32 | k u32 | n u32 | a [m*k]f64 | b [k*n]f64
@@ -15,6 +13,14 @@ package server
 // levels is the recursion depth; LevelsAuto (-1) requests automatic
 // selection. Any other magic, the retired "ABM2" included, is rejected
 // as a malformed frame.
+//
+// On a little-endian host float64 storage already holds the payload's
+// bytes, so the codec moves them without converting: a decode reads
+// each operand with one io.ReadFull straight into its pooled storage,
+// and an encode hands each contiguous matrix to the writer in one Write
+// (a strided view, one Write per row). A big-endian host takes the
+// portable path, which converts through a pooled chunk buffer; both
+// paths write the same frames and decode the same bits.
 //
 // Request metadata that is not part of the product travels in HTTP
 // headers (see server.go) so the payload stays a pure matrix: the
@@ -31,6 +37,7 @@ import (
 	"io"
 	"math"
 	"sync"
+	"unsafe"
 
 	"abmm"
 	"abmm/internal/pool"
@@ -88,11 +95,18 @@ func (req *Request) Release() {
 	req.A, req.B = nil, nil
 }
 
-// wireChunk is the streaming buffer size for float payloads: large
+// rawPayload reports that float64 storage holds the wire's
+// little-endian bytes, so payloads move as raw bytes. It is set once
+// from the host's byte order; tests clear it to run the portable
+// conversion loops, the big-endian path, on the same host. Library
+// code never writes it.
+var rawPayload = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// wireChunk is the portable path's streaming buffer size: large
 // enough to amortize io calls, small enough to stay cache-friendly.
 const wireChunk = 4096 * 8
 
-// chunks recycles the payload codec's chunk buffers; a pointer to an
+// chunks recycles the portable path's chunk buffers; a pointer to an
 // array stores in the pool's interface without an allocation.
 var chunks = sync.Pool{New: func() any { return new([wireChunk]byte) }}
 
@@ -271,12 +285,50 @@ func frameErr(err error) error {
 	return err
 }
 
-// writeMatrix streams a matrix row-major as little-endian float64s
-// through one pooled chunk buffer, converting a whole run of a row per
-// pass (views with a stride are handled row by row).
+// writeMatrix writes a matrix row-major as little-endian float64s: its
+// storage as is on the raw path, in one Write when the rows are
+// contiguous and one per row for a strided view.
 //
 //abmm:hotpath
 func writeMatrix(w io.Writer, m *abmm.Matrix) error {
+	if !rawPayload {
+		return writeMatrixPortable(w, m)
+	}
+	if m.Stride == m.Cols {
+		_, err := w.Write(payloadBytes(m.Data[:m.Rows*m.Cols]))
+		return err
+	}
+	for i := 0; i < m.Rows; i++ {
+		if _, err := w.Write(payloadBytes(m.Row(i))); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// readFloats fills dst from r: on the raw path with one io.ReadFull
+// into dst's storage, which an io.Reader must not retain.
+//
+//abmm:hotpath
+func readFloats(r io.Reader, dst []float64) error {
+	if !rawPayload {
+		return readFloatsPortable(r, dst)
+	}
+	if _, err := io.ReadFull(r, payloadBytes(dst)); err != nil {
+		return frameErr(err)
+	}
+	return nil
+}
+
+// payloadBytes views f's storage as the bytes the raw path moves.
+func payloadBytes(f []float64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(f))), 8*len(f))
+}
+
+// writeMatrixPortable is writeMatrix on any byte order, the path of
+// big-endian hosts: it converts a whole run of a row per pass into one
+// pooled chunk buffer.
+func writeMatrixPortable(w io.Writer, m *abmm.Matrix) error {
 	buf := chunks.Get().(*[wireChunk]byte)
 	defer chunks.Put(buf)
 	used := 0
@@ -306,11 +358,10 @@ func writeMatrix(w io.Writer, m *abmm.Matrix) error {
 	return nil
 }
 
-// readFloats fills dst from r, decoding little-endian float64s one
-// pooled chunk at a time.
-//
-//abmm:hotpath
-func readFloats(r io.Reader, dst []float64) error {
+// readFloatsPortable is readFloats on any byte order, the path of
+// big-endian hosts: it decodes one pooled chunk of little-endian
+// float64s at a time.
+func readFloatsPortable(r io.Reader, dst []float64) error {
 	buf := chunks.Get().(*[wireChunk]byte)
 	defer chunks.Put(buf)
 	for len(dst) > 0 {

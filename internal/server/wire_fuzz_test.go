@@ -4,13 +4,13 @@ package server
 // panic on adversarial input, every rejection must be an ErrFrame (the
 // handler maps those to 400s; anything else would surface as a 500),
 // and every accepted frame must satisfy the decoder's contract — shapes
-// within the element cap, and a lossless re-encode round trip that
-// decodes into the recycled, dirty storage the first decode released.
+// within the element cap, the portable path's verdict and bits, and a
+// lossless re-encode round trip that decodes into the recycled, dirty
+// storage the first decode released.
 
 import (
 	"bytes"
 	"errors"
-	"math"
 	"slices"
 	"testing"
 
@@ -56,24 +56,27 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte("ABM1\x00\xff\xff\xff\xff\x7f\xff\xff\xff\x7f\xff\xff\xff\x7f"))
 	// Non-finite and extreme payloads: the decoder accepts any float
 	// bits, and the round trip below must keep each one bit for bit.
-	special := []float64{
-		math.Float64frombits(0x7ff8_0000_dead_beef), // quiet NaN with payload bits
-		math.Float64frombits(0x7ff0_0000_0000_0001), // signaling NaN
-		math.Float64frombits(0xfff8_0000_0000_0042), // negative NaN with payload bits
-		math.Inf(1), math.Inf(-1), math.Copysign(0, -1),
-		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
-		math.MaxFloat64, -math.MaxFloat64,
-	}
-	for _, v := range special {
+	for _, v := range specialFloats {
 		f.Add(fuzzSeedFrame(f, v))
 	}
 	// All of them at once, in both operands.
-	f.Add(fuzzSeedFrame(f, special...))
-	slices.Reverse(special)
-	f.Add(fuzzSeedFrame(f, special...))
+	f.Add(fuzzSeedFrame(f, specialFloats...))
+	reversed := slices.Clone(specialFloats)
+	slices.Reverse(reversed)
+	f.Add(fuzzSeedFrame(f, reversed...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// The portable path, the one big-endian hosts run, is the
+		// reference: the host's path must reach its verdict and, on
+		// an accepted frame, its bits.
+		ref, refErr := decodePortable(data)
+		if ref != nil {
+			defer ref.Release()
+		}
 		req, err := DecodeRequest(bytes.NewReader(data), fuzzMaxElems)
+		if (err == nil) != (refErr == nil) || err != nil && err.Error() != refErr.Error() {
+			t.Fatalf("DecodeRequest returned %v, the portable path %v", err, refErr)
+		}
 		if err != nil {
 			if req != nil {
 				t.Fatalf("DecodeRequest returned both a request and error %v", err)
@@ -94,6 +97,11 @@ func FuzzDecodeFrame(f *testing.F) {
 		if req.B.Rows != k {
 			t.Fatalf("operands do not conform: %dx%d · %dx%d", m, k, req.B.Rows, n)
 		}
+		if req.Alg != ref.Alg || req.Levels != ref.Levels {
+			t.Fatalf("alg/levels %q/%d, the portable path %q/%d", req.Alg, req.Levels, ref.Alg, ref.Levels)
+		}
+		requireSameBits(t, "A", ref.A, req.A)
+		requireSameBits(t, "B", ref.B, req.B)
 
 		// Round trip through the production encoder: there is one
 		// frame layout, so the accepted frame re-encodes byte for byte
@@ -108,8 +116,6 @@ func FuzzDecodeFrame(f *testing.F) {
 		if !bytes.Equal(buf.Bytes(), data[:buf.Len()]) {
 			t.Fatalf("re-encoded frame % x differs from the accepted % x", buf.Bytes(), data[:buf.Len()])
 		}
-		wantA := append([]float64(nil), req.A.Data...)
-		wantB := append([]float64(nil), req.B.Data...)
 		req.Release()
 		req.Release() // idempotent
 		re, err := DecodeRequest(bytes.NewReader(buf.Bytes()), fuzzMaxElems)
@@ -117,25 +123,19 @@ func FuzzDecodeFrame(f *testing.F) {
 			t.Fatalf("re-decode of re-encoded frame: %v", err)
 		}
 		defer re.Release()
-		if re.Alg != req.Alg || re.Levels != req.Levels {
+		if re.Alg != ref.Alg || re.Levels != ref.Levels {
 			t.Fatalf("round trip changed alg/levels: %q/%d -> %q/%d",
-				req.Alg, req.Levels, re.Alg, re.Levels)
+				ref.Alg, ref.Levels, re.Alg, re.Levels)
 		}
-		if re.A.Rows != m || re.A.Cols != k || re.B.Rows != k || re.B.Cols != n {
-			t.Fatalf("round trip changed shape: %dx%d·%dx%d -> %dx%d·%dx%d",
-				m, k, k, n, re.A.Rows, re.A.Cols, re.B.Rows, re.B.Cols)
-		}
-		for i := range wantA {
-			if math.Float64bits(re.A.Data[i]) != math.Float64bits(wantA[i]) {
-				t.Fatalf("A[%d] changed bits: %x -> %x", i,
-					math.Float64bits(wantA[i]), math.Float64bits(re.A.Data[i]))
-			}
-		}
-		for i := range wantB {
-			if math.Float64bits(re.B.Data[i]) != math.Float64bits(wantB[i]) {
-				t.Fatalf("B[%d] changed bits: %x -> %x", i,
-					math.Float64bits(wantB[i]), math.Float64bits(re.B.Data[i]))
-			}
-		}
+		requireSameBits(t, "re-decoded A", ref.A, re.A)
+		requireSameBits(t, "re-decoded B", ref.B, re.B)
 	})
+}
+
+// decodePortable decodes data through the portable path, whatever the
+// host's byte order.
+func decodePortable(data []byte) (*Request, error) {
+	defer func(prev bool) { rawPayload = prev }(rawPayload)
+	rawPayload = false
+	return DecodeRequest(bytes.NewReader(data), fuzzMaxElems)
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -21,87 +22,171 @@ func testMatrix(r, c int, seed float64) *abmm.Matrix {
 	return m
 }
 
-func TestRequestRoundTrip(t *testing.T) {
-	req := &Request{
-		Alg:    "ours",
-		Levels: 2,
-		A:      testMatrix(3, 4, 1),
-		B:      testMatrix(4, 5, -2),
+// specialFloats are payload values a codec could mangle: NaNs with
+// payload bits (quiet, signaling, negative), the infinities, negative
+// zero, the smallest subnormals and the largest finite values. The
+// decoder accepts any float bits and must keep each one bit for bit.
+var specialFloats = []float64{
+	math.Float64frombits(0x7ff8_0000_dead_beef), // quiet NaN with payload bits
+	math.Float64frombits(0x7ff0_0000_0000_0001), // signaling NaN
+	math.Float64frombits(0xfff8_0000_0000_0042), // negative NaN with payload bits
+	math.Inf(1), math.Inf(-1), math.Copysign(0, -1),
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+	math.MaxFloat64, -math.MaxFloat64,
+}
+
+// hostRawPayload is the payload path this host picked: the raw path
+// runs in tests only where the host is little-endian.
+var hostRawPayload = rawPayload
+
+// payloadPaths lists the payload codec paths this host runs: the
+// portable conversion loops everywhere, then the raw path on
+// little-endian hosts.
+func payloadPaths() []bool {
+	if hostRawPayload {
+		return []bool{false, true}
 	}
-	var buf bytes.Buffer
-	if err := EncodeRequest(&buf, req); err != nil {
-		t.Fatalf("encode: %v", err)
+	return []bool{false}
+}
+
+var payloadPathNames = map[bool]string{false: "portable", true: "raw"}
+
+// setRawPayload switches the payload codec path until the test ends.
+func setRawPayload(tb testing.TB, raw bool) {
+	prev := rawPayload
+	rawPayload = raw
+	tb.Cleanup(func() { rawPayload = prev })
+}
+
+// withSpecials writes specialFloats over m's leading elements in
+// row-major order, and returns m.
+func withSpecials(m *abmm.Matrix) *abmm.Matrix {
+	for i, v := range specialFloats[:min(len(specialFloats), m.Rows*m.Cols)] {
+		m.Set(i/m.Cols, i%m.Cols, v)
 	}
-	if got, want := int64(buf.Len()), RequestWireSize(req); got != want {
-		t.Fatalf("wire size %d, RequestWireSize says %d", got, want)
+	return m
+}
+
+// requireSameBits fails unless got holds want's shape and, element by
+// element, its exact bits.
+func requireSameBits(t *testing.T, name string, want, got *abmm.Matrix) {
+	t.Helper()
+	if got.Rows != want.Rows || got.Cols != want.Cols {
+		t.Fatalf("%s: shape %dx%d, want %dx%d", name, got.Rows, got.Cols, want.Rows, want.Cols)
 	}
-	dec, err := DecodeRequest(&buf, 1<<20)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if dec.Alg != req.Alg || dec.Levels != req.Levels {
-		t.Fatalf("header mismatch: %q/%d", dec.Alg, dec.Levels)
-	}
-	for name, pair := range map[string][2]*abmm.Matrix{"a": {req.A, dec.A}, "b": {req.B, dec.B}} {
-		want, got := pair[0], pair[1]
-		if got.Rows != want.Rows || got.Cols != want.Cols {
-			t.Fatalf("%s shape mismatch", name)
-		}
-		for i := range want.Data {
-			// The codec must round-trip float64s bit-exactly.
-			//abmm:allow float-discipline
-			if want.Data[i] != got.Data[i] {
-				t.Fatalf("%s[%d]: %v != %v", name, i, got.Data[i], want.Data[i])
+	for i := 0; i < want.Rows; i++ {
+		for j := 0; j < want.Cols; j++ {
+			if g, w := math.Float64bits(got.At(i, j)), math.Float64bits(want.At(i, j)); g != w {
+				t.Fatalf("%s[%d,%d]: bits %#x, want %#x", name, i, j, g, w)
 			}
 		}
 	}
 }
 
+// TestRequestRoundTrip encodes and decodes one request under every
+// payload path the host runs: A is a strided view of a wider matrix,
+// and both operands lead with specialFloats. Every path must write the
+// same frame and decode the operands' exact bits.
+func TestRequestRoundTrip(t *testing.T) {
+	req := &Request{
+		Alg:    "ours",
+		Levels: 2,
+		A:      withSpecials(testMatrix(5, 9, 1).View(1, 2, 3, 4)), // row stride 9
+		B:      withSpecials(testMatrix(4, 5, -2)),
+	}
+	var first []byte
+	for _, raw := range payloadPaths() {
+		t.Run(payloadPathNames[raw], func(t *testing.T) {
+			setRawPayload(t, raw)
+			var buf bytes.Buffer
+			if err := EncodeRequest(&buf, req); err != nil {
+				t.Fatalf("encode: %v", err)
+			}
+			if got, want := int64(buf.Len()), RequestWireSize(req); got != want {
+				t.Fatalf("wire size %d, RequestWireSize says %d", got, want)
+			}
+			if first == nil {
+				first = bytes.Clone(buf.Bytes())
+			} else if !bytes.Equal(buf.Bytes(), first) {
+				t.Fatalf("frame % x differs from the portable path's % x", buf.Bytes(), first)
+			}
+			dec, err := DecodeRequest(&buf, 1<<20)
+			if err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			defer dec.Release()
+			if dec.Alg != req.Alg || dec.Levels != req.Levels {
+				t.Fatalf("header mismatch: %q/%d", dec.Alg, dec.Levels)
+			}
+			requireSameBits(t, "a", req.A, dec.A)
+			requireSameBits(t, "b", req.B, dec.B)
+		})
+	}
+}
+
+// TestResponseRoundTrip does the same for responses, from a
+// contiguous product and from a strided view.
 func TestResponseRoundTrip(t *testing.T) {
-	c := testMatrix(2, 7, 3)
-	var buf bytes.Buffer
-	if err := EncodeResponse(&buf, c); err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	got, err := DecodeResponse(&buf, 1<<20)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if got.Rows != 2 || got.Cols != 7 {
-		t.Fatalf("shape %dx%d", got.Rows, got.Cols)
-	}
-	for i := range c.Data {
-		// Bit-exact round trip, as above.
-		//abmm:allow float-discipline
-		if c.Data[i] != got.Data[i] {
-			t.Fatalf("c[%d]: %v != %v", i, got.Data[i], c.Data[i])
+	for name, m := range map[string]*abmm.Matrix{
+		"contiguous": withSpecials(testMatrix(2, 7, 3)),
+		"view":       withSpecials(testMatrix(3, 9, 3).View(1, 2, 2, 6)),
+	} {
+		var first []byte
+		for _, raw := range payloadPaths() {
+			t.Run(name+"/"+payloadPathNames[raw], func(t *testing.T) {
+				setRawPayload(t, raw)
+				var buf bytes.Buffer
+				if err := EncodeResponse(&buf, m); err != nil {
+					t.Fatalf("encode: %v", err)
+				}
+				if got, want := buf.Len(), 12+8*m.Rows*m.Cols; got != want {
+					t.Fatalf("response is %d bytes, want %d", got, want)
+				}
+				if first == nil {
+					first = bytes.Clone(buf.Bytes())
+				} else if !bytes.Equal(buf.Bytes(), first) {
+					t.Fatalf("frame % x differs from the portable path's % x", buf.Bytes(), first)
+				}
+				got, err := DecodeResponse(&buf, 1<<20)
+				if err != nil {
+					t.Fatalf("decode: %v", err)
+				}
+				requireSameBits(t, "c", m, got)
+			})
 		}
 	}
 }
 
 func TestDecodeRequestRejects(t *testing.T) {
-	good := func() []byte {
-		var buf bytes.Buffer
-		req := &Request{Alg: "ours", Levels: LevelsAuto, A: testMatrix(2, 2, 0), B: testMatrix(2, 2, 0)}
-		if err := EncodeRequest(&buf, req); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+	req := &Request{Alg: "ours", Levels: LevelsAuto, A: testMatrix(2, 2, 0), B: testMatrix(2, 2, 0)}
+	var buf bytes.Buffer
+	if err := EncodeRequest(&buf, req); err != nil {
+		t.Fatal(err)
 	}
+	good := buf.Bytes()
+	aStart := len(good) - 8*(2*2+2*2) // A's first byte
+	bStart := aStart + 8*2*2          // the A/B boundary
 
-	cases := map[string]struct {
-		body     []byte
-		maxElems int
+	cases := []struct {
+		name, body string
+		maxElems   int
+		want       string
 	}{
-		"bad magic": {append([]byte("NOPE"), good()[4:]...), 1 << 20},
-		"truncated": {good()[:len(good())-9], 1 << 20},
-		"empty":     {nil, 1 << 20},
-		"over cap":  {good(), 3},
+		{"bad magic", "NOPE" + string(good[4:]), 1 << 20, "bad magic"},
+		{"empty", "", 1 << 20, "truncated frame"},
+		{"over cap", string(good), 3, "exceeds element cap"},
+		{"cut inside A", string(good[:aStart+8+3]), 1 << 20, "truncated frame"},
+		{"cut at the A/B boundary", string(good[:bStart]), 1 << 20, "truncated frame"},
+		{"cut inside B", string(good[:len(good)-9]), 1 << 20, "truncated frame"},
 	}
-	for name, tc := range cases {
-		_, err := DecodeRequest(bytes.NewReader(tc.body), tc.maxElems)
-		if !errors.Is(err, ErrFrame) {
-			t.Errorf("%s: want ErrFrame, got %v", name, err)
+	for _, raw := range payloadPaths() {
+		setRawPayload(t, raw)
+		for _, tc := range cases {
+			req, err := DecodeRequest(strings.NewReader(tc.body), tc.maxElems)
+			if req != nil || !errors.Is(err, ErrFrame) || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s/%s: got %v and %v, want no request and ErrFrame (%s)",
+					payloadPathNames[raw], tc.name, req, err, tc.want)
+			}
 		}
 	}
 }
@@ -178,5 +263,58 @@ func TestCheckShapeOverflow(t *testing.T) {
 	}
 	if err := checkShape(4096, 4096, 4096, 16<<20); err != nil {
 		t.Fatalf("4096 cube should fit the default cap: %v", err)
+	}
+}
+
+// BenchmarkWireCodec measures the payload codec against the copy it
+// approaches, on serve-small's 64² and 256² frames, under every payload
+// path the host runs. decode is DecodeRequest and Release of a request
+// frame read from a bytes.Reader; encode is EncodeResponse of an n×n
+// product to io.Discard, which takes the bytes without copying them,
+// so the raw path's rate there is the codec's own cost and the one copy
+// left is the writer's. copy is the ceiling: the built-in copy of the
+// request's operand bytes from where they sit in the frame (after a
+// 22-byte header, so not 8-byte aligned) into float64 storage. GB/s
+// counts each frame's bytes.
+func BenchmarkWireCodec(b *testing.B) {
+	for _, n := range []int{64, 256} {
+		req := &Request{Alg: "ours", A: testMatrix(n, n, 1), B: testMatrix(n, n, -2)}
+		var frame bytes.Buffer
+		if err := EncodeRequest(&frame, req); err != nil {
+			b.Fatal(err)
+		}
+		reqBytes, respBytes := float64(frame.Len()), float64(12+8*n*n)
+		b.Run(fmt.Sprintf("copy/n=%d", n), func(b *testing.B) {
+			operands := frame.Bytes()[frame.Len()-16*n*n:]
+			dst := payloadBytes(make([]float64, 2*n*n))
+			for i := 0; i < b.N; i++ {
+				copy(dst, operands)
+			}
+			b.ReportMetric(reqBytes*float64(b.N)/b.Elapsed().Seconds()/1e9, "GB/s")
+		})
+		for _, raw := range payloadPaths() {
+			b.Run(fmt.Sprintf("decode/%s/n=%d", payloadPathNames[raw], n), func(b *testing.B) {
+				setRawPayload(b, raw)
+				r := bytes.NewReader(nil)
+				for i := 0; i < b.N; i++ {
+					r.Reset(frame.Bytes())
+					dec, err := DecodeRequest(r, n*n)
+					if err != nil {
+						b.Fatal(err)
+					}
+					dec.Release()
+				}
+				b.ReportMetric(reqBytes*float64(b.N)/b.Elapsed().Seconds()/1e9, "GB/s")
+			})
+			b.Run(fmt.Sprintf("encode/%s/n=%d", payloadPathNames[raw], n), func(b *testing.B) {
+				setRawPayload(b, raw)
+				for i := 0; i < b.N; i++ {
+					if err := EncodeResponse(io.Discard, req.A); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(respBytes*float64(b.N)/b.Elapsed().Seconds()/1e9, "GB/s")
+			})
+		}
 	}
 }
