@@ -47,7 +47,6 @@ import (
 	"sync"
 
 	"abmm/internal/algos"
-	"abmm/internal/bilinear"
 	"abmm/internal/core"
 	"abmm/internal/dd"
 	"abmm/internal/kernel"
@@ -202,26 +201,6 @@ func MultiplyClassical(a, b *Matrix, workers int) *Matrix {
 	c := matrix.New(a.Rows, b.Cols)
 	kernel.Mul(c, a, b, kernel.Blocking{}, workers, pool.NewArena(), nil)
 	return c
-}
-
-// MultiplyMixed computes a·b with a non-stationary recursion: a
-// different algorithm at each level, algs[0] outermost, recursing
-// len(algs) levels before the classical base case. All algorithms must
-// be standard-basis with identical base dimensions (the
-// Castrapel–Gustafson / D'Alberto technique does not readily extend to
-// alternative bases; see the paper's Section V).
-func MultiplyMixed(algs []*Algorithm, a, b *Matrix, opt Options) (*Matrix, error) {
-	if len(algs) == 0 {
-		return nil, fmt.Errorf("abmm: MultiplyMixed needs at least one algorithm")
-	}
-	specs := make([]*bilinear.Spec, len(algs))
-	for i, alg := range algs {
-		if alg.IsAltBasis() {
-			return nil, fmt.Errorf("abmm: MultiplyMixed: %s is an alternative basis algorithm", alg.Name)
-		}
-		specs[i] = alg.Spec
-	}
-	return bilinear.MultiplyMixed(specs, a, b, bilinear.Options{Workers: opt.Workers}), nil
 }
 
 // ScalingMethod selects a diagonal scaling strategy for

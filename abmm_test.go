@@ -177,30 +177,3 @@ func TestMultiplyScaled(t *testing.T) {
 		}
 	}
 }
-
-func TestMultiplyMixedPublic(t *testing.T) {
-	strassen, _ := abmm.Lookup("strassen")
-	winograd, _ := abmm.Lookup("winograd")
-	a, b := abmm.NewMatrix(48, 48), abmm.NewMatrix(48, 48)
-	a.FillUniform(abmm.Rand(9), -1, 1)
-	b.FillUniform(abmm.Rand(10), -1, 1)
-	got, err := abmm.MultiplyMixed([]*abmm.Algorithm{strassen, winograd}, a, b, abmm.Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := abmm.MultiplyClassical(a, b, 2)
-	for i := 0; i < 48; i++ {
-		for j := 0; j < 48; j++ {
-			if d := math.Abs(got.At(i, j) - want.At(i, j)); d > 1e-11 {
-				t.Fatalf("mixed multiply off at %d,%d by %g", i, j, d)
-			}
-		}
-	}
-	ours, _ := abmm.Lookup("ours")
-	if _, err := abmm.MultiplyMixed([]*abmm.Algorithm{ours}, a, b, abmm.Options{}); err == nil {
-		t.Fatal("alt-basis algorithm accepted in mixed mode")
-	}
-	if _, err := abmm.MultiplyMixed(nil, a, b, abmm.Options{}); err == nil {
-		t.Fatal("empty algorithm list accepted")
-	}
-}

@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"abmm/internal/algos"
-	"abmm/internal/bilinear"
+	"abmm/internal/core"
 	"abmm/internal/matrix"
 	"abmm/internal/stability"
 )
@@ -89,7 +89,7 @@ func TestRect323EndToEnd(t *testing.T) {
 	b := matrix.New(28, 63)
 	a.FillUniform(matrix.Rand(1), -1, 1)
 	b.FillUniform(matrix.Rand(2), -1, 1)
-	got := bilinear.Multiply(alg.Spec, a, b, 2, bilinear.Options{Workers: 2})
+	got := core.Multiply(alg, a, b, core.Options{Levels: 2, Workers: 2})
 	want := matrix.New(45, 63)
 	matrix.MulNaive(want, a, b)
 	if d := matrix.MaxAbsDiff(got, want); d > 1e-11 {

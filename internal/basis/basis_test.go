@@ -8,6 +8,7 @@ import (
 	"abmm/internal/bilinear"
 	"abmm/internal/exact"
 	"abmm/internal/matrix"
+	"abmm/internal/pool"
 )
 
 func stacked(seed uint64, rows, cols int) *matrix.Matrix {
@@ -171,7 +172,10 @@ func TestFullDecompositionPipeline(t *testing.T) {
 	bs := bilinear.ToRecursive(b, 2, 2, levels, 2)
 	at := fd.Phi.Apply(as, levels, 2)
 	bt := fd.Psi.Apply(bs, levels, 2)
-	ct := bilinear.Exec(fd.Spec, at, bt, levels, bilinear.Options{Workers: 2})
+	// The decomposed bilinear phase is the identity on R groups, so the
+	// stacked product has Ã's shape.
+	ct := matrix.New(at.Rows, bt.Cols)
+	bilinear.NewEngine(fd.Spec, bilinear.Options{Workers: 2}, levels).ExecIntoCancel(ct, at, bt, pool.NewArena(), nil, nil)
 	cs := fd.Nu.Transposed().Apply(ct, levels, 2)
 	c := matrix.New(n, n)
 	bilinear.FromRecursive(cs, c, 2, 2, levels, 2)

@@ -22,33 +22,17 @@ type Options struct {
 	// the whole recursion runs on the calling goroutine.
 	Workers int
 	// Recorder, when non-nil, receives ExecInto's base-case pack/kernel
-	// phase spans; nil disables recording at zero cost.
+	// phase spans. Only _perfbench/replay.go sets it; it goes with
+	// ExecInto once that replay calls ExecIntoCancel.
 	Recorder obs.Recorder
 }
 
 func (o Options) workers() int { return parallel.Resolve(o.Workers) }
 
-// Exec multiplies two operands in stacked layout: a must be the
-// ToRecursive image (branching D_U, depth levels) of the left operand
-// possibly followed by a basis transformation, and b likewise with
-// branching D_V. It returns the stacked product with branching D_W,
-// which for a standard-basis spec is the ToRecursive image of C = A·B.
-func Exec(s *Spec, a, b *matrix.Matrix, levels int, opt Options) *matrix.Matrix {
-	return NewEngine(s, opt, levels).exec(a, b)
-}
-
-// exec is Exec on a constructed engine.
-func (e *Engine) exec(a, b *matrix.Matrix) *matrix.Matrix {
-	du, dw := ipow(e.s.DU(), e.levels), ipow(e.s.DW(), e.levels)
-	c := matrix.New(dw*(a.Rows/du), b.Cols)
-	e.ExecInto(c, a, b, pool.NewArena())
-	return c
-}
-
 // Engine executes the recursive bilinear phase of one algorithm at one
 // recursion depth. An Engine is immutable after construction and safe
-// for concurrent ExecInto calls; core.Plan builds one per compiled plan
-// and reuses it for every execution of that shape.
+// for concurrent ExecIntoCancel calls; core.Plan builds one per
+// compiled plan and reuses it for every execution of that shape.
 //
 // Every recursion step runs the spec's CSE-compiled encode and decode
 // programs around its R products, except the last, which folds them
@@ -56,11 +40,9 @@ func (e *Engine) exec(a, b *matrix.Matrix) *matrix.Matrix {
 type Engine struct {
 	s       *Spec
 	workers int
-	// mixed, when non-nil, selects a different spec per level
-	// (non-stationary recursion): mixed[0] at the top level.
-	mixed  []*Spec
-	levels int
-	rec    obs.Recorder
+	levels  int
+	// rec is Options.Recorder, which only ExecInto reads.
+	rec obs.Recorder
 	// unfused runs the last recursion level as an ordinary scheduled
 	// step over kernel.Mul leaves. Only the test reference the fused
 	// step is checked against sets it (export_test.go).
@@ -68,15 +50,6 @@ type Engine struct {
 	// regionNames[level] names the runtime/trace region of a recursion
 	// node at that level (level counts down toward the base case at 0).
 	regionNames []string
-}
-
-// specAt returns the algorithm for a recursion level (levels counts
-// down toward the base case at 0).
-func (e *Engine) specAt(level int) *Spec {
-	if e.mixed == nil {
-		return e.s
-	}
-	return e.mixed[e.levels-level]
 }
 
 // NewEngine compiles the execution state for running spec s at the
@@ -96,23 +69,26 @@ func NewEngine(s *Spec, opt Options, levels int) *Engine {
 	return e
 }
 
-// ExecInto runs the engine's recursion, writing the stacked product
-// into c. Scratch is drawn from al; with a warm pool.Arena the call
-// performs no heap allocation with one worker. c must be fully
-// writable scratch or output — its prior contents are ignored.
+// ExecInto is ExecIntoCancel with no cancellation, reporting to
+// Options.Recorder. Only _perfbench/replay.go calls it; it goes, with
+// Options.Recorder and Engine.rec, once that replay calls
+// ExecIntoCancel.
 //
 //abmm:hotpath
 func (e *Engine) ExecInto(c, a, b *matrix.Matrix, al *pool.Arena) {
 	e.ExecIntoCancel(c, a, b, al, nil, e.rec)
 }
 
-// ExecIntoCancel is ExecInto that reports every leaf GEMM's pack and
-// kernel spans to rec instead (nil records nothing) and stops once done
-// is closed: the recursion polls done at every node boundary, leaves
-// included (one non-blocking receive per node, nothing per element),
-// and abandons the remaining subtree, leaving c in an unspecified
-// state. Scratch accounting stays balanced on the abandoned path, so
-// the arena remains reusable. A nil done never fires.
+// ExecIntoCancel runs the engine's recursion on stacked operands (a
+// with branching D_U, b with D_V, either possibly basis-transformed),
+// writing the stacked product, branching D_W, into c; c's prior
+// contents are ignored. Scratch is drawn from al; with a warm
+// pool.Arena and one worker the call allocates nothing. Every leaf
+// GEMM reports its pack and kernel spans to rec (nil records nothing).
+// The recursion polls done at every node, leaves included (one
+// non-blocking receive per node), and once it is closed abandons the
+// remaining subtree, leaving c unspecified; scratch accounting stays
+// balanced, so the arena remains reusable. A nil done never fires.
 //
 //abmm:hotpath
 func (e *Engine) ExecIntoCancel(c, a, b *matrix.Matrix, al *pool.Arena, done <-chan struct{}, rec obs.Recorder) {
@@ -170,7 +146,7 @@ func (e *Engine) recurse(c, a, b *matrix.Matrix, level int, al *pool.Arena, done
 // more than one worker), and the decode program writes the output
 // groups in place.
 func (e *Engine) scheduled(c, a, b *matrix.Matrix, level int, al *pool.Arena, done <-chan struct{}, rec obs.Recorder) {
-	s := e.specAt(level)
+	s := e.s
 	encA, encB, dec := s.Programs()
 	ah, bh, ch := a.Rows/s.DU(), b.Rows/s.DV(), c.Rows/s.DW()
 	aGroups := groupsIn(al, a, s.DU())
@@ -208,12 +184,12 @@ func (e *Engine) scheduled(c, a, b *matrix.Matrix, level int, al *pool.Arena, do
 // concurrently: one breadth-first step above a depth-first recursion,
 // the memory-bounded hybrid of CAPS. Each product's subtree runs on an
 // engine copy with max(1, workers/R) workers, so a leaf GEMM too small
-// to split still keeps a core busy; it shares the compiled state and
-// per-level specs (MultiplyMixed). Products write disjoint buffers and
-// no accumulation changes order, so the result is bitwise identical to
-// the sequential loop; peak scratch grows by up to min(workers, R)−1
-// concurrent level-(L−1) subtrees. The closure and its goroutines
-// allocate, and this runs only with more than one worker.
+// to split still keeps a core busy; it shares the compiled state.
+// Products write disjoint buffers and no accumulation changes order,
+// so the result is bitwise identical to the sequential loop; peak
+// scratch grows by up to min(workers, R)−1 concurrent level-(L−1)
+// subtrees. The closure and its goroutines allocate, and this runs
+// only with more than one worker.
 //
 //abmm:coldpath
 func (e *Engine) recurseFanOut(prods, souts, touts []*matrix.Matrix, level int, al *pool.Arena, done <-chan struct{}, rec obs.Recorder) {

@@ -7,6 +7,7 @@ import (
 	"abmm/internal/algos"
 	"abmm/internal/bilinear"
 	"abmm/internal/matrix"
+	"abmm/internal/pool"
 )
 
 func mulRef(a, b *matrix.Matrix) *matrix.Matrix {
@@ -100,7 +101,8 @@ func TestExecRejectsBadShapes(t *testing.T) {
 			t.Fatal("expected panic for non-conforming stacked operands")
 		}
 	}()
-	bilinear.Exec(alg.Spec, matrix.New(16, 5), matrix.New(16, 7), 2, bilinear.Options{})
+	e := bilinear.NewEngine(alg.Spec, bilinear.Options{}, 2)
+	e.ExecIntoCancel(matrix.New(16, 7), matrix.New(16, 5), matrix.New(16, 7), pool.NewArena(), nil, nil)
 }
 
 func TestExecRejectsNegativeLevels(t *testing.T) {
@@ -109,9 +111,12 @@ func TestExecRejectsNegativeLevels(t *testing.T) {
 			t.Fatal("expected panic for negative levels")
 		}
 	}()
-	bilinear.Exec(algos.Strassen().Spec, matrix.New(4, 4), matrix.New(4, 4), -1, bilinear.Options{})
+	bilinear.NewEngine(algos.Strassen().Spec, bilinear.Options{}, -1)
 }
 
+// TestMultiplyRejectsDecomposedSpec holds the tests' stacking helper
+// to standard-basis specs: a decomposed spec's stacked product is in
+// the alternative basis, so comparing it with A·B would be meaningless.
 func TestMultiplyRejectsDecomposedSpec(t *testing.T) {
 	fd, err := algos.FullDecomposition(algos.Strassen())
 	if err != nil {

@@ -59,7 +59,7 @@ const maxFusedDim = 32
 //
 //abmm:hotpath
 func (e *Engine) fusedStep(c, a, b *matrix.Matrix, al *pool.Arena, done <-chan struct{}, rec obs.Recorder) {
-	s := e.specAt(1)
+	s := e.s
 	aGroups := groupsIn(al, a, s.DU())
 	bGroups := groupsIn(al, b, s.DV())
 	cGroups := groupsIn(al, c, s.DW())

@@ -6,11 +6,13 @@ import (
 	"abmm/internal/bilinear"
 )
 
-// Trace replays the element-level memory-access pattern of the
-// direct-schedule recursive engine (Algorithm 1: layout conversion,
-// basis transformations, bilinear recursion with one S/T/P scratch set
-// per level, inverse transformation, inverse layout) into the cache
-// simulator, and returns the resulting traffic in words. n must be
+// Trace replays the element-level memory-access pattern of a modeled
+// direct schedule of Algorithm 1 (layout conversion, basis
+// transformations, a bilinear recursion that materializes one S/T/P
+// scratch set per level over a blocked 64/256/512 i,k,j classical base
+// case, inverse transformation, inverse layout) into the cache
+// simulator, and returns the resulting traffic in words. The engine
+// fuses its last step into the packed kernel instead. n must be
 // divisible by the base powers for the requested levels.
 func Trace(alg *algos.Algorithm, n, levels int, c *Cache) int64 {
 	s := alg.Spec
@@ -118,8 +120,8 @@ func (t *tracer) transformRec(tr *basis.Transform, src, dst, srcWords, dstWords 
 	t.freeTo(mark)
 }
 
-// recurse models the direct-schedule bilinear recursion and returns the
-// address of the product operand.
+// recurse models the direct schedule's bilinear recursion, every level
+// materialized, and returns the address of the product operand.
 func (t *tracer) recurse(a, b, aWords, bWords int64, level, base int) int64 {
 	s := t.spec
 	cWords := int64(ipow(s.DW(), level)) * int64(base*base)

@@ -175,7 +175,7 @@ func TestPlanMatchesStagedPipeline(t *testing.T) {
 
 // stagedMultiply computes a·b through the layers' exported functions:
 //
-//	PadInto → ToRecursiveInto → φ/ψ → ExecInto → νᵀ → FromRecursiveInto → CropInto
+//	PadInto → ToRecursiveInto → φ/ψ → ExecIntoCancel → νᵀ → FromRecursiveInto → CropInto
 //
 // applying each basis transform in place when it can, as core.Plan does.
 func stagedMultiply(alg *algos.Algorithm, a, b *matrix.Matrix, levels, w int) *matrix.Matrix {
@@ -205,7 +205,7 @@ func stagedMultiply(alg *algos.Algorithm, a, b *matrix.Matrix, levels, w int) *m
 	as := transform(alg.Phi, stack(a, pm, pk, s.M0, s.K0))
 	bs := transform(alg.Psi, stack(b, pk, pn, s.K0, s.N0))
 	cs := matrix.New(pow(s.DW())*(pm/pow(s.M0)), pn/pow(s.N0))
-	bilinear.NewEngine(s, bilinear.Options{Workers: w}, levels).ExecInto(cs, as, bs, ar)
+	bilinear.NewEngine(s, bilinear.Options{Workers: w}, levels).ExecIntoCancel(cs, as, bs, ar, nil, nil)
 	if alg.Nu != nil {
 		cs = transform(alg.Nu.Transposed(), cs)
 	}

@@ -26,6 +26,7 @@ import (
 
 	"abmm/internal/bilinear"
 	"abmm/internal/matrix"
+	"abmm/internal/pool"
 )
 
 // Stats aggregates the communication incurred by one multiplication.
@@ -115,7 +116,10 @@ func Multiply(spec *bilinear.Spec, a, b *matrix.Matrix, procs int, opt Options) 
 // thicknesses at the current group size.
 func bfs(p *proc, spec *bilinear.Spec, aPart, bPart *matrix.Matrix, aSlice, bSlice, lo, g, localLevels, workers int) *matrix.Matrix {
 	if g == 1 {
-		return bilinear.Exec(spec, aPart, bPart, localLevels, bilinear.Options{Workers: workers})
+		c := matrix.New(ipow(spec.DW(), localLevels)*(aPart.Rows/ipow(spec.DU(), localLevels)), bPart.Cols)
+		bilinear.NewEngine(spec, bilinear.Options{Workers: workers}, localLevels).
+			ExecIntoCancel(c, aPart, bPart, pool.NewArena(), nil, nil)
+		return c
 	}
 	r := spec.R
 	sub := g / r

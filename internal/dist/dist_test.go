@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"abmm/internal/algos"
+	"abmm/internal/core"
 	"abmm/internal/dist"
 	"abmm/internal/matrix"
 )
@@ -34,6 +35,31 @@ func TestDistributedStrassenMatchesClassical(t *testing.T) {
 			}
 			if procs > 1 && stats.Words == 0 {
 				t.Errorf("procs=%d: no communication recorded", procs)
+			}
+		}
+	}
+}
+
+// TestDistributedOneProcEqualsEngine pins the one-processor machine to
+// the engine bit for bit: at P = 1 there is no BFS step, so dist stacks,
+// runs LocalLevels recursion steps and unstacks exactly as a compiled
+// plan at the same depth does, padded shapes included.
+func TestDistributedOneProcEqualsEngine(t *testing.T) {
+	for _, alg := range []*algos.Algorithm{algos.Strassen(), algos.Winograd(), algos.Classical(2, 2, 2)} {
+		for _, n := range []int{64, 100} {
+			a, b := matrix.New(n, n), matrix.New(n, n)
+			a.FillUniform(matrix.Rand(uint64(n)), -1, 1)
+			b.FillUniform(matrix.Rand(uint64(n+1)), -1, 1)
+			for levels := 0; levels <= 3; levels++ {
+				got, _, err := dist.Multiply(alg.Spec, a, b, 1, dist.Options{LocalLevels: levels})
+				if err != nil {
+					t.Fatalf("%s n=%d L=%d: %v", alg.Name, n, levels, err)
+				}
+				want := core.Multiply(alg, a, b, core.Options{Levels: levels, Workers: 1})
+				if !matrix.Equal(got, want) {
+					t.Errorf("%s n=%d L=%d: differs from core.Multiply (max diff %g)",
+						alg.Name, n, levels, matrix.MaxAbsDiff(got, want))
+				}
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 )
@@ -20,6 +21,32 @@ func tinyParams() Params {
 	p.Reps = 1
 	p.Workers = 2
 	return p
+}
+
+// TestDeterministicTablesMatchCommittedOutput regenerates the tables
+// whose numbers come from neither timing nor a long error sweep —
+// Tables I–III, Figure 1 and the distributed table — at the committed
+// seed (cmd/experiments' defaults) and requires each to equal its
+// section of experiments_output.txt byte for byte: a change that moves
+// one of them regenerates the file in the same commit.
+func TestDeterministicTablesMatchCommittedOutput(t *testing.T) {
+	raw, err := os.ReadFile("../../experiments_output.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	committed := string(raw)
+	p := Default()
+	for _, tab := range []*Table{TableI(), TableII(), TableIII(true), Fig1(p), Dist(p)} {
+		i := strings.Index(committed, "== "+tab.Title+" ==\n")
+		if i < 0 {
+			t.Errorf("experiments_output.txt has no %q section", tab.Title)
+			continue
+		}
+		want, _, _ := strings.Cut(committed[i:], "\n\n")
+		if got := tab.String(); got != want+"\n" {
+			t.Errorf("%s differs from experiments_output.txt:\ngot:\n%s\nwant:\n%s\n", tab.Title, got, want)
+		}
+	}
 }
 
 func TestTableIContent(t *testing.T) {

@@ -143,8 +143,9 @@ func composedPairs() []composedPair {
 }
 
 // TableIII reproduces Table III: memory footprints and communication
-// costs of the ⟨2,2,2;7⟩ algorithms, from the analytic model, plus an
-// empirical column from the LRU cache simulator.
+// costs of the ⟨2,2,2;7⟩ algorithms, from the analytic model, plus a
+// column from the LRU cache simulator replaying a modeled direct
+// schedule (comm.Trace).
 func TableIII(simulate bool) *Table {
 	t := &Table{
 		Title: "Table III: communication costs (n/√M)^log2(7)·M leading term",
@@ -168,7 +169,7 @@ func TableIII(simulate bool) *Table {
 	}
 	t.Notes = append(t.Notes,
 		"paper constants: strassen 50.21, winograd 28.05, KS 23.37, SV/ours 18.82 (pebbling-optimized schedule)",
-		"simulator: direct-schedule engine trace, classical baseline "+fmt.Sprintf("%d", comm.TraceClassical(256, comm.NewCache(16*1024, 8)))+" words",
+		"simulator: modeled direct schedule (one S/T/P set per level, blocked i,k,j base case), classical baseline "+fmt.Sprintf("%d", comm.TraceClassical(256, comm.NewCache(16*1024, 8)))+" words",
 	)
 	return t
 }

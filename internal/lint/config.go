@@ -44,7 +44,6 @@ func DefaultConfig(dir string) Config {
 		AllowedImports: map[string][]string{
 			"abmm": {
 				"abmm/internal/algos",
-				"abmm/internal/bilinear",
 				"abmm/internal/core",
 				"abmm/internal/dd",
 				"abmm/internal/kernel",
@@ -145,6 +144,7 @@ func DefaultConfig(dir string) Config {
 			"abmm/internal/dist": {
 				"abmm/internal/bilinear",
 				"abmm/internal/matrix",
+				"abmm/internal/pool",
 			},
 			"abmm/internal/exact": {},
 			"abmm/internal/experiments": {

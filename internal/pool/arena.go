@@ -20,8 +20,9 @@ import (
 // engine's top-step fan-out draws every product subtree's scratch from
 // the execution's one arena), but it is designed to be owned by one
 // execution at a time and pooled across executions by core.Plan.
-// One-shot entry points (basis.Apply, bilinear.Exec, the classical
-// multiply) draw from a fresh NewArena per call.
+// One-shot entry points (basis.Apply, bilinear.ToRecursive, dist's
+// leaf step, the classical multiply) draw from a fresh NewArena per
+// call.
 type Arena struct {
 	mu sync.Mutex
 	// floats[c] holds free buffers with capacity exactly 1<<c.

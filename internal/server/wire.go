@@ -106,8 +106,9 @@ var rawPayload = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 // enough to amortize io calls, small enough to stay cache-friendly.
 const wireChunk = 4096 * 8
 
-// chunks recycles the portable path's chunk buffers; a pointer to an
-// array stores in the pool's interface without an allocation.
+// chunks recycles the portable path's chunk buffers and lends the
+// frame headers their bytes (a stack array handed to an io.Reader or
+// io.Writer escapes); a pointer to an array pools without allocating.
 var chunks = sync.Pool{New: func() any { return new([wireChunk]byte) }}
 
 // wireAlgs interns algorithm names: a decoded name that matches a
@@ -153,7 +154,9 @@ func EncodeRequest(w io.Writer, req *Request) error {
 // Request.Release. On error DecodeRequest returns no request and keeps
 // nothing it drew.
 func DecodeRequest(r io.Reader, maxElems int) (*Request, error) {
-	var hdr [maxHeader]byte
+	buf := chunks.Get().(*[wireChunk]byte)
+	defer chunks.Put(buf)
+	hdr := buf[:maxHeader]
 	if _, err := io.ReadFull(r, hdr[:5]); err != nil {
 		return nil, frameErr(err)
 	}
@@ -215,8 +218,9 @@ func readOperands(r io.Reader, m, k, n int) (a, b []float64, err error) {
 
 // frameEnd checks that r holds nothing past a decoded frame.
 func frameEnd(r io.Reader) error {
-	var one [1]byte
-	switch _, err := io.ReadFull(r, one[:]); {
+	buf := chunks.Get().(*[wireChunk]byte)
+	defer chunks.Put(buf)
+	switch _, err := io.ReadFull(r, buf[:1]); {
 	case err == nil:
 		return fmt.Errorf("%w: trailing bytes after the frame", ErrFrame)
 	case errors.Is(err, io.EOF):
@@ -228,11 +232,13 @@ func frameEnd(r io.Reader) error {
 
 // EncodeResponse writes the product in the binary wire format.
 func EncodeResponse(w io.Writer, c *abmm.Matrix) error {
-	var hdr [12]byte
-	copy(hdr[:4], respMagic[:])
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(c.Rows))
-	binary.LittleEndian.PutUint32(hdr[8:12], uint32(c.Cols))
-	if _, err := w.Write(hdr[:]); err != nil {
+	buf := chunks.Get().(*[wireChunk]byte)
+	copy(buf[:4], respMagic[:])
+	binary.LittleEndian.PutUint32(buf[4:8], uint32(c.Rows))
+	binary.LittleEndian.PutUint32(buf[8:12], uint32(c.Cols))
+	_, err := w.Write(buf[:12])
+	chunks.Put(buf)
+	if err != nil {
 		return err
 	}
 	return writeMatrix(w, c)
@@ -241,8 +247,10 @@ func EncodeResponse(w io.Writer, c *abmm.Matrix) error {
 // DecodeResponse reads one binary response from r. maxElems bounds the
 // announced result size, as in DecodeRequest.
 func DecodeResponse(r io.Reader, maxElems int) (*abmm.Matrix, error) {
-	var hdr [12]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	buf := chunks.Get().(*[wireChunk]byte)
+	defer chunks.Put(buf)
+	hdr := buf[:12]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, frameErr(err)
 	}
 	if [4]byte(hdr[:4]) != respMagic {

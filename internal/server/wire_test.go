@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -154,6 +155,51 @@ func TestResponseRoundTrip(t *testing.T) {
 				requireSameBits(t, "c", m, got)
 			})
 		}
+	}
+}
+
+// TestWireCodecAllocs pins the codec's allocations on a warm pool under
+// every payload path the host runs. EncodeResponse makes none: the
+// frame header borrows its bytes from chunks. DecodeRequest and Release
+// make at most five: the Request, its two Matrix headers and the two
+// slice headers pool.Put boxes; the header bytes are borrowed too.
+func TestWireCodecAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool items at random")
+	}
+	// A GC empties the pools the warm calls rely on.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const n = 64
+	req := &Request{Alg: "ours", A: testMatrix(n, n, 1), B: testMatrix(n, n, -2)}
+	var frame bytes.Buffer
+	if err := EncodeRequest(&frame, req); err != nil {
+		t.Fatal(err)
+	}
+	for _, raw := range payloadPaths() {
+		t.Run(payloadPathNames[raw], func(t *testing.T) {
+			setRawPayload(t, raw)
+			// AllocsPerRun's warm-up call fills the pools.
+			encode := testing.AllocsPerRun(20, func() {
+				if err := EncodeResponse(io.Discard, req.A); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if encode != 0 {
+				t.Errorf("EncodeResponse: %.0f allocs, want 0", encode)
+			}
+			r := bytes.NewReader(nil)
+			decode := testing.AllocsPerRun(20, func() {
+				r.Reset(frame.Bytes())
+				dec, err := DecodeRequest(r, n*n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dec.Release()
+			})
+			if decode > 5 {
+				t.Errorf("DecodeRequest+Release: %.0f allocs, want at most 5", decode)
+			}
+		})
 	}
 }
 
