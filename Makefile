@@ -73,11 +73,15 @@ bench-smoke:
 # transform passes (BenchmarkLinearCombine: GB/s of each routine on an
 # L2-resident and an LLC-sized block) and the stacking passes
 # (BenchmarkLayout: GB/s of ToRecursiveInto and FromRecursiveInto at 1
-# and 2 workers on deep-1023's and square-2048's operands).
+# and 2 workers on deep-1023's and square-2048's operands), and the
+# kernel against its own ceiling on the arena's row strides
+# (BenchmarkGEMMStride: one-worker GFLOP/s at n = 128..1024 with
+# stride n and with pool.Arena.Mat's padded stride, direct and with
+# two accumulating outputs).
 # The full trajectory version (durable JSON cells at 256/1024/4096) is
 # `make bench-json`; this is the quick in-place comparison.
 kernel-bench:
-	$(GO) test -run xxx -bench 'BenchmarkBaseCase|BenchmarkMicroPeak|BenchmarkPack|BenchmarkLinearCombine|BenchmarkLayout' -benchmem ./internal/kernel/ ./internal/matrix/ ./internal/bilinear/
+	$(GO) test -run xxx -bench 'BenchmarkBaseCase|BenchmarkMicroPeak|BenchmarkPack|BenchmarkLinearCombine|BenchmarkLayout|BenchmarkGEMMStride' -benchmem ./internal/kernel/ ./internal/matrix/ ./internal/bilinear/
 
 # Durable benchmark trajectory (cmd/bench): run the fixed matrix and
 # write the next BENCH_<k>.json, or re-run and diff against the newest

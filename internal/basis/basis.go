@@ -6,8 +6,9 @@
 //
 // Operands use the same stacked block-recursive layout as the bilinear
 // engine, so each recursion level addresses its sub-vectors as
-// contiguous row ranges and every combination streams contiguous
-// memory. Transformations with D₂ > D₁ (the higher-dimension and fully
+// contiguous row ranges and every combination streams whole rows in
+// order (a plan's wide blocks have padded rows; see pool.Arena.Mat).
+// Transformations with D₂ > D₁ (the higher-dimension and fully
 // decomposed algorithms of Beniamini–Schwartz) grow the operand.
 package basis
 

@@ -12,9 +12,16 @@ import (
 // recursive row-major block order: the first m0·k0 groups of rows are
 // the recursively-laid-out sub-blocks A₁...A_{m0k0} of the top-level
 // partition. One recursion level of the engine then addresses its D
-// sub-operands as contiguous row ranges, so every linear combination in
-// the encode/decode and basis-transformation phases streams over
-// contiguous memory.
+// sub-operands as row ranges, so every linear combination in the
+// encode/decode and basis-transformation phases streams over whole rows
+// in order.
+//
+// Rows need not be adjacent. The stacked matrices a plan draws from its
+// pool.Arena have w+8 elements of stride when w is a multiple of 256
+// (one cache line more than a row that is a whole number of 2 KiB, so
+// a kernel tile's 16 rows do not share one L1 set); every pass here
+// and in the engine addresses rows through Stride, and the row passes
+// walk a padded block row by row instead of as one flat span.
 //
 // The stacked matrix's shape fixes M and K: (m0·k0)^L·h rows of w
 // columns lay out an (m0^L·h)×(k0^L·w) matrix, the padded operand. A

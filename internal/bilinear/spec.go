@@ -5,9 +5,9 @@
 // levels and the classical algorithm at the base.
 //
 // The engine operates on a block-recursive ("stacked") data layout in
-// which an operand is a vector of equally-shaped base blocks stored
-// contiguously; one recursion level groups the vector into D sub-vectors
-// occupying contiguous row ranges. This uniformly supports standard
+// which an operand is a vector of equally-shaped base blocks stacked
+// one after another; one recursion level groups the vector into D
+// sub-vectors occupying contiguous row ranges. This uniformly supports standard
 // algorithms (D = M₀K₀) and the decomposed recursive-bilinear framework
 // of Beniamini–Schwartz, where the bilinear operators act on spaces of
 // dimension D_U, D_V, D_W larger than the matrix block counts.

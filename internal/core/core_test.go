@@ -143,33 +143,51 @@ func TestDeterministicAcrossSchedules(t *testing.T) {
 // crop, bit for bit to the same pipeline staged through each layer's
 // exported functions with padding and cropping as passes of their own.
 // Each plan first multiplies other operands, so the checked call runs
-// on dirty arena buffers.
+// on dirty arena buffers. The wide shapes have base blocks of 256 and
+// 512 columns, whose stacked operands the plan draws from Arena.Mat
+// with padded rows while the staged pipeline stacks into contiguous
+// matrices, so they pin the padded stacking passes and the engine on
+// padded operands bit for bit.
 func TestPlanMatchesStagedPipeline(t *testing.T) {
 	catalog := []*algos.Algorithm{
 		algos.Classical(2, 2, 2), algos.Strassen(), algos.Winograd(), algos.AltWinograd(), algos.Ours(),
 		algos.Laderman(), algos.LadermanAlt(), algos.HopcroftKerr223(), algos.Rect323(),
 	}
 	for _, sh := range [][3]int{{100, 130, 90}, {81, 80, 82}, {33, 17, 65}, {7, 9, 5}} {
-		m, k, n := sh[0], sh[1], sh[2]
-		a, b := matrix.New(m, k), matrix.New(k, n)
-		a.FillUniform(matrix.Rand(uint64(m)), -1, 1)
-		b.FillUniform(matrix.Rand(uint64(n)), -1, 1)
-		wa, wb := matrix.New(m, k), matrix.New(k, n)
-		wa.FillUniform(matrix.Rand(uint64(k)), 1, 2)
-		wb.FillUniform(matrix.Rand(uint64(k+1)), 1, 2)
 		for _, alg := range catalog {
 			for levels := 1; levels <= 3; levels++ {
 				for _, w := range []int{1, 2} {
-					plan := core.NewPlan(alg, core.Options{Levels: levels, Workers: w}, m, k, n)
-					got := matrix.New(m, n)
-					plan.MultiplyInto(got, wa, wb)
-					plan.MultiplyInto(got, a, b)
-					if !matrix.Equal(got, stagedMultiply(alg, a, b, levels, w)) {
-						t.Errorf("%s %dx%dx%d L=%d w=%d: plan differs bitwise from the staged pipeline", alg.Name, m, k, n, levels, w)
-					}
+					checkPlanMatchesStaged(t, alg, sh[0], sh[1], sh[2], levels, w)
 				}
 			}
 		}
+	}
+	for _, tc := range []struct{ n, levels int }{{512, 1}, {1024, 2}} {
+		for _, alg := range []*algos.Algorithm{algos.Ours(), algos.Strassen(), algos.Winograd()} {
+			for _, w := range []int{1, 2} {
+				checkPlanMatchesStaged(t, alg, tc.n, tc.n, tc.n, tc.levels, w)
+			}
+		}
+	}
+}
+
+// checkPlanMatchesStaged multiplies seeded m×k and k×n operands through
+// a warmed plan on dirty buffers and through stagedMultiply, and
+// reports any bitwise difference.
+func checkPlanMatchesStaged(t *testing.T, alg *algos.Algorithm, m, k, n, levels, w int) {
+	t.Helper()
+	a, b := matrix.New(m, k), matrix.New(k, n)
+	a.FillUniform(matrix.Rand(uint64(m)), -1, 1)
+	b.FillUniform(matrix.Rand(uint64(n)), -1, 1)
+	wa, wb := matrix.New(m, k), matrix.New(k, n)
+	wa.FillUniform(matrix.Rand(uint64(k)), 1, 2)
+	wb.FillUniform(matrix.Rand(uint64(k+1)), 1, 2)
+	plan := core.NewPlan(alg, core.Options{Levels: levels, Workers: w}, m, k, n)
+	got := matrix.New(m, n)
+	plan.MultiplyInto(got, wa, wb)
+	plan.MultiplyInto(got, a, b)
+	if !matrix.Equal(got, stagedMultiply(alg, a, b, levels, w)) {
+		t.Errorf("%s %dx%dx%d L=%d w=%d: plan differs bitwise from the staged pipeline", alg.Name, m, k, n, levels, w)
 	}
 }
 

@@ -13,20 +13,31 @@ import (
 // headers for views and pointer slices; the caller returns each through
 // its Put twin (PutHdr and PutMats never release what they point to).
 // Contents are unspecified; callers must fully overwrite what they read.
+// A matrix from Mat may have padded rows (see Mat): callers address it
+// through Stride and never assume its rows are contiguous.
 //
 // An Arena keeps free lists of everything it has handed out, so after
 // the first (warming) execution of a fixed-shape plan, repeated
-// executions allocate nothing. It is safe for concurrent use (the
-// engine's top-step fan-out draws every product subtree's scratch from
-// the execution's one arena), but it is designed to be owned by one
-// execution at a time and pooled across executions by core.Plan.
+// executions allocate nothing. Buffers of up to maxClassLen floats are
+// kept in power-of-two size classes; longer ones are kept by exact
+// length, so a padded block costs its padding and not the next class.
+// It is safe for concurrent use (the engine's top-step fan-out draws
+// every product subtree's scratch from the execution's one arena), but
+// it is designed to be owned by one execution at a time and pooled
+// across executions by core.Plan.
 // One-shot entry points (basis.Apply, bilinear.ToRecursive, dist's
 // leaf step, the classical multiply) draw from a fresh NewArena per
 // call.
 type Arena struct {
 	mu sync.Mutex
-	// floats[c] holds free buffers with capacity exactly 1<<c.
+	// floats[c] holds free buffers with capacity exactly 1<<c ≤
+	// maxClassLen.
 	floats [64][][]float64
+	// exact holds free buffers longer than maxClassLen, each with
+	// capacity equal to the length it was requested at, most recently
+	// returned last. It is short (at most one entry per large buffer an
+	// execution has out at once), so Floats scans it.
+	exact [][]float64
 	// hdrs holds free matrix headers (also used as the backing for Mat).
 	hdrs []*matrix.Matrix
 	// mats[c] holds free pointer slices with capacity exactly 1<<c.
@@ -85,49 +96,90 @@ func (a *Arena) Counters() Counters {
 	}
 }
 
+// maxClassLen is the longest buffer Floats serves from a power-of-two
+// size class; longer ones are kept by exact length. Rounding a padded
+// block (Mat) up to the next class would double its memory.
+const maxClassLen = 1 << 16
+
+// Floats returns a buffer of n float64s. Up to maxClassLen its
+// capacity is n's power-of-two size class; beyond it, exactly n.
+//
 //abmm:hotpath
 func (a *Arena) Floats(n int) []float64 {
 	if n == 0 {
 		return nil
 	}
-	class := bits.Len(uint(n - 1))
-	size := int64(8) << class
+	c := n
+	if n <= maxClassLen {
+		c = 1 << bits.Len(uint(n-1))
+	}
+	size := 8 * int64(c)
 	a.mu.Lock()
 	a.requested += size
 	a.live += size
 	if a.live > a.liveHW {
 		a.liveHW = a.live
 	}
-	if l := len(a.floats[class]); l > 0 {
-		buf := a.floats[class][l-1]
-		a.floats[class] = a.floats[class][:l-1]
+	if buf := a.take(c); buf != nil {
 		a.reused += size
 		a.mu.Unlock()
 		return buf[:n]
 	}
 	a.bytes += size
 	a.mu.Unlock()
-	// Cold miss: the arena grows once per size class, then recycles.
+	// Cold miss: the arena grows until it holds as many buffers of each
+	// capacity as an execution has out at once, then recycles.
 	//abmm:allow hotpath-alloc
-	return make([]float64, n, 1<<class)
+	return make([]float64, n, c)
 }
 
+// take pops a free buffer of capacity c, the most recently returned
+// one, or returns nil. a.mu must be held.
+func (a *Arena) take(c int) []float64 {
+	if c <= maxClassLen {
+		class := bits.Len(uint(c)) - 1
+		l := len(a.floats[class])
+		if l == 0 {
+			return nil
+		}
+		buf := a.floats[class][l-1]
+		a.floats[class] = a.floats[class][:l-1]
+		return buf
+	}
+	for i := len(a.exact) - 1; i >= 0; i-- {
+		if buf := a.exact[i]; cap(buf) == c {
+			last := len(a.exact) - 1
+			copy(a.exact[i:], a.exact[i+1:])
+			a.exact[last] = nil
+			a.exact = a.exact[:last]
+			return buf
+		}
+	}
+	return nil
+}
+
+// PutFloats returns a buffer obtained from Floats to its free list.
+//
 //abmm:hotpath
 func (a *Arena) PutFloats(buf []float64) {
 	c := cap(buf)
-	if c == 0 {
-		return
-	}
-	class := bits.Len(uint(c)) - 1
-	if 1<<class != c {
+	if c == 0 || c <= maxClassLen && c&(c-1) != 0 {
 		return // not arena-shaped; let the GC have it
 	}
 	a.mu.Lock()
-	// The free list reaches its high-water length during warmup and
-	// then stops growing: every append after that reuses capacity.
-	//abmm:allow hotpath-alloc
-	a.floats[class] = append(a.floats[class], buf[:c])
-	a.live -= int64(8) << class
+	if c > maxClassLen {
+		// The free lists reach their high-water lengths during warmup
+		// and then stop growing: every append after that reuses
+		// capacity.
+		//abmm:allow hotpath-alloc
+		a.exact = append(a.exact, buf[:c])
+	} else {
+		class := bits.Len(uint(c)) - 1
+		// Warmup-bounded like the exact-length list above.
+		//abmm:allow hotpath-alloc
+		a.floats[class] = append(a.floats[class], buf[:c])
+	}
+	a.live -= 8 * int64(c)
 	a.mu.Unlock()
 }
 
@@ -157,11 +209,31 @@ func (a *Arena) PutHdr(m *matrix.Matrix) {
 	a.mu.Unlock()
 }
 
+// Mat returns an r×c matrix with arena storage and row stride
+// stride(r, c): a matrix of more than one row whose rows are a whole
+// number of 2 KiB gets one cache line of padding after each row, so
+// callers address it through Stride and never assume contiguity.
+//
 //abmm:hotpath
 func (a *Arena) Mat(r, c int) *matrix.Matrix {
+	ld := stride(r, c)
 	m := a.Hdr()
-	m.Init(r, c, a.Floats(r*c))
+	*m = matrix.Matrix{Rows: r, Cols: c, Stride: ld, Data: a.Floats(r * ld)}
 	return m
+}
+
+// stride is the row stride Mat gives an r×c matrix. A row of c
+// float64s that is a whole number of 2 KiB (c a multiple of 256) maps
+// the 16 rows of a kernel register tile or A micro-panel to at most two
+// of the 64 sets of the L1d (one when the row is a whole number of
+// 4 KiB), where they evict each other; one more 64-byte line of stride
+// spreads them over 16 sets (DESIGN.md §2e has the measurement).
+// Narrower rows and single rows keep stride c.
+func stride(r, c int) int {
+	if r > 1 && c > 0 && c%256 == 0 {
+		return c + 8
+	}
+	return c
 }
 
 //abmm:hotpath

@@ -1,11 +1,15 @@
 // Package pool provides recycled float64 scratch memory. Arena is the
 // one scratch type of the execution layers: every kernel, transform and
 // recursion call draws from the execution's arena, whose free lists make
-// a warm execution allocation-free. Get and Put are process-wide
-// size-class pools for buffers that outlive any one execution (the
-// serving layer's operands and products). Buffers are bucketed by the
-// power-of-two size class of their capacity; contents are unspecified
-// on reuse, so callers must fully overwrite what they read.
+// a warm execution allocation-free. Arena.Mat pads rows that are a
+// whole number of 2 KiB by one cache line, so callers address its
+// matrices through Stride and never assume contiguity; the arena keeps
+// buffers longer than 2^16 floats by exact length and shorter ones by
+// power-of-two size class. Get and Put are process-wide size-class
+// pools for buffers that outlive any one execution (the serving layer's
+// operands and products), bucketed by the power-of-two class of their
+// capacity. Contents are unspecified on reuse, so callers must fully
+// overwrite what they read.
 package pool
 
 import (

@@ -158,22 +158,27 @@ func TestMultiplyIntoCtxZeroAllocUntraced(t *testing.T) {
 
 // TestMultiplyIntoZeroAllocWarm pins the tentpole guarantee: once a
 // plan and its arenas are warm, sequential MultiplyInto allocates
-// nothing, on a shape the recursion divides and on one it pads.
+// nothing, on a shape the recursion divides, on one it pads, and on
+// one whose 256-column blocks the arena pads and keeps by exact length.
 func TestMultiplyIntoZeroAllocWarm(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
 	alg, _ := abmm.Lookup("ours")
-	for _, sh := range [][3]int{{128, 128, 128}, {100, 130, 90}} {
-		m, k, n := sh[0], sh[1], sh[2]
+	for _, tc := range []struct{ m, k, n, levels int }{
+		{128, 128, 128, 2},
+		{100, 130, 90, 2},
+		{512, 512, 512, 1},
+	} {
+		m, k, n := tc.m, tc.k, tc.n
 		a, b, dst := abmm.NewMatrix(m, k), abmm.NewMatrix(k, n), abmm.NewMatrix(m, n)
 		a.FillUniform(abmm.Rand(1), -1, 1)
 		b.FillUniform(abmm.Rand(2), -1, 1)
-		mu := abmm.NewMultiplier(alg, abmm.Options{Levels: 2, Workers: 1})
+		mu := abmm.NewMultiplier(alg, abmm.Options{Levels: tc.levels, Workers: 1})
 		mu.MultiplyInto(dst, a, b)
 		mu.MultiplyInto(dst, a, b)
 		if av := testing.AllocsPerRun(10, func() { mu.MultiplyInto(dst, a, b) }); av != 0 {
-			t.Fatalf("%dx%dx%d: warm MultiplyInto allocated %.1f objects/op, want 0", m, k, n, av)
+			t.Fatalf("%dx%dx%d L=%d: warm MultiplyInto allocated %.1f objects/op, want 0", m, k, n, tc.levels, av)
 		}
 	}
 }
