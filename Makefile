@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt test race vet lint bench bench-smoke kernel-bench bench-json bench-compare perfbench perfbench-selftest serve-smoke slo-smoke trace-demo clean
+.PHONY: all build fmt test race vet lint bench bench-smoke kernel-bench bench-json bench-compare perfbench perfbench-selftest paper-check serve-smoke slo-smoke trace-demo clean
 
 all: build fmt vet test lint
 
@@ -106,6 +106,23 @@ perfbench:
 # The benchmark's self-test at tiny sizes (about 9 s). CI runs this step.
 perfbench-selftest:
 	cd _perfbench && $(GO) test .
+
+# The paper's error figures against their committed numbers:
+# regenerate Figures 2(C), 2(D), 3 and 4 at cmd/experiments' default
+# sizes and seed and require each section to equal its section of
+# experiments_output.txt byte for byte (awk's paragraph mode splits
+# both at blank lines). It takes about 60-90 s on a 2-core host, so it
+# runs here and in CI rather than in go test, where
+# TestDeterministicTablesMatchCommittedOutput holds the fast sections
+# (Tables I-III, Figure 1, the distributed table) the same way. A
+# change that moves a product's rounding regenerates these sections
+# (go run ./cmd/experiments -exp fig2c,fig2d,fig3,fig4) in the same
+# commit. CI runs this step.
+paper-check:
+	mkdir -p .bench_build
+	$(GO) run ./cmd/experiments -exp fig2c,fig2d,fig3,fig4 > .bench_build/paper-check.txt
+	awk -v RS= -v ORS='\n\n' '/^== Figure (2\(C\)|2\(D\)|3|4):/' experiments_output.txt | \
+		diff -u - .bench_build/paper-check.txt
 
 # End-to-end serving smoke test: build abmmd, drive it with loadgen for
 # a few seconds over a small shape mix, then send a one-second burst of

@@ -34,8 +34,10 @@
 //
 // All algorithms are defined by exact rational coefficient data and are
 // machine-verified against the Brent triple-product equations; the
-// engine runs CSE-scheduled linear phases over a block-recursive
-// layout, parallelized with goroutines.
+// engine forms every linear-phase block straight from its coefficient
+// row over a block-recursive layout, parallelized with goroutines. The
+// CSE-scheduled addition counts (Info.BilinearAdditions) are the
+// paper's accounting for Tables I–II and the leading coefficient.
 package abmm
 
 import (
@@ -293,8 +295,11 @@ type Info struct {
 	M0, K0, N0, R int
 	AltBasis      bool
 	// BilinearAdditions is the CSE-scheduled additions per recursion
-	// step; TransformAdditions the per-step basis transformation
-	// additions.
+	// step: the paper's count, behind LeadingCoefficient, not what the
+	// engine executes (it forms every block straight from its
+	// coefficient row, so it adds more where the CSE programs share
+	// partial sums, as Winograd's and Laderman's do).
+	// TransformAdditions is the per-step basis transformation additions.
 	BilinearAdditions  int
 	TransformAdditions int
 	// LeadingCoefficient of the arithmetic cost (e.g. 7 for Strassen,

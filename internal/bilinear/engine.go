@@ -34,9 +34,12 @@ func (o Options) workers() int { return parallel.Resolve(o.Workers) }
 // for concurrent ExecIntoCancel calls; core.Plan builds one per
 // compiled plan and reuses it for every execution of that shape.
 //
-// Every recursion step runs the spec's CSE-compiled encode and decode
-// programs around its R products, except the last, which folds them
-// into the base-case kernel's packing and write-out (see fused.go).
+// Every recursion step forms its R products' operands and its output
+// groups straight from the spec's coefficient rows, one
+// matrix.LinearCombine per block (see scheduled), except the last,
+// which folds them into the base-case kernel's packing and write-out
+// (see fused.go). The CSE-compiled programs of Spec.Programs give the
+// paper's addition counts; the engine does not run them.
 type Engine struct {
 	s       *Spec
 	workers int
@@ -52,10 +55,9 @@ type Engine struct {
 	regionNames []string
 }
 
-// NewEngine compiles the execution state for running spec s at the
-// given depth: resolved workers, the spec's linear-phase programs, and
-// the per-level trace region names. The returned Engine is reusable
-// and concurrency-safe.
+// NewEngine builds the execution state for running spec s at the given
+// depth: resolved workers and the per-level trace region names. The
+// returned Engine is reusable and concurrency-safe.
 func NewEngine(s *Spec, opt Options, levels int) *Engine {
 	if levels < 0 {
 		panic("bilinear: negative recursion depth")
@@ -65,7 +67,6 @@ func NewEngine(s *Spec, opt Options, levels int) *Engine {
 	for l := 1; l <= levels; l++ {
 		e.regionNames[l] = fmt.Sprintf("bilinear.L%d", l)
 	}
-	s.Programs() // compile once before any parallel execution
 	return e
 }
 
@@ -140,39 +141,40 @@ func (e *Engine) recurse(c, a, b *matrix.Matrix, level int, al *pool.Arena, done
 	e.scheduled(c, a, b, level, al, done, rec)
 }
 
-// scheduled runs one recursion step using the CSE-compiled linear-phase
-// programs: all S_r and T_r are produced by the shared encode programs,
-// the R products recurse (concurrently at the top node when there is
-// more than one worker), and the decode program writes the output
-// groups in place.
+// scheduled runs one recursion step straight from the spec's
+// coefficient rows: S_r and T_r are each one matrix.LinearCombine over
+// row r of Uᵀ and Vᵀ (a row that is a single unit coefficient keeps a
+// view of its group instead), the R products recurse (concurrently at
+// the top node when there is more than one worker), and each output
+// group C_k is written once, by one LinearCombine over row k of W.
 func (e *Engine) scheduled(c, a, b *matrix.Matrix, level int, al *pool.Arena, done <-chan struct{}, rec obs.Recorder) {
 	s := e.s
-	encA, encB, dec := s.Programs()
-	ah, bh, ch := a.Rows/s.DU(), b.Rows/s.DV(), c.Rows/s.DW()
 	aGroups := groupsIn(al, a, s.DU())
 	bGroups := groupsIn(al, b, s.DV())
-	sRun := runProgram(encA, aGroups, ah, a.Cols, nil, e.workers, al)
-	tRun := runProgram(encB, bGroups, bh, b.Cols, nil, e.workers, al)
+	ss := encode(al, s.uT, aGroups, e.workers)
+	ts := encode(al, s.vT, bGroups, e.workers)
+	ch := c.Rows / s.DW()
 	prods := al.Mats(s.R)
 	for r := range prods {
 		prods[r] = al.Mat(ch, c.Cols)
 	}
 	if level == e.levels && e.workers > 1 {
-		// Done in a separate method so its closure doesn't force sRun
-		// and tRun to the heap on the single-worker path.
-		e.recurseFanOut(prods, sRun.outs, tRun.outs, level, al, done, rec)
+		// Done in a separate method so its closure doesn't force ss and
+		// ts to the heap on the single-worker path.
+		e.recurseFanOut(prods, ss, ts, level, al, done, rec)
 	} else {
-		for r := 0; r < s.R; r++ {
-			e.recurse(prods[r], sRun.outs[r], tRun.outs[r], level-1, al, done, rec)
+		for r := range prods {
+			e.recurse(prods[r], ss[r], ts[r], level-1, al, done, rec)
 		}
 	}
-	sRun.release(al)
-	tRun.release(al)
+	putEncoded(al, s.uT, ss)
+	putEncoded(al, s.vT, ts)
 	putGroups(al, aGroups)
 	putGroups(al, bGroups)
 	cGroups := groupsIn(al, c, s.DW())
-	dRun := runProgram(dec, prods, ch, c.Cols, cGroups, e.workers, al)
-	dRun.release(al)
+	for k, g := range cGroups {
+		matrix.LinearCombine(g, s.wF.Row(k), prods, e.workers)
+	}
 	putGroups(al, cGroups)
 	for _, p := range prods {
 		al.PutMat(p)
@@ -192,14 +194,59 @@ func (e *Engine) scheduled(c, a, b *matrix.Matrix, level int, al *pool.Arena, do
 // only with more than one worker.
 //
 //abmm:coldpath
-func (e *Engine) recurseFanOut(prods, souts, touts []*matrix.Matrix, level int, al *pool.Arena, done <-chan struct{}, rec obs.Recorder) {
+func (e *Engine) recurseFanOut(prods, ss, ts []*matrix.Matrix, level int, al *pool.Arena, done <-chan struct{}, rec obs.Recorder) {
 	sub := *e
 	sub.workers = max(1, e.workers/len(prods))
 	parallel.ForChunks(len(prods), e.workers, 1, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
-			sub.recurse(prods[r], souts[r], touts[r], level-1, al, done, rec)
+			sub.recurse(prods[r], ss[r], ts[r], level-1, al, done, rec)
 		}
 	})
+}
+
+// encode forms one step's R product operands Σ_i coef[r][i]·groups[i]
+// from the rows of coef (Uᵀ or Vᵀ), drawing a block from al for each
+// unless the row is a single unit coefficient, whose group passes
+// through as it is.
+func encode(al *pool.Arena, coef *matrix.Matrix, groups []*matrix.Matrix, workers int) []*matrix.Matrix {
+	out := al.Mats(coef.Rows)
+	for r := range out {
+		row := coef.Row(r)
+		if i := unitTerm(row); i >= 0 {
+			out[r] = groups[i]
+			continue
+		}
+		out[r] = al.Mat(groups[0].Rows, groups[0].Cols)
+		matrix.LinearCombine(out[r], row, groups, workers)
+	}
+	return out
+}
+
+// putEncoded returns an encode result to al; the groups it passed
+// through stay with their owner.
+func putEncoded(al *pool.Arena, coef *matrix.Matrix, ms []*matrix.Matrix) {
+	for r, m := range ms {
+		if unitTerm(coef.Row(r)) < 0 {
+			al.PutMat(m)
+		}
+	}
+	al.PutMats(ms)
+}
+
+// unitTerm returns i when row's one nonzero coefficient is row[i] = 1,
+// and −1 otherwise.
+func unitTerm(row []float64) int {
+	at := -1
+	for i, c := range row {
+		if c == 0 {
+			continue
+		}
+		if at >= 0 || c != 1 {
+			return -1
+		}
+		at = i
+	}
+	return at
 }
 
 // groupsIn splits a stacked operand into its d top-level contiguous row

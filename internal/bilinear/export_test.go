@@ -16,7 +16,7 @@ func Multiply(s *Spec, a, b *matrix.Matrix, levels int, opt Options) *matrix.Mat
 
 // MultiplyUnfused is Multiply with the last recursion level run as an
 // ordinary scheduled step — materialized S_r and T_r, kernel.Mul
-// products, and the decode program — instead of the fused step: the
+// products, and the write-once decode — instead of the fused step: the
 // reference fused_test.go checks the fused step's rounding statements
 // against.
 func MultiplyUnfused(s *Spec, a, b *matrix.Matrix, levels int, opt Options) *matrix.Matrix {

@@ -3,9 +3,9 @@ package bilinear
 // The fused leaf step. At the last recursion level every operand of
 // the R products is a linear combination of the top-level operand
 // groups, and every output group is a linear combination of the R
-// products. The classical schedule materializes those combinations
-// (S_r, T_r, and the decode program's scale and accumulate sweeps) as
-// full-matrix memory passes around each base-case multiply. The packed
+// products. A scheduled step materializes those combinations (S_r,
+// T_r, and the write-once decode's sweeps) as full-matrix memory passes
+// around each base-case multiply. The packed
 // kernel makes all three passes free: its packing already copies each
 // operand block once, so the encode coefficients ride along with the
 // copy, and its write-out already touches each output tile once per kc
@@ -37,8 +37,9 @@ const maxFusedDim = 32
 // zeroed at the end.
 //
 // Rounding relative to the unfused step — the scheduled step over
-// kernel.Mul leaves, which materializes S_r/T_r and runs the decode
-// program (see fused_test.go for the pinned statements): the encode
+// kernel.Mul leaves, which materializes S_r/T_r and the products and
+// writes each output group once, summing its products in product order
+// (see fused_test.go for the pinned statements): the encode
 // fusion is exact — packing applies terms with matrix.LinearCombine's
 // per-element operation order, so a fused pack is bitwise identical to
 // materializing S_r/T_r and packing the result. On the decode side, a
@@ -46,9 +47,9 @@ const maxFusedDim = 32
 // first-touch overwrite) reproduces the rounding of materializing it
 // and then scaling or accumulating it (a rounded product, then a
 // rounded sum) exactly when the base block's inner dimension fits one kc
-// slice, so an output group written by a single product matches the
-// unfused step bitwise; a group summing several products may associate
-// its sum differently from the decode program. A product whose decode
+// slice, and the fused step too sums a group's products in product
+// order, so a group written only by such products matches the unfused
+// step bitwise. A product whose decode
 // is a single unit-coefficient accumulation instead takes the kernel's
 // direct path, which extends the destination's own ascending-k chain
 // of fused multiply-adds, c = fma(a, b, c) (the contract kernel.MulAdd

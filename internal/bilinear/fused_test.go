@@ -6,20 +6,26 @@ package bilinear_test
 //  1. Encode fusion is exact: packing a (coefficient, source) term list
 //     is bitwise identical to materializing the linear combination with
 //     matrix.LinearCombine and packing the result.
-//  2. End-to-end, fused equals unfused bitwise when every output group
-//     is written by exactly one product (e.g. classical algorithms with
-//     k0 = 1).
+//  2. End-to-end, fused equals unfused bitwise when every product
+//     scatters (a non-unit coefficient, several outputs, or a
+//     first-touch overwrite) and the leaf's inner dimension fits one kc
+//     slice: e.g. classical algorithms with k0 = 1, whose output groups
+//     are each written by exactly one product, or a decode whose every
+//     coefficient is ±2. Both paths sum a group's products in product
+//     order, the unfused reference (bilinear.MultiplyUnfused) in its
+//     write-once decode.
 //  3. Elsewhere the two paths differ only in low-order bits — the
-//     fused path chains single-output accumulations like a naive
-//     c += a·b and sums scattered products in product order, while the
-//     unfused reference (bilinear.MultiplyUnfused) materializes each
-//     product and runs the decode program.
+//     fused path chains single-output unit accumulations like a naive
+//     c += a·b, where the unfused reference adds a materialized
+//     product.
 
 import (
+	"math/big"
 	"testing"
 
 	"abmm/internal/algos"
 	"abmm/internal/bilinear"
+	"abmm/internal/exact"
 	"abmm/internal/kernel"
 	"abmm/internal/matrix"
 	"abmm/internal/pool"
@@ -122,9 +128,33 @@ func TestFusedBitwiseEqualsUnfusedNoAccum(t *testing.T) {
 	}
 }
 
+// TestFusedBitwiseEqualsUnfusedScatter pins statement 2 where output
+// groups sum several products: Winograd's encodings with every decode
+// coefficient doubled (not a correct algorithm, but the engine only
+// combines blocks) make every product scatter, and its groups sum up to
+// four products, which both paths add in product order.
+func TestFusedBitwiseEqualsUnfusedScatter(t *testing.T) {
+	win := algos.Winograd().Spec
+	w := exact.Scale(win.W, big.NewRat(2, 1))
+	s := bilinear.MustSpec("winograd-2w", 2, 2, 2, win.U, win.V, w)
+	a, b := matrix.New(64, 64), matrix.New(64, 64)
+	a.FillUniform(matrix.Rand(1), -1, 1)
+	b.FillUniform(matrix.Rand(2), -1, 1)
+	for _, levels := range []int{1, 2, 3} {
+		for _, opt := range []bilinear.Options{{Workers: 1}, {Workers: 4}} {
+			fused := bilinear.Multiply(s, a, b, levels, opt)
+			unfused := bilinear.MultiplyUnfused(s, a, b, levels, opt)
+			if !matrix.Equal(fused, unfused) {
+				t.Errorf("levels=%d opt=%+v: fused differs from unfused (max diff %g)",
+					levels, opt, matrix.MaxAbsDiff(fused, unfused))
+			}
+		}
+	}
+}
+
 // TestFusedMatchesUnfusedWithinUlps pins statement 3: for general
-// algorithms the only divergence is rounding association on
-// single-output accumulations, so fused and unfused stay within a few
+// algorithms the only divergence is the kernel's chain on single-output
+// unit accumulations, so fused and unfused stay within a few
 // ulps of each other — far inside the schedules' shared error envelope
 // against classical.
 func TestFusedMatchesUnfusedWithinUlps(t *testing.T) {

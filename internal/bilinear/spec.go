@@ -36,8 +36,10 @@ type Spec struct {
 	U, V, W *exact.Matrix
 
 	// Float mirrors used by the execution engine, derived from the
-	// exact matrices by NewSpec.
+	// exact matrices by NewSpec. uT and vT are Uᵀ and Vᵀ, so that the
+	// coefficients of S_r and T_r are row r of each.
 	uF, vF, wF *matrix.Matrix
+	uT, vT     *matrix.Matrix
 
 	progOnce           sync.Once
 	encAProg, encBProg *schedule.Program
@@ -46,8 +48,11 @@ type Spec struct {
 
 // Programs returns the CSE-compiled linear-phase programs: the
 // encodings of A and B (targets = the R products' operands) and the
-// decoding (targets = the D_W output blocks over the products).
-// Compilation happens once per Spec and is cached.
+// decoding (targets = the D_W output blocks over the products). They
+// give the paper's addition counts (Tables I–II and the arithmetic
+// leading coefficient); the engine does not run them, but combines
+// each block straight from the coefficient rows. Compilation happens
+// once per Spec and is cached.
 func (s *Spec) Programs() (encA, encB, dec *schedule.Program) {
 	s.progOnce.Do(func() {
 		s.encAProg = schedule.Compile(s.U)
@@ -58,9 +63,11 @@ func (s *Spec) Programs() (encA, encB, dec *schedule.Program) {
 }
 
 // ScheduledAdditions returns the per-step block addition counts of the
-// CSE-compiled linear phases. These are the counts that determine the
-// arithmetic-cost leading coefficient in practice (e.g. 4+4+7 = 15 for
-// Winograd's variant, 12 for the alternative basis bilinear phases).
+// CSE-compiled linear phases: the paper's counts, which determine the
+// arithmetic-cost leading coefficient (e.g. 4+4+7 = 15 for Winograd's
+// variant, 12 for the alternative basis bilinear phases). The engine
+// performs Additions' raw counts instead, which are equal wherever the
+// programs share no partial sum.
 func (s *Spec) ScheduledAdditions() (encA, encB, dec int) {
 	a, b, d := s.Programs()
 	return a.Additions(), b.Additions(), d.Additions()
@@ -91,6 +98,8 @@ func NewSpec(name string, m0, k0, n0 int, u, v, w *exact.Matrix) (*Spec, error) 
 	s.uF = matrix.FromSlice(u.Rows, u.Cols, u.Float64s())
 	s.vF = matrix.FromSlice(v.Rows, v.Cols, v.Float64s())
 	s.wF = matrix.FromSlice(w.Rows, w.Cols, w.Float64s())
+	s.uT = matrix.FromSlice(u.Cols, u.Rows, u.Transpose().Float64s())
+	s.vT = matrix.FromSlice(v.Cols, v.Rows, v.Transpose().Float64s())
 	return s, nil
 }
 

@@ -2,7 +2,7 @@ package core
 
 // Plan/execute split. Deciding how to multiply — recursion depth,
 // padded dimensions, stacked-layout shapes, in-place vs out-of-place
-// basis application, CSE program compilation, workspace sizing — is a
+// basis application, the bilinear engine, workspace sizing — is a
 // pure function of (algorithm, m×k×n, options). A Plan performs that
 // work once; MultiplyInto then only moves floats, drawing every scratch
 // buffer from a per-plan arena pool so repeated same-shape calls reach

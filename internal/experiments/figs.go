@@ -201,7 +201,8 @@ func Fig3(p Params) *Table {
 		})
 	}
 	t.Notes = append(t.Notes,
-		"all variants share E (Corollary III.9); error ordering tracks the prefactor Q")
+		"all variants share E (Corollary III.9); the paper's errors order by the prefactor Q,",
+		"but over this family's narrow Q band (15-20) these errors do not")
 	return t
 }
 
@@ -250,7 +251,8 @@ func Fig4(p Params) *Table {
 		}
 	}
 	t.Notes = append(t.Notes,
-		"alt-basis errors track standard-basis errors (ratio ≈ 1; Claim V.2);",
+		"alt-basis errors stay within about 2x of standard-basis errors (Claim V.2 expects ≈ 1),",
+		"except under inside-outside scaling of adversarial-vs-inside (see its ratio);",
 		"inside scaling rescues distribution 2, outside rescues distribution 3, repeated O-I is safe everywhere")
 	return t
 }

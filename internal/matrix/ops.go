@@ -85,11 +85,12 @@ type lcTerm struct {
 // sets it (a copy for 1, a negation for −1, else a rounded product) and
 // every later term adds its rounded product (a plain add or subtract
 // for ±1). Span by span (each row, or all rows at once when dst and
-// every source are contiguous), the host's vector routines apply the
-// first two terms in one pass over the span's vector-width prefix and
-// every later term in one more pass; Go applies the terms to the rest
-// of the span, one pass each. Products by ±1 are exact, so both give
-// the same bits.
+// every source are contiguous), and within a span piece by piece
+// (combinePiece elements), the host's vector routines apply the first
+// two terms in one pass over the piece's vector-width prefix and every
+// later term in one more pass; Go applies the terms to the rest of the
+// piece, one pass each. Products by ±1 are exact, so both give the same
+// bits.
 // dst may alias srcs[t] only when t is the first term with a nonzero
 // coefficient.
 //
@@ -99,13 +100,21 @@ func LinearCombine(dst *Matrix, coeffs []float64, srcs []*Matrix, workers int) {
 		panic("matrix: LinearCombine coeffs/srcs length mismatch")
 	}
 	// The term table lives on the stack for the sequential path; the
-	// parallel path copies it to the heap for the worker closure.
+	// parallel path copies it to the heap for the worker closure. It
+	// holds the nonzero terms only: a decode row has one coefficient per
+	// product, and few of them are nonzero.
+	nz := 0
+	for _, c := range coeffs {
+		if c != 0 {
+			nz++
+		}
+	}
 	var tbuf [32]lcTerm
 	terms := tbuf[:0]
-	if len(srcs) > len(tbuf) {
+	if nz > len(tbuf) {
 		// Cold spill: no catalog algorithm combines more than 32 terms.
 		//abmm:allow hotpath-alloc
-		terms = make([]lcTerm, 0, len(srcs))
+		terms = make([]lcTerm, 0, nz)
 	}
 	for t, c := range coeffs {
 		if c == 0 {
@@ -137,6 +146,14 @@ func LinearCombine(dst *Matrix, coeffs []float64, srcs []*Matrix, workers int) {
 	})
 }
 
+// combinePiece is how many elements of a span combineRows carries
+// through every term before it moves on: 8 KiB of destination, which
+// stays in L1 while the terms stream past it, so a k-term combination
+// reads each source once and writes the destination once even when its
+// span covers whole blocks. It is a multiple of every vector width, so
+// only a span's last piece leaves a tail to the Go loops.
+const combinePiece = 1024
+
 func combineRows(dst *Matrix, terms []lcTerm, lo, hi int) {
 	flat := dst.IsContiguous()
 	for _, t := range terms {
@@ -144,44 +161,52 @@ func combineRows(dst *Matrix, terms []lcTerm, lo, hi int) {
 	}
 	end, n := rowSpans(lo, hi, dst.Cols, flat)
 	for i := lo; i < end; i++ {
-		d := span(dst, i, n)
-		v := 0
-		if len(terms) > 1 {
-			v = combine2(d, span(terms[0].m, i, n), span(terms[1].m, i, n), terms[0].c, terms[1].c)
-			for _, t := range terms[2:] {
-				axpy(d[:v], span(t.m, i, n), t.c)
-			}
+		for p := 0; p < n; p += combinePiece {
+			combinePieceAt(dst, terms, i, p, min(p+combinePiece, n))
 		}
-		d = d[v:]
-		// First term initializes the rest of the span.
-		switch x := span(terms[0].m, i, n)[v:]; terms[0].c {
+	}
+}
+
+// combinePieceAt applies every term to elements [p, q) of the spans
+// that start at row i.
+func combinePieceAt(dst *Matrix, terms []lcTerm, i, p, q int) {
+	d := span(dst, i, p, q)
+	v := 0
+	if len(terms) > 1 {
+		v = combine2(d, span(terms[0].m, i, p, q), span(terms[1].m, i, p, q), terms[0].c, terms[1].c)
+		for _, t := range terms[2:] {
+			axpy(d[:v], span(t.m, i, p, q), t.c)
+		}
+	}
+	d = d[v:]
+	// First term initializes the rest of the piece.
+	switch x := span(terms[0].m, i, p, q)[v:]; terms[0].c {
+	case 1:
+		copy(d, x)
+	case -1:
+		for j := range d {
+			d[j] = -x[j]
+		}
+	default:
+		c := terms[0].c
+		for j := range d {
+			d[j] = c * x[j]
+		}
+	}
+	for _, t := range terms[1:] {
+		switch x := span(t.m, i, p, q)[v:]; t.c {
 		case 1:
-			copy(d, x)
+			for j := range d {
+				d[j] += x[j]
+			}
 		case -1:
 			for j := range d {
-				d[j] = -x[j]
+				d[j] -= x[j]
 			}
 		default:
-			c := terms[0].c
+			c := t.c
 			for j := range d {
-				d[j] = c * x[j]
-			}
-		}
-		for _, t := range terms[1:] {
-			switch x := span(t.m, i, n)[v:]; t.c {
-			case 1:
-				for j := range d {
-					d[j] += x[j]
-				}
-			case -1:
-				for j := range d {
-					d[j] -= x[j]
-				}
-			default:
-				c := t.c
-				for j := range d {
-					d[j] += c * x[j]
-				}
+				d[j] += c * x[j]
 			}
 		}
 	}
@@ -201,11 +226,12 @@ func rowSpans(lo, hi, cols int, flat bool) (end, n int) {
 	return hi, cols
 }
 
-// span returns the n elements of m from the first element of row i:
-// row i itself when n is m.Cols, and rows i onwards of a contiguous m
-// when n is a multiple of it.
-func span(m *Matrix, i, n int) []float64 {
-	return m.Data[i*m.Stride : i*m.Stride+n]
+// span returns elements [p, q) of m counted from the first element of
+// row i: part of row i itself when q ≤ m.Cols, and of rows i onwards of
+// a contiguous m otherwise.
+func span(m *Matrix, i, p, q int) []float64 {
+	o := i * m.Stride
+	return m.Data[o+p : o+q]
 }
 
 // ScaleRows computes dst[i,j] = d[i] * a[i,j] (left multiplication by

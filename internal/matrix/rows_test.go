@@ -50,7 +50,8 @@ func specialView(seed uint64, rows, n int) *Matrix {
 // negation or copy). It then runs the row loops over rows [2, 5) of
 // contiguous operands, which they walk as one span, under every
 // routine, and compares them with the Go loops over the same data in
-// strided views (row stride cols+3), which they walk row by row.
+// strided views (row stride cols+3), which they walk row by row; and
+// last the same over spans long enough to cross combinePiece.
 func TestRowRoutinesAgreeBitwise(t *testing.T) {
 	isas := hostISAs()
 	t.Logf("host routines: %d of %d (widest %s)", len(isas), len(isaNames), isaNames[cpu.Host])
@@ -142,20 +143,71 @@ func TestRowRoutinesAgreeBitwise(t *testing.T) {
 			}
 		}
 	}
+
+	// Contiguous operands of 3×701 and 3×1001 form one span of 2103 or
+	// 3003 elements: two whole pieces and a last one with a tail under
+	// both vector widths. LinearCombine with 2, 3 and 5 terms, into a
+	// fresh destination and into its first source, must give under
+	// every routine what the Go loops give on the same data in strided
+	// views, which they walk row by row.
+	coef5 := []float64{-3, 0.5, 1, -1, 1}
+	for _, n := range []int{701, 1001} {
+		strided := make([]*Matrix, len(coef5))
+		for k := range strided {
+			strided[k] = specialView(uint64(k+1), rows, n)
+		}
+		// combine writes the first terms of the sources into a
+		// destination filled with distinct values, or into a copy of
+		// the first source that then stands in for it; contig runs it
+		// on contiguous copies.
+		combine := func(terms int, alias, contig bool) *Matrix {
+			srcs := make([]*Matrix, terms)
+			for k := range srcs {
+				srcs[k] = strided[k]
+				if contig {
+					srcs[k] = srcs[k].Clone()
+				}
+			}
+			dst := specialView(99, rows, n)
+			if alias {
+				dst = specialView(1, rows, n)
+			}
+			if contig {
+				dst = dst.Clone()
+			}
+			if alias {
+				srcs[0] = dst
+			}
+			LinearCombine(dst, coef5[:terms], srcs, 1)
+			return dst
+		}
+		for _, terms := range []int{2, 3, 5} {
+			for _, alias := range []bool{false, true} {
+				forceISA(t, cpu.Generic)
+				want := combine(terms, alias, false)
+				for _, i := range isas {
+					forceISA(t, i)
+					name := fmt.Sprintf("%dx%d LinearCombine %d terms alias=%v contiguous", rows, n, terms, alias)
+					check(name, i, combine(terms, alias, true), want)
+				}
+			}
+		}
+	}
 }
 
 // BenchmarkLinearCombine times the two row routines through their
 // public entry point at one worker, under each routine the host runs:
-// a two-term LinearCombine (d = c0·x + c1·y) and the same combination
+// a two-term LinearCombine (d = c0·x + c1·y), the same combination
 // written over its first term (axpy: d = 1·d + c·x, the in-place
-// transforms' group add), on n×n operands that fit in L2 together
-// (n=128: 3 × 128 KiB) and on operands the size of deep-1023's
-// transforms (n=1024: 3 × 8 MiB, past L2 and within a server LLC).
-// GB/s counts the three n² streams each pass moves: two reads and a
-// write.
+// transforms' group add), and a four-term one in the shape of `ours`'s
+// write-once decode, d = ((x + y) − z) + w, on n×n operands of which
+// three fit in L2 together (n=128: 3 × 128 KiB) and on operands the
+// size of deep-1023's transforms (n=1024: 8 MiB each, past L2 and
+// within a server LLC). GB/s counts the n² streams a combination moves
+// at least: every source read once and the destination written once.
 func BenchmarkLinearCombine(b *testing.B) {
 	for _, n := range []int{128, 1024} {
-		x, y, d := randMat(1, n, n), randMat(2, n, n), New(n, n)
+		x, y, z, w, d := randMat(1, n, n), randMat(2, n, n), randMat(3, n, n), randMat(4, n, n), New(n, n)
 		bytes := float64(3 * 8 * n * n)
 		for _, i := range hostISAs() {
 			b.Run(fmt.Sprintf("combine2/%s/n=%d", isaNames[i], n), func(b *testing.B) {
@@ -173,6 +225,14 @@ func BenchmarkLinearCombine(b *testing.B) {
 					LinearCombine(d, coeffs, srcs, 1)
 				}
 				b.ReportMetric(bytes*float64(b.N)/b.Elapsed().Seconds()/1e9, "GB/s")
+			})
+			b.Run(fmt.Sprintf("combine4/%s/n=%d", isaNames[i], n), func(b *testing.B) {
+				forceISA(b, i)
+				coeffs, srcs := []float64{1, 1, -1, 1}, []*Matrix{x, y, z, w}
+				for r := 0; r < b.N; r++ {
+					LinearCombine(d, coeffs, srcs, 1)
+				}
+				b.ReportMetric(5.0/3*bytes*float64(b.N)/b.Elapsed().Seconds()/1e9, "GB/s")
 			})
 		}
 	}

@@ -19,6 +19,15 @@
 // program is verified symbolically against the target matrix before it
 // is returned, so heuristics can affect only the operation count, never
 // correctness.
+//
+// The programs are the paper's accounting, not an executor: their
+// addition counts give Tables I–II and the arithmetic leading
+// coefficient. The engine (internal/bilinear) forms every block
+// straight from its coefficient row instead, so for an algorithm whose
+// programs share partial sums (Winograd's, Laderman's) it performs more
+// additions than these counts. Decompose, the higher-dimension
+// decomposition behind Figure 3's decomposed algorithms, shares the
+// compiler's pair elimination.
 package schedule
 
 import (
@@ -46,13 +55,6 @@ type Program struct {
 	NumRegs   int
 	Ops       []Op
 	Targets   []int
-	// LastUse[r] is the index of the last op reading register r, or -1
-	// if no op reads it. The executor uses it to recycle scratch
-	// buffers. Target registers are never recycled during execution.
-	LastUse []int
-	// IsTarget[r] reports whether register r holds a target, precomputed
-	// so executors need no per-run lookup table.
-	IsTarget []bool
 }
 
 // Additions returns the number of binary addition operations in the
@@ -254,10 +256,9 @@ func (b *builder) hoist(k pairKey, targets []combo) {
 
 // emitChain emits a left-to-right chain computing the combination and
 // returns the register holding the result. Single-term combinations
-// with unit coefficient pass through without an op. Executors run each
-// op as a matrix.LinearCombine, which skips zero coefficients; every
-// coefficient emitted here and in hoist is nonzero except the zero
-// combination's 0·x_0, which therefore fills its register with +0.
+// with unit coefficient pass through without an op. Every coefficient
+// emitted here and in hoist is nonzero except the zero combination's
+// 0·x_0, a unary op that counts no addition.
 func (b *builder) emitChain(c combo) int {
 	regs := sortedRegs(c)
 	if len(regs) == 0 {
@@ -291,8 +292,8 @@ func (b *builder) emitChain(c combo) int {
 	return acc
 }
 
-// finish converts the rational ops to the float64 program and computes
-// liveness. Coefficients must be dyadic.
+// finish converts the rational ops to the float64 program. Coefficients
+// must be dyadic.
 func (b *builder) finish(targetRegs []int) *Program {
 	p := &Program{
 		NumInputs: b.numInputs,
@@ -305,20 +306,6 @@ func (b *builder) finish(targetRegs []int) *Program {
 		if op.b >= 0 {
 			p.Ops[i].CB = ratFloat(op.cb)
 		}
-	}
-	p.LastUse = make([]int, p.NumRegs)
-	for r := range p.LastUse {
-		p.LastUse[r] = -1
-	}
-	for i, op := range p.Ops {
-		p.LastUse[op.A] = i
-		if op.B >= 0 {
-			p.LastUse[op.B] = i
-		}
-	}
-	p.IsTarget = make([]bool, p.NumRegs)
-	for _, r := range targetRegs {
-		p.IsTarget[r] = true
 	}
 	return p
 }

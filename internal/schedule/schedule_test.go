@@ -123,19 +123,6 @@ func TestCompileNonDyadicPanics(t *testing.T) {
 	Compile(m)
 }
 
-func TestLastUseLiveness(t *testing.T) {
-	u, _, _ := winogradUVW()
-	p := Compile(u)
-	for i, op := range p.Ops {
-		if p.LastUse[op.A] < i {
-			t.Fatalf("op %d reads register %d after its recorded last use", i, op.A)
-		}
-		if op.B >= 0 && p.LastUse[op.B] < i {
-			t.Fatalf("op %d reads register %d after its recorded last use", i, op.B)
-		}
-	}
-}
-
 func TestCompileDeterministic(t *testing.T) {
 	u, v, w := winogradUVW()
 	for _, m := range []*exact.Matrix{u, v, w.Transpose()} {

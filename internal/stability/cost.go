@@ -12,8 +12,11 @@ type Cost struct {
 	// Mults counts scalar multiplications of the base-case classical
 	// products.
 	Mults int64
-	// BilinearAdds counts scalar additions/scales of the encode/decode
-	// phases (CSE-scheduled counts).
+	// BilinearAdds counts scalar additions of the encode/decode phases
+	// at the paper's CSE-scheduled counts (Spec.ScheduledAdditions),
+	// not at what the engine executes, which forms every block straight
+	// from its coefficient row and so adds more for an algorithm whose
+	// programs share partial sums (Winograd's, Laderman's).
 	BilinearAdds int64
 	// BaseAdds counts scalar additions inside the classical base cases.
 	BaseAdds int64
@@ -28,9 +31,9 @@ func (c Cost) Total() int64 { return c.Mults + c.BilinearAdds + c.BaseAdds + c.T
 // ArithmeticCost computes the exact scalar operation counts of running
 // the algorithm on an M×K by K×N multiplication with L recursion steps
 // (dimensions must be divisible by the respective base powers; callers
-// normally pass padded sizes). The counts follow the implementation
-// precisely: CSE-scheduled linear phases, classical base case, and the
-// recursive basis transformations of Algorithm 1.
+// normally pass padded sizes). The counts are the paper's model of
+// Algorithm 1: CSE-scheduled linear phases (see Cost.BilinearAdds),
+// classical base case, and the recursive basis transformations.
 func ArithmeticCost(alg *algos.Algorithm, m, k, n, l int) Cost {
 	s := alg.Spec
 	encA, encB, dec := s.ScheduledAdditions()

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"abmm"
+	"abmm/internal/algos"
 	"abmm/internal/core"
 	"abmm/internal/matrix"
 	"abmm/internal/obs"
@@ -158,27 +159,40 @@ func TestMultiplyIntoCtxZeroAllocUntraced(t *testing.T) {
 
 // TestMultiplyIntoZeroAllocWarm pins the tentpole guarantee: once a
 // plan and its arenas are warm, sequential MultiplyInto allocates
-// nothing, on a shape the recursion divides, on one it pads, and on
-// one whose 256-column blocks the arena pads and keeps by exact length.
+// nothing, on a shape the recursion divides, on one it pads, on one
+// whose 256-column blocks the arena pads and keeps by exact length, and
+// for an algorithm with more products than LinearCombine's stack term
+// table has room for.
 func TestMultiplyIntoZeroAllocWarm(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	alg, _ := abmm.Lookup("ours")
-	for _, tc := range []struct{ m, k, n, levels int }{
-		{128, 128, 128, 2},
-		{100, 130, 90, 2},
-		{512, 512, 512, 1},
+	ours, _ := abmm.Lookup("ours")
+	// Strassen⊗Strassen, ⟨4,4,4;49⟩: each of its scheduled decode rows
+	// has 49 coefficients, more than LinearCombine's stack term table
+	// holds, of which at most 16 are nonzero.
+	s2, err := algos.Kronecker(algos.Strassen(), algos.Strassen())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		alg             *abmm.Algorithm
+		m, k, n, levels int
+	}{
+		{ours, 128, 128, 128, 2},
+		{ours, 100, 130, 90, 2},
+		{ours, 512, 512, 512, 1},
+		{s2, 256, 256, 256, 2},
 	} {
 		m, k, n := tc.m, tc.k, tc.n
 		a, b, dst := abmm.NewMatrix(m, k), abmm.NewMatrix(k, n), abmm.NewMatrix(m, n)
 		a.FillUniform(abmm.Rand(1), -1, 1)
 		b.FillUniform(abmm.Rand(2), -1, 1)
-		mu := abmm.NewMultiplier(alg, abmm.Options{Levels: tc.levels, Workers: 1})
+		mu := abmm.NewMultiplier(tc.alg, abmm.Options{Levels: tc.levels, Workers: 1})
 		mu.MultiplyInto(dst, a, b)
 		mu.MultiplyInto(dst, a, b)
 		if av := testing.AllocsPerRun(10, func() { mu.MultiplyInto(dst, a, b) }); av != 0 {
-			t.Fatalf("%dx%dx%d L=%d: warm MultiplyInto allocated %.1f objects/op, want 0", m, k, n, tc.levels, av)
+			t.Fatalf("%s %dx%dx%d L=%d: warm MultiplyInto allocated %.1f objects/op, want 0", tc.alg.Name, m, k, n, tc.levels, av)
 		}
 	}
 }
