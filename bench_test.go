@@ -10,7 +10,6 @@ import (
 
 	"abmm"
 	"abmm/internal/algos"
-	"abmm/internal/comm"
 	"abmm/internal/core"
 	"abmm/internal/dist"
 	"abmm/internal/experiments"
@@ -51,11 +50,11 @@ func BenchmarkTable2Catalog(b *testing.B) {
 	}
 }
 
-// BenchmarkTable3Comm regenerates Table III (analytic model + LRU cache
-// simulation).
+// BenchmarkTable3Comm regenerates Table III (analytic model + one
+// measured multiplication per algorithm for the engine scratch column).
 func BenchmarkTable3Comm(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_ = experiments.TableIII(true).String()
+		_ = experiments.TableIII().String()
 	}
 }
 
@@ -289,13 +288,6 @@ func BenchmarkAblationStabilityAnalysis(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkCacheSimulator measures LRU trace throughput.
-func BenchmarkCacheSimulator(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_ = comm.Trace(algos.Ours(), 128, 2, comm.NewCache(8*1024, 8))
-	}
 }
 
 // BenchmarkDistributed measures the simulated message-passing BFS

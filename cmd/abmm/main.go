@@ -204,10 +204,12 @@ func main() {
 	if *check {
 		ref := abmm.ReferenceProduct(a, b, *workers)
 		maxAbs, maxRel := diff(c, ref)
-		out.Error = &errorStats{
-			MaxAbs: maxAbs,
-			MaxRel: maxRel,
-			Bound:  abmm.ErrorBound(alg, float64(*n)) * 0x1p-53,
+		out.Error = &errorStats{MaxAbs: maxAbs, MaxRel: maxRel}
+		// The plan's bound covers the operands it multiplied: a scaled
+		// run multiplies scaled copies, so it reports none.
+		if method == abmm.ScaleNone {
+			bound := mu.Plan(rows, inner, *n).ErrorBound() * a.MaxNorm() * b.MaxNorm()
+			out.Error.Bound = &bound
 		}
 	}
 
@@ -229,8 +231,11 @@ func main() {
 	}
 	fmt.Println(indent(out.Obs.Report(), "  "))
 	if out.Error != nil {
-		fmt.Printf("max abs error %.3e   max rel error %.3e   bound f(n)·ε = %.3e\n",
-			out.Error.MaxAbs, out.Error.MaxRel, out.Error.Bound)
+		fmt.Printf("max abs error %.3e   max rel error %.3e", out.Error.MaxAbs, out.Error.MaxRel)
+		if out.Error.Bound != nil {
+			fmt.Printf("   bound f(K,L)·ε·‖A‖‖B‖ = %.3e", *out.Error.Bound)
+		}
+		fmt.Println()
 	}
 }
 
@@ -253,10 +258,13 @@ type runStats struct {
 	Error       *errorStats      `json:"error,omitempty"`
 }
 
+// errorStats is the -check result. Bound is the compiled plan's
+// ErrorBound() (the Theorem III.8 factor f(K,L)·ε that abmmd reports per
+// request as X-Abmm-Error-Bound) times ‖A‖·‖B‖ in max norms.
 type errorStats struct {
-	MaxAbs float64 `json:"max_abs"`
-	MaxRel float64 `json:"max_rel"`
-	Bound  float64 `json:"bound"`
+	MaxAbs float64  `json:"max_abs"`
+	MaxRel float64  `json:"max_rel"`
+	Bound  *float64 `json:"bound,omitempty"`
 }
 
 // usageErr reports a flag error with usage text and exits with status 2

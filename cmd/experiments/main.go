@@ -71,7 +71,7 @@ func main() {
 	runners := map[string]func() *experiments.Table{
 		"table1": experiments.TableI,
 		"table2": experiments.TableII,
-		"table3": func() *experiments.Table { return experiments.TableIII(true) },
+		"table3": experiments.TableIII,
 		"fig1":   func() *experiments.Table { return experiments.Fig1(p) },
 		"fig2a":  func() *experiments.Table { return experiments.Fig2A(p) },
 		"fig2b":  func() *experiments.Table { return experiments.Fig2B(p) },

@@ -41,12 +41,6 @@ func (a *Algorithm) IsAltBasis() bool {
 	return a.Phi != nil || a.Psi != nil || a.Nu != nil
 }
 
-// Dims returns the base-case dimensions ⟨M₀,K₀,N₀⟩ and the product
-// count R.
-func (a *Algorithm) Dims() (m0, k0, n0, r int) {
-	return a.Spec.M0, a.Spec.K0, a.Spec.N0, a.Spec.R
-}
-
 // StandardUVW returns the standard-basis representation
 // ⟨φ·U_φ, ψ·V_ψ, ν·W_ν⟩ of the algorithm (Definition III.2), which
 // determines its stability vector and is the object the Brent

@@ -147,10 +147,3 @@ func TestFullDecomposition(t *testing.T) {
 		t.Fatal("full decomposition changed U")
 	}
 }
-
-func TestDimsAccessor(t *testing.T) {
-	m0, k0, n0, r := Classical(3, 4, 5).Dims()
-	if m0 != 3 || k0 != 4 || n0 != 5 || r != 60 {
-		t.Fatalf("Dims = %d,%d,%d,%d", m0, k0, n0, r)
-	}
-}

@@ -49,11 +49,12 @@ const maxFusedDim = 32
 // rounded sum) exactly when the base block's inner dimension fits one kc
 // slice, and the fused step too sums a group's products in product
 // order, so a group written only by such products matches the unfused
-// step bitwise. A product whose decode
-// is a single unit-coefficient accumulation instead takes the kernel's
-// direct path, which extends the destination's own ascending-k chain
-// of fused multiply-adds, c = fma(a, b, c) (the contract kernel.MulAdd
-// pins), and differs from materialize-then-add in low-order bits.
+// step bitwise. A product whose decode is a single unit-coefficient
+// accumulation instead takes the kernel's direct path, which extends
+// the destination's own ascending-k chain of fused multiply-adds,
+// c = fma(a, b, c) (the contract kernel's
+// TestMulAddBitwiseEqualsNaiveChain pins on that path), and differs
+// from materialize-then-add in low-order bits.
 // Deeper inner dimensions additionally round the decode once per kc
 // slice. None of this changes the error analysis — each output element
 // still receives the same number of rounded partial sums.

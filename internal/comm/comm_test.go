@@ -50,78 +50,3 @@ func TestFootprint(t *testing.T) {
 		t.Errorf("alt-basis footprint %.3g, want ≈2.67e6", f)
 	}
 }
-
-func TestCacheLRUBasics(t *testing.T) {
-	c := NewCache(4*8, 8) // 4 lines of 8 words
-	for i := int64(0); i < 4*8; i++ {
-		c.Touch(i)
-	}
-	if c.Misses() != 4 {
-		t.Fatalf("cold misses = %d, want 4", c.Misses())
-	}
-	for i := int64(0); i < 4*8; i++ {
-		c.Touch(i)
-	}
-	if c.Misses() != 4 {
-		t.Fatalf("warm pass missed: %d", c.Misses())
-	}
-	// Touch a 5th line: evicts LRU (line 0); touching line 0 misses.
-	c.Touch(4 * 8)
-	c.Touch(0)
-	if c.Misses() != 6 {
-		t.Fatalf("eviction sequence misses = %d, want 6", c.Misses())
-	}
-}
-
-func TestCacheTouchRangeEquivalence(t *testing.T) {
-	a := NewCache(1024, 8)
-	b := NewCache(1024, 8)
-	for i := int64(0); i < 500; i++ {
-		a.Touch(3000 + i)
-	}
-	b.TouchRange(3000, 500)
-	if a.Misses() != b.Misses() || a.Accesses() != b.Accesses() {
-		t.Fatalf("TouchRange diverges: %d/%d vs %d/%d", a.Misses(), a.Accesses(), b.Misses(), b.Accesses())
-	}
-}
-
-func TestTraceFastBeatsClassicalWhenCacheSmall(t *testing.T) {
-	const n = 256
-	cacheWords := 16 * 1024 // 16K words: n² = 64K words won't fit
-	classical := TraceClassical(n, NewCache(cacheWords, 8))
-	fast := Trace(algos.Strassen(), n, 3, NewCache(cacheWords, 8))
-	t.Logf("classical traffic %d words, strassen(3 levels) %d words", classical, fast)
-	if fast >= classical {
-		t.Errorf("3-level Strassen traffic %d not below classical %d", fast, classical)
-	}
-}
-
-func TestTraceAltBasisRuns(t *testing.T) {
-	// The alt-basis pipeline (with transforms) must trace without
-	// inconsistency and yield traffic of the same order as Strassen's.
-	const n = 128
-	cache := NewCache(8*1024, 8)
-	ours := Trace(algos.Ours(), n, 2, cache)
-	str := Trace(algos.Strassen(), n, 2, NewCache(8*1024, 8))
-	if ours <= 0 || str <= 0 {
-		t.Fatal("zero traffic")
-	}
-	ratio := float64(ours) / float64(str)
-	if ratio > 2 || ratio < 0.3 {
-		t.Errorf("ours/strassen traffic ratio %.2f implausible", ratio)
-	}
-}
-
-func TestTraceMoreLevelsReduceTraffic(t *testing.T) {
-	const n = 256
-	cacheWords := 8 * 1024
-	prev := int64(math.MaxInt64)
-	for _, l := range []int{0, 1, 2} {
-		got := Trace(algos.AltWinograd(), n, l, NewCache(cacheWords, 8))
-		t.Logf("levels=%d traffic=%d", l, got)
-		if l > 0 && got >= prev {
-			t.Errorf("levels=%d traffic %d not below previous %d", l, got, prev)
-		}
-		prev = got
-	}
-}

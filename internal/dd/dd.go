@@ -79,31 +79,10 @@ func Mul(a, b DD) DD {
 	return DD{p, e}
 }
 
-// MulFloat returns a*x for a float64 x.
-func MulFloat(a DD, x float64) DD {
-	p, e := twoProd(a.Hi, x)
-	e += a.Lo * x
-	p, e = quickTwoSum(p, e)
-	return DD{p, e}
-}
-
 // MulFloats returns the exact-to-dd product of two float64 values.
 func MulFloats(x, y float64) DD {
 	p, e := twoProd(x, y)
 	return DD{p, e}
-}
-
-// Div returns a/b computed with one Newton correction; accurate to
-// nearly full double-double precision for finite nonzero b.
-func Div(a, b DD) DD {
-	q1 := a.Hi / b.Hi
-	// r = a - q1*b computed in dd.
-	r := Sub(a, MulFloat(b, q1))
-	q2 := r.Hi / b.Hi
-	r = Sub(r, MulFloat(b, q2))
-	q3 := r.Hi / b.Hi
-	s, e := quickTwoSum(q1, q2)
-	return AddFloat(DD{s, e}, q3)
 }
 
 // Abs returns |a|.

@@ -64,34 +64,6 @@ func TestMulPrecision(t *testing.T) {
 	}
 }
 
-func TestDiv(t *testing.T) {
-	a := FromFloat(1)
-	b := FromFloat(3)
-	q := Div(a, b)
-	// q*3 must equal 1 to ~2^-105.
-	r := Sub(Mul(q, b), a)
-	if math.Abs(r.Float()) > 0x1p-100 {
-		t.Fatalf("1/3*3-1 = %g", r.Float())
-	}
-}
-
-func TestDivSelfIsOneProperty(t *testing.T) {
-	f := func(x float64) bool {
-		if x == 0 || math.IsNaN(x) || math.IsInf(x, 0) {
-			return true
-		}
-		x = math.Mod(x, 1e50)
-		if x == 0 {
-			return true
-		}
-		q := Div(FromFloat(x), FromFloat(x))
-		return math.Abs(Sub(q, FromFloat(1)).Float()) < 0x1p-100
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAbsCmpNeg(t *testing.T) {
 	a := DD{1, 0x1p-60}
 	if Cmp(a, FromFloat(1)) != 1 {

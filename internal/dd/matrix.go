@@ -17,18 +17,6 @@ func NewMatrix(r, c int) *Matrix {
 	return &Matrix{Rows: r, Cols: c, Data: make([]DD, r*c)}
 }
 
-// FromMatrix converts a float64 matrix exactly.
-func FromMatrix(m *matrix.Matrix) *Matrix {
-	out := NewMatrix(m.Rows, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			out.Data[i*out.Cols+j] = FromFloat(v)
-		}
-	}
-	return out
-}
-
 // At returns the element at (i, j).
 func (m *Matrix) At(i, j int) DD { return m.Data[i*m.Cols+j] }
 

@@ -44,14 +44,6 @@ func TestReferenceProductRandomAgreesToTolerance(t *testing.T) {
 	}
 }
 
-func TestFromMatrixRoundTrip(t *testing.T) {
-	m := matrix.New(7, 5)
-	m.FillUniform(matrix.Rand(9), -10, 10)
-	if matrix.MaxAbsDiff(FromMatrix(m).Round(), m) != 0 {
-		t.Fatal("FromMatrix/Round not exact")
-	}
-}
-
 func TestMatMulShapePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

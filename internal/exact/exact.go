@@ -299,15 +299,6 @@ func (m *Matrix) Float64s() []float64 {
 	return out
 }
 
-// Float64sLossy converts to float64 allowing rounding.
-func (m *Matrix) Float64sLossy() []float64 {
-	out := make([]float64, len(m.data))
-	for i := range m.data {
-		out[i], _ = m.data[i].Float64()
-	}
-	return out
-}
-
 // String renders the matrix with aligned rational entries.
 func (m *Matrix) String() string {
 	var b strings.Builder

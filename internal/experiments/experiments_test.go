@@ -39,7 +39,7 @@ func TestDeterministicTablesMatchCommittedOutput(t *testing.T) {
 	}
 	committed := string(raw)
 	p := Default()
-	for _, tab := range []*Table{TableI(), TableII(), TableIII(true), Fig1(p), Dist(p)} {
+	for _, tab := range []*Table{TableI(), TableII(), TableIII(), Fig1(p), Dist(p)} {
 		i := strings.Index(committed, "== "+tab.Title+" ==\n")
 		if i < 0 {
 			t.Errorf("experiments_output.txt has no %q section", tab.Title)
@@ -92,7 +92,7 @@ func TestTableIIAltNeverSlower(t *testing.T) {
 }
 
 func TestTableIIIContent(t *testing.T) {
-	out := TableIII(false).String()
+	out := TableIII().String()
 	for _, want := range []string{"strassen", "50.21", "winograd", "28.05", "2.68n²"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Table III missing %q:\n%s", want, out)

@@ -15,14 +15,16 @@
 // making. See DESIGN.md §2e for the contract and PAPERS.md
 // ("Implementing Strassen's Algorithm with BLIS") for the lineage.
 //
-// The single-output unscaled path (Mul, MulAdd) accumulates directly
-// into the destination tile, one fused multiply-add per k in ascending
-// order, and is bitwise identical to matrix.MulNaive, which computes
-// the same chain with math.FMA; the results are the same on every
-// architecture. The multi-output scaled path rounds once more per kc
-// block at the write-out, which changes low-order bits but none of the
-// error analysis (each output element still receives ⌈K/kc⌉ rounded
-// partial sums).
+// The single-output unscaled path (Mul, or GEMM with one Coeff-1 Out,
+// overwriting or accumulating) accumulates directly into the
+// destination tile, one fused multiply-add per k in ascending order
+// from zero or from the destination's prior value, and is bitwise
+// identical to matrix.MulNaive, which computes the same chain with
+// math.FMA; the results are the same on every architecture. The
+// multi-output scaled path rounds once more per kc block at the
+// write-out, which changes low-order bits but none of the error
+// analysis (each output element still receives ⌈K/kc⌉ rounded partial
+// sums).
 package kernel
 
 import (
@@ -98,17 +100,6 @@ type Out struct {
 // PhasePack/PhaseKernel spans.
 func Mul(c, a, b *matrix.Matrix, bl Blocking, workers int, al *pool.Arena, rec obs.Recorder) {
 	outs := [1]Out{{Coeff: 1, M: c}}
-	at := [1]Term{{Coeff: 1, M: a}}
-	bt := [1]Term{{Coeff: 1, M: b}}
-	GEMM(outs[:], at[:], bt[:], bl, workers, al, rec)
-}
-
-// MulAdd computes c += a·b through the packed kernel; the accumulation
-// chain starts from c's prior value and applies one fused multiply-add
-// per k in ascending order, c = fma(a_ik, b_kj, c), so it too is
-// bitwise reproducible. c must not alias a or b.
-func MulAdd(c, a, b *matrix.Matrix, bl Blocking, workers int, al *pool.Arena, rec obs.Recorder) {
-	outs := [1]Out{{Coeff: 1, M: c, Accum: true}}
 	at := [1]Term{{Coeff: 1, M: a}}
 	bt := [1]Term{{Coeff: 1, M: b}}
 	GEMM(outs[:], at[:], bt[:], bl, workers, al, rec)

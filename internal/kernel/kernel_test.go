@@ -90,7 +90,8 @@ func TestMulAddBitwiseEqualsNaiveChain(t *testing.T) {
 		fill(got, 5)
 		fill(want, 5)
 		// Naive accumulation oracle: want[i][j] += Σ_k a·b in ascending
-		// k, one rounding per add — the chain MulAdd must reproduce.
+		// k, one rounding per add — the chain the direct accumulating
+		// path must reproduce.
 		for i := 0; i < s.m; i++ {
 			for j := 0; j < s.n; j++ {
 				v := want.At(i, j)
@@ -100,11 +101,21 @@ func TestMulAddBitwiseEqualsNaiveChain(t *testing.T) {
 				want.Set(i, j, v)
 			}
 		}
-		MulAdd(got, a, b, Blocking{}, 1, pool.NewArena(), nil)
+		accumulate(got, a, b)
 		if !matrix.Equal(got, want) {
-			t.Fatalf("%dx%dx%d: packed MulAdd differs bitwise from naive accumulation", s.m, s.k, s.n)
+			t.Fatalf("%dx%dx%d: accumulating GEMM differs bitwise from naive accumulation", s.m, s.k, s.n)
 		}
 	}
+}
+
+// accumulate computes c += a·b through GEMM's direct path: one Coeff-1
+// accumulating output, the call fusedStep makes for a product whose
+// decode is a single unit coefficient.
+func accumulate(c, a, b *matrix.Matrix) {
+	outs := [1]Out{{Coeff: 1, M: c, Accum: true}}
+	at := [1]Term{{Coeff: 1, M: a}}
+	bt := [1]Term{{Coeff: 1, M: b}}
+	GEMM(outs[:], at[:], bt[:], Blocking{}, 1, pool.NewArena(), nil)
 }
 
 // TestGEMMSpansSumToWallTime pins the recorder contract on the parallel

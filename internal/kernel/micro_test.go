@@ -180,10 +180,10 @@ func TestFusedChainWitness(t *testing.T) {
 	}
 	for _, i := range hostISAs() {
 		forceISA(t, i)
-		mul, mulAdd := matrix.New(1, 1), matrix.New(1, 1)
+		mul, acc := matrix.New(1, 1), matrix.New(1, 1)
 		Mul(mul, a, b, Blocking{}, 1, pool.NewArena(), nil)
-		MulAdd(mulAdd, a, b, Blocking{}, 1, pool.NewArena(), nil)
-		for name, c := range map[string]*matrix.Matrix{"Mul": mul, "MulAdd": mulAdd} {
+		accumulate(acc, a, b)
+		for name, c := range map[string]*matrix.Matrix{"Mul": mul, "accumulating GEMM": acc} {
 			if got := c.At(0, 0); math.Float64bits(got) != math.Float64bits(want) {
 				t.Errorf("%s under %s = %v, want the fused chain's %v", name, isaNames[i], got, want)
 			}

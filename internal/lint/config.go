@@ -115,11 +115,7 @@ func DefaultConfig(dir string) Config {
 				"abmm/internal/pool",
 				"abmm/internal/schedule",
 			},
-			"abmm/internal/comm": {
-				"abmm/internal/algos",
-				"abmm/internal/basis",
-				"abmm/internal/bilinear",
-			},
+			"abmm/internal/comm": {"abmm/internal/algos"},
 			"abmm/internal/core": {
 				"abmm/internal/algos",
 				"abmm/internal/basis",

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 )
 
@@ -12,20 +13,19 @@ import (
 // may import only the module packages registered for it, and a package
 // absent from the map may import no module packages at all until it is
 // registered — so new edges are added deliberately, in review, not by
-// accident. Test units are exempt from the DAG (a test may reach for
-// any helper) but not from the stdlib rule.
+// accident. The DAG must also stay tight: an edge that no base file of
+// its package imports is a finding at the package clause, so deleting
+// the last use of a dependency deletes its edge too. Test units are
+// exempt from the DAG (a test may reach for any helper) but not from
+// the stdlib rule.
 
 const importCheck = "import-allowlist"
 
 func checkImports(p *pass) {
 	for _, u := range p.units {
-		var allowed map[string]bool
-		if u.Kind == unitBase && p.cfg.AllowedImports != nil {
-			allowed = make(map[string]bool)
-			for _, imp := range p.cfg.AllowedImports[u.Path] {
-				allowed[imp] = true
-			}
-		}
+		dag := u.Kind == unitBase && p.cfg.AllowedImports != nil
+		edges, registered := p.cfg.AllowedImports[u.Path]
+		imported := make(map[string]bool)
 		for _, f := range u.ScanFiles {
 			for _, imp := range f.Imports {
 				path, err := strconv.Unquote(imp.Path.Value)
@@ -34,13 +34,14 @@ func checkImports(p *pass) {
 				}
 				switch {
 				case p.loader.IsModulePath(path):
-					if u.Kind != unitBase || p.cfg.AllowedImports == nil {
+					if !dag {
 						continue
 					}
-					if allowed[path] {
+					imported[path] = true
+					if slices.Contains(edges, path) {
 						continue
 					}
-					if _, registered := p.cfg.AllowedImports[u.Path]; !registered {
+					if !registered {
 						p.report(imp.Pos(), importCheck, fmt.Sprintf(
 							"package %s is not registered in the dependency DAG; add it to AllowedImports before importing %s",
 							u.Path, path))
@@ -53,6 +54,16 @@ func checkImports(p *pass) {
 					p.report(imp.Pos(), importCheck, fmt.Sprintf(
 						"import %s is outside the standard library; the module is stdlib-only", path))
 				}
+			}
+		}
+		if !dag || len(u.ScanFiles) == 0 {
+			continue
+		}
+		for _, e := range edges {
+			if !imported[e] {
+				p.report(u.ScanFiles[0].Package, importCheck, fmt.Sprintf(
+					"allowlist edge %s → %s is imported by no file of the package; delete it from AllowedImports",
+					u.Path, e))
 			}
 		}
 	}

@@ -13,7 +13,7 @@
 //   - rat-aliasing: no big.Rat/big.Int receiver mutation through a
 //     borrowed At() pointer or across differently-indexed aliases.
 //   - import-allowlist: stdlib-only imports module-wide plus a
-//     per-package internal dependency DAG.
+//     per-package internal dependency DAG whose every edge is used.
 //
 // The service-layer checks (DESIGN.md §2h) guard the concurrency around
 // the kernel:
@@ -102,8 +102,9 @@ type Config struct {
 	// territory).
 	DDPkgs map[string]bool
 	// AllowedImports is the internal dependency DAG: package import
-	// path → module-internal imports it may use. Packages missing from
-	// the map may import no module packages until registered here. nil
+	// path → module-internal imports it may use, each of which some base
+	// file of the package must import. Packages missing from the map
+	// may import no module packages until registered here. nil
 	// disables the DAG half of import-allowlist (stdlib-only is still
 	// enforced).
 	AllowedImports map[string][]string

@@ -41,6 +41,8 @@ func fixtureConfig(t *testing.T) Config {
 			"fixture/rat":          {},
 			"fixture/imports/good": {"fixture/dep"},
 			"fixture/imports/bad":  {},
+			// fixture/imports/stale never imports fixture/par.
+			"fixture/imports/stale": {"fixture/dep", "fixture/par"},
 			// fixture/imports/rogue is deliberately absent.
 			"fixture/rsrc":       {},
 			"fixture/svc":        {"fixture/rsrc"},
@@ -168,6 +170,7 @@ func TestFixtureMessages(t *testing.T) {
 		"outside the standard library",
 		"not in fixture/imports/bad's allowlist",
 		"not registered in the dependency DAG",
+		"fixture/imports/stale → fixture/par is imported by no file of the package",
 		"is not released (.End()) on every return path",
 		"is discarded; it can never be released",
 		"severs the caller's cancellation",

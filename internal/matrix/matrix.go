@@ -112,26 +112,6 @@ func (m *Matrix) ViewInto(dst *Matrix, i, j, r, c int) {
 	dst.Rows, dst.Cols, dst.Stride, dst.Data = r, c, m.Stride, m.Data[off:end]
 }
 
-// BlockInto writes block (p, q) of the br-by-bc partition of m into the
-// header dst without allocating. It is Block for recycled headers.
-func (m *Matrix) BlockInto(dst *Matrix, br, bc, p, q int) {
-	if br <= 0 || bc <= 0 || m.Rows%br != 0 || m.Cols%bc != 0 {
-		panic(fmt.Sprintf("matrix: %dx%d not divisible into %dx%d blocks", m.Rows, m.Cols, br, bc))
-	}
-	h, w := m.Rows/br, m.Cols/bc
-	m.ViewInto(dst, p*h, q*w, h, w)
-}
-
-// Block partitions m into br-by-bc equal blocks and returns block (p, q)
-// as a view. m's dimensions must be divisible by br and bc.
-func (m *Matrix) Block(br, bc, p, q int) *Matrix {
-	if br <= 0 || bc <= 0 || m.Rows%br != 0 || m.Cols%bc != 0 {
-		panic(fmt.Sprintf("matrix: %dx%d not divisible into %dx%d blocks", m.Rows, m.Cols, br, bc))
-	}
-	h, w := m.Rows/br, m.Cols/bc
-	return m.View(p*h, q*w, h, w)
-}
-
 // Clone returns a deep copy of m with contiguous storage.
 func (m *Matrix) Clone() *Matrix {
 	out := New(m.Rows, m.Cols)

@@ -63,29 +63,6 @@ func TestViewBoundsPanics(t *testing.T) {
 	m.View(2, 2, 3, 3)
 }
 
-func TestBlockPartition(t *testing.T) {
-	m := New(6, 4)
-	for i := 0; i < 6; i++ {
-		for j := 0; j < 4; j++ {
-			m.Set(i, j, float64(10*i+j))
-		}
-	}
-	b := m.Block(3, 2, 2, 1) // block row 2, block col 1 of a 3x2 partition
-	if b.Rows != 2 || b.Cols != 2 {
-		t.Fatalf("block shape %dx%d", b.Rows, b.Cols)
-	}
-	// A block is a view over the same storage: identical bits.
-	//abmm:allow float-discipline
-	if b.At(0, 0) != m.At(4, 2) {
-		t.Fatal("block origin wrong")
-	}
-}
-
-func TestBlockIndivisiblePanics(t *testing.T) {
-	defer expectPanic(t, "indivisible block")
-	New(5, 4).Block(2, 2, 0, 0)
-}
-
 func TestCloneIndependence(t *testing.T) {
 	m := FromRows([][]float64{{1, 2}, {3, 4}})
 	c := m.Clone()
@@ -191,25 +168,10 @@ func expectPanic(t *testing.T, what string) {
 	}
 }
 
-func TestMaxNormAndFrobenius(t *testing.T) {
+func TestMaxNorm(t *testing.T) {
 	m := FromRows([][]float64{{3, -4}, {0, 0}})
 	if m.MaxNorm() != 4 {
 		t.Fatalf("MaxNorm = %v", m.MaxNorm())
-	}
-	if math.Abs(m.FrobeniusNorm()-5) > 1e-15 {
-		t.Fatalf("FrobeniusNorm = %v", m.FrobeniusNorm())
-	}
-	if New(3, 3).FrobeniusNorm() != 0 {
-		t.Fatal("Frobenius of zero matrix")
-	}
-}
-
-func TestFrobeniusNoOverflow(t *testing.T) {
-	m := New(2, 2)
-	m.Fill(1e300)
-	got := m.FrobeniusNorm()
-	if math.IsInf(got, 0) || math.Abs(got-2e300) > 1e286 {
-		t.Fatalf("Frobenius overflowed: %v", got)
 	}
 }
 

@@ -16,29 +16,6 @@ func (m *Matrix) MaxNorm() float64 {
 	return max
 }
 
-// FrobeniusNorm returns sqrt(Σ m_ij²).
-func (m *Matrix) FrobeniusNorm() float64 {
-	// Scaled accumulation to avoid overflow for large entries.
-	var scale, ssq float64 = 0, 1
-	for i := 0; i < m.Rows; i++ {
-		for _, v := range m.Row(i) {
-			if v == 0 {
-				continue
-			}
-			a := math.Abs(v)
-			if scale < a {
-				r := scale / a
-				ssq = 1 + ssq*r*r
-				scale = a
-			} else {
-				r := a / scale
-				ssq += r * r
-			}
-		}
-	}
-	return scale * math.Sqrt(ssq)
-}
-
 // MaxAbsDiff returns max |a_ij - b_ij|, the absolute forward error
 // measure used in Figures 2(C), 2(D) and 3.
 func MaxAbsDiff(a, b *Matrix) float64 {

@@ -156,14 +156,6 @@ func (s *HistSnapshot) Quantile(q float64) float64 {
 	return float64(s.Max)
 }
 
-// Mean returns the arithmetic mean of the observations (0 when empty).
-func (s *HistSnapshot) Mean() float64 {
-	if s.Count <= 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
-}
-
 // Stats summarizes the snapshot in a caller-chosen unit: every value
 // (quantiles, max) is multiplied by scale. The Collector uses it to
 // report nanosecond histograms in seconds and atto-scaled errors as

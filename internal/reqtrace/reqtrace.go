@@ -470,9 +470,6 @@ func (t *Trace) Finish(o Outcome, errMsg string) bool {
 	return true
 }
 
-// Finished reports whether Finish has run.
-func (t *Trace) Finished() bool { return t != nil && t.done.Load() }
-
 // Duration returns the sealed trace's total wall time (0 before
 // Finish).
 func (t *Trace) Duration() time.Duration {

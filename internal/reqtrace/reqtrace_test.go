@@ -255,8 +255,8 @@ func TestFinishFirstWins(t *testing.T) {
 	if tr.Outcome() != OutcomeError || tr.Err() != "boom" {
 		t.Fatalf("outcome=%v err=%q after racing Finish", tr.Outcome(), tr.Err())
 	}
-	if !tr.Finished() || tr.Duration() <= 0 {
-		t.Fatalf("finished=%v duration=%v", tr.Finished(), tr.Duration())
+	if tr.Duration() <= 0 {
+		t.Fatalf("duration=%v after Finish", tr.Duration())
 	}
 }
 
@@ -282,7 +282,6 @@ func TestNilTraceIsNoop(t *testing.T) {
 	if tr.Finish(OutcomeOK, "") {
 		t.Fatal("nil Finish returned true")
 	}
-	_ = tr.Finished()
 	_ = tr.Duration()
 	_ = tr.Outcome()
 	_ = tr.Err()
