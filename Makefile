@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt test race vet lint bench bench-smoke kernel-bench bench-json bench-compare perfbench perfbench-selftest paper-check serve-smoke slo-smoke trace-demo clean
+.PHONY: all build fmt test race vet lint bench bench-smoke kernel-bench bench-compare perfbench perfbench-selftest paper-check serve-smoke slo-smoke trace-demo clean
 
 all: build fmt vet test lint
 
@@ -62,8 +62,8 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# Base-case kernel benchmarks: packed register-tiled kernel vs the
-# blocked reference loop (ns/op, GFLOPS via -benchmem MB/s, allocs),
+# Base-case kernel benchmarks: the packed register-tiled kernel
+# (BenchmarkBaseCase: ns/op, GFLOPS via -benchmem MB/s, allocs),
 # the micro-kernel's measured ceiling (BenchmarkMicroPeak: GFLOP/s of
 # each routine the host runs on L1-resident panels, kc 64/128/256,
 # alone and with the in-place tile write-out), the A/B packs
@@ -77,25 +77,28 @@ bench-smoke:
 # kernel against its own ceiling on the arena's row strides
 # (BenchmarkGEMMStride: one-worker GFLOP/s at n = 128..1024 with
 # stride n and with pool.Arena.Mat's padded stride, direct and with
-# two accumulating outputs).
-# The full trajectory version (durable JSON cells at 256/1024/4096) is
-# `make bench-json`; this is the quick in-place comparison.
+# two accumulating outputs). These are in-place readings; the gate on
+# a change is bench-compare.
 kernel-bench:
 	$(GO) test -run xxx -bench 'BenchmarkBaseCase|BenchmarkMicroPeak|BenchmarkPack|BenchmarkLinearCombine|BenchmarkLayout|BenchmarkGEMMStride' -benchmem ./internal/kernel/ ./internal/matrix/ ./internal/bilinear/
 
-# Durable benchmark trajectory (cmd/bench): run the fixed matrix and
-# write the next BENCH_<k>.json, or re-run and diff against the newest
-# committed baseline — BENCH_1.json, which includes the kernel-level
-# cells — with nonzero exit on regression. CI runs bench-compare.
-# The comparison runs at the GOMAXPROCS the baseline recorded: its
-# workers=0 cells ran that many workers, and bench -compare refuses
-# (exit 2) a run made at any other.
-bench-json:
-	$(GO) run ./cmd/bench
-
+# The benchmark gate: judge this checkout against BASE (a commit,
+# default HEAD~1, the parent) on the repository benchmark. It checks
+# BASE out under .bench_build/base with git worktree, and cmd/benchgate
+# runs BENCHMARK.json's command there and here in alternation, five
+# pairs of 3-second runs per workload with the same seed on both sides
+# of a pair. It fails when a run fails, when correctness or the failed
+# share gets worse, when a metric is missing, or when a median is worse
+# than its BENCHMARK.json bound and outside the parent's interquartile
+# range. The worktree is removed whatever the verdict. About 3 minutes
+# on a 2-core host. CI runs this step against the pull request's base.
+BASE ?= HEAD~1
 bench-compare:
-	GOMAXPROCS=$$(sed -n 's/^ *"gomaxprocs": *\([0-9]*\),$$/\1/p' BENCH_1.json) \
-		$(GO) run ./cmd/bench -o /tmp/abmm-bench-head.json -compare BENCH_1.json
+	git worktree remove --force .bench_build/base 2>/dev/null || true
+	git worktree prune
+	git worktree add --detach .bench_build/base $(BASE)
+	$(GO) run ./cmd/benchgate .bench_build/base; status=$$?; \
+		git worktree remove --force .bench_build/base; exit $$status
 
 # The repository benchmark (BENCHMARK.json, _perfbench/METRICS.md):
 # ARGS go straight to bash _perfbench/run.sh, e.g.

@@ -223,23 +223,6 @@ func BenchmarkMultiply(b *testing.B) {
 	}
 }
 
-func BenchmarkClassicalKernel(b *testing.B) {
-	for _, n := range []int{256, 512} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			a := matrix.New(n, n)
-			x := matrix.New(n, n)
-			c := matrix.New(n, n)
-			a.FillUniform(matrix.Rand(1), -1, 1)
-			x.FillUniform(matrix.Rand(2), -1, 1)
-			b.SetBytes(int64(n) * int64(n) * 8 * 3)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				matrix.Mul(c, a, x, 0)
-			}
-		})
-	}
-}
-
 // --- Ablations (DESIGN.md §6) ---
 
 // BenchmarkAblationLevels sweeps recursion depth for the paper's

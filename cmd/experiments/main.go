@@ -11,7 +11,7 @@
 // fig3 fig4 dist phases.
 //
 // Bad flags, unknown experiment names, and malformed size lists exit
-// with status 2 and usage text (matching cmd/abmm and cmd/bench);
+// with status 2 and usage text (matching cmd/abmm);
 // runtime failures exit with status 1.
 package main
 

@@ -29,7 +29,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Multiply. AutoLevels recurses while blocks stay ≥ 64.
+	// Multiply. AutoLevels recurses while every base-block dimension
+	// stays ≥ 512, so this 1024² product takes one level.
 	c := abmm.Multiply(alg, a, b, abmm.Options{Levels: abmm.AutoLevels})
 
 	// Verify against the classical kernel.

@@ -2,8 +2,8 @@
 // library: a cache-blocked (mc/kc/nc) GEMM with a register-tiled MR×NR
 // micro-kernel, in the BLIS mold. Operand blocks are copied into
 // contiguous micro-panels once per cache block and the unrolled
-// micro-kernel streams them with unit stride, which is what lifts the
-// base case past the strided blocked loop in internal/matrix.
+// micro-kernel streams them with unit stride. It is the library's one
+// classical product: the base case of every recursion and the L=0 plan.
 //
 // The package's defining feature is the fused contract: both operands
 // are given as lists of (coefficient, source) terms and the destination

@@ -3,6 +3,7 @@ package kernel
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -54,12 +55,38 @@ var shapes = []struct{ m, k, n int }{
 	{33, 17, 8},
 }
 
+// emptyShapes have an empty extent. With k = 0 the product is an m×n
+// zero, which Mul must write over whatever the destination held.
+var emptyShapes = []struct{ m, k, n int }{
+	{0, 0, 0},
+	{0, 3, 5},
+	{5, 3, 0},
+	{2, 0, 2},
+	{33, 0, 17},
+}
+
+// offsetView returns an r×c view that starts at (1, 2) inside larger
+// storage filled with NaN, so a kernel that reads outside its operand
+// views turns the product into NaN. An empty shape gets plain storage:
+// an empty view keeps its parent's stride over no data, so its rows
+// cannot be sliced.
+func offsetView(r, c int) *matrix.Matrix {
+	if r == 0 || c == 0 {
+		return matrix.New(r, c)
+	}
+	big := matrix.New(r+3, c+5)
+	big.Fill(math.NaN())
+	return big.View(1, 2, r, c)
+}
+
+// TestMulBitwiseEqualsNaive runs every operand and destination as a view
+// at a nonzero origin; TestGEMMStrideInvariant covers padded strides.
 func TestMulBitwiseEqualsNaive(t *testing.T) {
-	for _, s := range shapes {
+	for _, s := range slices.Concat(shapes, emptyShapes) {
 		for _, workers := range []int{1, 3} {
 			t.Run(fmt.Sprintf("%dx%dx%d/w%d", s.m, s.k, s.n, workers), func(t *testing.T) {
-				a := matrix.New(s.m, s.k)
-				b := matrix.New(s.k, s.n)
+				a := offsetView(s.m, s.k)
+				b := offsetView(s.k, s.n)
 				fill(a, 1)
 				fill(b, 2)
 				want := matrix.New(s.m, s.n)
@@ -68,13 +95,34 @@ func TestMulBitwiseEqualsNaive(t *testing.T) {
 				// contract, not only the one it would pick.
 				for _, i := range hostISAs() {
 					forceISA(t, i)
-					got := matrix.New(s.m, s.n)
+					got := offsetView(s.m, s.n)
+					got.Fill(3)
 					Mul(got, a, b, Blocking{}, workers, pool.NewArena(), nil)
 					if !matrix.Equal(got, want) {
 						t.Fatalf("%s: packed Mul differs bitwise from MulNaive", isaNames[i])
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestMulIdentity checks A·I = I·A = A exactly: every other term of each
+// chain is a zero product, so no rounding may creep in.
+func TestMulIdentity(t *testing.T) {
+	for _, n := range []int{1, 7, 16, 33, 129} {
+		a := matrix.New(n, n)
+		fill(a, 4)
+		for _, workers := range []int{1, 3} {
+			c := matrix.New(n, n)
+			Mul(c, a, matrix.Identity(n), Blocking{}, workers, pool.NewArena(), nil)
+			if !matrix.Equal(c, a) {
+				t.Fatalf("n=%d w%d: A·I differs from A", n, workers)
+			}
+			Mul(c, matrix.Identity(n), a, Blocking{}, workers, pool.NewArena(), nil)
+			if !matrix.Equal(c, a) {
+				t.Fatalf("n=%d w%d: I·A differs from A", n, workers)
+			}
 		}
 	}
 }
@@ -157,12 +205,6 @@ func BenchmarkBaseCase(b *testing.B) {
 		x := benchMatrix(n, 2)
 		c := matrix.New(n, n)
 		flops := 2 * int64(n) * int64(n) * int64(n)
-		b.Run(fmt.Sprintf("blocked/n=%d", n), func(b *testing.B) {
-			b.SetBytes(flops)
-			for i := 0; i < b.N; i++ {
-				matrix.Mul(c, a, x, 1)
-			}
-		})
 		b.Run(fmt.Sprintf("packed/n=%d", n), func(b *testing.B) {
 			ar := pool.NewArena()
 			b.SetBytes(flops)

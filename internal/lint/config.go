@@ -58,12 +58,9 @@ func DefaultConfig(dir string) Config {
 				"abmm",
 				"abmm/internal/server",
 			},
-			"abmm/cmd/abmmvet":  {"abmm/internal/lint"},
-			"abmm/cmd/algoinfo": {"abmm"},
-			"abmm/cmd/bench": {
-				"abmm",
-				"abmm/internal/bench",
-			},
+			"abmm/cmd/abmmvet":     {"abmm/internal/lint"},
+			"abmm/cmd/algoinfo":    {"abmm"},
+			"abmm/cmd/benchgate":   {},
 			"abmm/cmd/experiments": {"abmm/internal/experiments"},
 			"abmm/cmd/loadgen": {
 				"abmm",
@@ -98,12 +95,6 @@ func DefaultConfig(dir string) Config {
 				"abmm/internal/exact",
 				"abmm/internal/matrix",
 				"abmm/internal/parallel",
-				"abmm/internal/pool",
-			},
-			"abmm/internal/bench": {
-				"abmm",
-				"abmm/internal/kernel",
-				"abmm/internal/matrix",
 				"abmm/internal/pool",
 			},
 			"abmm/internal/bilinear": {

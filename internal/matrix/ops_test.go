@@ -59,7 +59,7 @@ func TestOpsShapePanics(t *testing.T) {
 		"LinearCombine": func() { LinearCombine(New(2, 3), []float64{1, 2}, []*Matrix{b, a}, 1) },
 		"ScaleRows":     func() { ScaleRows(a, a, []float64{1}, 1) },
 		"ScaleCols":     func() { ScaleCols(a, a, []float64{1, 2, 3}, 1) },
-		"MulAdd":        func() { MulAdd(New(2, 2), a, b.Transpose(), 1) },
+		"MulNaive":      func() { MulNaive(New(2, 2), a, b.Transpose()) },
 		"CopyInto":      func() { CopyInto(a, b) },
 		"MaxAbsDiff":    func() { MaxAbsDiff(a, b) },
 	} {

@@ -50,7 +50,8 @@ func TestLinearCombineMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestMulDistributesOverAddition checks A(B+C) = AB + AC to roundoff.
+// TestMulDistributesOverAddition checks A(B+C) = AB + AC to roundoff
+// on MulNaive, the oracle the packed kernel is held to bit for bit.
 func TestMulDistributesOverAddition(t *testing.T) {
 	f := func(seed uint64) bool {
 		m := int(seed%20) + 1
@@ -65,10 +66,10 @@ func TestMulDistributesOverAddition(t *testing.T) {
 		sum := New(k, n)
 		LinearCombine(sum, []float64{1, 1}, []*Matrix{b, c}, 1)
 		left := New(m, n)
-		Mul(left, a, sum, 2)
+		MulNaive(left, a, sum)
 		ab, ac := New(m, n), New(m, n)
-		Mul(ab, a, b, 2)
-		Mul(ac, a, c, 2)
+		MulNaive(ab, a, b)
+		MulNaive(ac, a, c)
 		right := New(m, n)
 		LinearCombine(right, []float64{1, 1}, []*Matrix{ab, ac}, 1)
 		return MaxAbsDiff(left, right) < 1e-12*float64(k+1)
@@ -94,9 +95,9 @@ func TestMulTransposeIdentity(t *testing.T) {
 			b.Data[i] = float64(rng.IntN(7) - 3)
 		}
 		ab := New(m, n)
-		Mul(ab, a, b, 1)
+		MulNaive(ab, a, b)
 		btat := New(n, m)
-		Mul(btat, b.Transpose(), a.Transpose(), 1)
+		MulNaive(btat, b.Transpose(), a.Transpose())
 		return Equal(ab.Transpose(), btat)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

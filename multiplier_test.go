@@ -160,9 +160,9 @@ func TestMultiplyIntoCtxZeroAllocUntraced(t *testing.T) {
 // TestMultiplyIntoZeroAllocWarm pins the tentpole guarantee: once a
 // plan and its arenas are warm, sequential MultiplyInto allocates
 // nothing, on a shape the recursion divides, on one it pads, on one
-// whose 256-column blocks the arena pads and keeps by exact length, and
-// for an algorithm with more products than LinearCombine's stack term
-// table has room for.
+// whose 256-column blocks the arena pads and keeps by exact length, on
+// 256² and 512² at one and two levels, and for an algorithm with more
+// products than LinearCombine's stack term table has room for.
 func TestMultiplyIntoZeroAllocWarm(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -181,7 +181,10 @@ func TestMultiplyIntoZeroAllocWarm(t *testing.T) {
 	}{
 		{ours, 128, 128, 128, 2},
 		{ours, 100, 130, 90, 2},
+		{ours, 256, 256, 256, 1},
+		{ours, 256, 256, 256, 2},
 		{ours, 512, 512, 512, 1},
+		{ours, 512, 512, 512, 2},
 		{s2, 256, 256, 256, 2},
 	} {
 		m, k, n := tc.m, tc.k, tc.n
